@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import (
@@ -49,10 +50,10 @@ class CanonicalOrder:
     def name_at(self, position: int) -> str:
         return self.by_position[position - 1]
 
-    @property
+    @cached_property
     def by_position(self) -> tuple[str, ...]:
-        ordered = sorted(self.positions, key=self.positions.__getitem__)
-        return tuple(ordered)
+        """Names in position order, sorted once per instance."""
+        return tuple(sorted(self.positions, key=self.positions.__getitem__))
 
 
 @dataclass(frozen=True)

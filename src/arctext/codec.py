@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .canonical import DEFAULT_MAX_PATHS, CanonicalOrder, assign_positions
 from .errors import (
@@ -35,7 +36,10 @@ from .model import (
 )
 from .unitformat import basic_fields, join_multi, kind_of
 
-_INT_RE = re.compile(r"^(0|[1-9][0-9]*)$")
+_INT = "(?:0|[1-9][0-9]*)"
+# one pattern per arity of a dash-joined integer field: the common, valid case
+# is checked in one match, and the per-token loop only words the error
+_INTS_RE = {n: re.compile("-".join([_INT] * n) + "$") for n in (1, 2, 3, 4, 8)}
 
 _CONV_KEYS = ("id", "in_size", "out_size", "kernel", "stride", "padding",
               "dilation", "groups", "bias_used", "connect_to")
@@ -44,6 +48,7 @@ _POOL_KEYS = ("id", "type", "in_size", "out_size", "kernel", "stride",
 _FULL_KEYS = ("id", "in_size", "out_size", "act_fun", "connect_to")
 _FULL_KEYS_BARE = ("id", "in_size", "out_size", "connect_to")
 _MF_KEYS = ("id", "name", "in_size", "out_size", "value", "connect_to")
+_KIND_KEYS = {"conv": _CONV_KEYS, "pool": _POOL_KEYS, "mf": _MF_KEYS}
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,7 @@ class UnitLine:
     """One rendered unit: kind, id, its basic fields, and its successors.
 
     ``connect_to`` is None for the sink (rendered as the literal "Null").
+    ``text`` is computed on first use and kept.
     """
 
     unit_kind: str
@@ -58,7 +64,7 @@ class UnitLine:
     fields: tuple[tuple[str, str], ...]
     connect_to: tuple[int, ...] | None
 
-    @property
+    @cached_property
     def text(self) -> str:
         body = ";".join(f"{k}:{v}" for k, v in self.fields)
         tail = "Null" if self.connect_to is None else join_multi(self.connect_to)
@@ -106,21 +112,29 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
     return Description(tuple(lines), text)
 
 
-def classify_line(line: str) -> str:
-    """Decide a line's unit kind from its distinguishing keys."""
-    keys = [part.partition(":")[0] for part in line.split(";")]
+def _split(line: str) -> list[tuple[str, str, str]]:
+    """Each ``;``-separated part of a line, partitioned at its first colon."""
+    return [part.partition(":") for part in line.split(";")]
+
+
+def _classify(parts, keys, line: str) -> str:
     if "type" in keys:
         return "pool"
     if "name" in keys:
         return "mf"
     if "kernel" in keys:
         return "conv"
-    parts_ok = all(":" in part for part in line.split(";"))
-    if parts_ok and set(keys) <= set(_FULL_KEYS):
+    if all(sep for _, sep, _ in parts) and set(keys) <= set(_FULL_KEYS):
         return "full"
     raise UnclassifiableLineError(
         f"line matches no unit kind: {line!r}", subject=line
     )
+
+
+def classify_line(line: str) -> str:
+    """Decide a line's unit kind from its distinguishing keys."""
+    parts = _split(line)
+    return _classify(parts, [key for key, _, _ in parts], line)
 
 
 def _fail(lineno: int, msg: str):
@@ -128,32 +142,18 @@ def _fail(lineno: int, msg: str):
 
 
 def _int(token: str, lineno: int, what: str) -> int:
-    if not _INT_RE.match(token):
+    if not _INTS_RE[1].match(token):
         _fail(lineno, f"{what} must be a non-negative integer, got {token!r}")
     return int(token)
 
 
 def _ints(value: str, lineno: int, what: str, arity: int) -> tuple[int, ...]:
+    if _INTS_RE[arity].match(value):
+        return tuple(map(int, value.split("-")))
     tokens = value.split("-")
     if len(tokens) != arity:
         _fail(lineno, f"{what} needs {arity} values, got {len(tokens)}")
     return tuple(_int(t, lineno, what) for t in tokens)
-
-
-def _split_fields(line: str, lineno: int) -> list[tuple[str, str]]:
-    pairs = []
-    for part in line.split(";"):
-        key, sep, value = part.partition(":")
-        if not sep or not key or not value:
-            _fail(lineno, f"field {part!r} is not key:value")
-        pairs.append((key, value))
-    return pairs
-
-
-def _match_keys(pairs, expected, lineno):
-    got = tuple(k for k, _ in pairs)
-    if got != expected:
-        _fail(lineno, f"expected fields {expected}, got {got}")
 
 
 def _parse_connect(value: str, lineno: int) -> tuple[int, ...] | None:
@@ -169,19 +169,20 @@ def _parse_connect(value: str, lineno: int) -> tuple[int, ...] | None:
 
 def parse_line(line: str, lineno: int = 1) -> tuple[int, NodeSpec, tuple[int, ...] | None]:
     """Parse one line into (id, spec, connect_to); strict on everything."""
-    kind = classify_line(line)
-    pairs = _split_fields(line, lineno)
-    values = dict(pairs)  # safe after key-sequence check: schemas repeat no key
-
-    if kind == "conv":
-        _match_keys(pairs, _CONV_KEYS, lineno)
-    elif kind == "pool":
-        _match_keys(pairs, _POOL_KEYS, lineno)
-    elif kind == "full":
-        expected = _FULL_KEYS if len(pairs) == 5 else _FULL_KEYS_BARE
-        _match_keys(pairs, expected, lineno)
+    parts = _split(line)
+    keys = tuple(key for key, _, _ in parts)
+    kind = _classify(parts, keys, line)
+    for key, sep, value in parts:
+        if not sep or not key or not value:
+            _fail(lineno, f"field {key + sep + value!r} is not key:value")
+    if kind == "full":
+        expected = _FULL_KEYS if len(parts) == 5 else _FULL_KEYS_BARE
     else:
-        _match_keys(pairs, _MF_KEYS, lineno)
+        expected = _KIND_KEYS[kind]
+    if keys != expected:
+        _fail(lineno, f"expected fields {expected}, got {keys}")
+    # safe after the key-sequence check: schemas repeat no key
+    values = {key: value for key, _, value in parts}
 
     uid = _int(values["id"], lineno, "id")
     if uid < 1:
@@ -239,10 +240,10 @@ def _parse_bool(value: str, lineno: int) -> bool:
 
 
 def _parse_shape(value: str, lineno: int, what: str) -> tuple[int, ...]:
-    tokens = value.split("-")
-    if len(tokens) not in (1, 3):
-        _fail(lineno, f"{what} needs 1 or 3 values, got {len(tokens)}")
-    return tuple(_int(t, lineno, what) for t in tokens)
+    arity = value.count("-") + 1
+    if arity not in (1, 3):
+        _fail(lineno, f"{what} needs 1 or 3 values, got {arity}")
+    return _ints(value, lineno, what, arity)
 
 
 def _parse_mf_values(value: str, lineno: int) -> tuple[str, ...]:
@@ -257,13 +258,18 @@ def _parse_mf_values(value: str, lineno: int) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-def _parse_lines(text: str) -> list[tuple[int, NodeSpec, tuple[int, ...] | None]]:
+def _body(text: str) -> str:
+    """The text without its one tolerated trailing newline; never empty."""
     if text.endswith("\n"):
         text = text[:-1]  # tolerate one trailing newline, nothing more
     if not text:
         raise EmptyInputError("no content to parse")
+    return text
+
+
+def _parse_lines(lines: list[str]) -> list[tuple[int, NodeSpec, tuple[int, ...] | None]]:
     parsed = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             _fail(lineno, "blank line")
         parsed.append(parse_line(line, lineno))
@@ -292,7 +298,7 @@ def parse_description(text: str) -> tuple[ArchGraph, CanonicalOrder]:
     order maps each name to its id. Rendering the result reproduces the
     input bytes whenever the input was itself canonically rendered.
     """
-    parsed = _parse_lines(text)
+    parsed = _parse_lines(_body(text).split("\n"))
     n = _check_ids(parsed)
 
     sinks = [uid for uid, _, connect in parsed if connect is None]
@@ -326,8 +332,19 @@ def parse_description(text: str) -> tuple[ArchGraph, CanonicalOrder]:
 
 
 def description_from_text(text: str) -> Description:
-    """Validate text and repackage it as a Description (used by diffing)."""
-    parsed = _parse_lines(text)
+    """Validate text and repackage it as a Description (used by diffing).
+
+    Every line the parser accepts is already in rendered form, so each
+    UnitLine takes its fields straight from the line and ``text`` is the
+    input minus its one tolerated trailing newline; nothing is re-rendered.
+    """
+    text = _body(text)
+    lines = text.split("\n")
+    parsed = _parse_lines(lines)
     _check_ids(parsed)
-    lines = tuple(render_unit(spec, uid, connect) for uid, spec, connect in parsed)
-    return Description(lines, "\n".join(line.text for line in lines))
+    units = tuple(
+        UnitLine(kind_of(spec), uid,
+                 tuple((key, value) for key, _, value in _split(line)[1:-1]), connect)
+        for line, (uid, spec, connect) in zip(lines, parsed)
+    )
+    return Description(units, text)

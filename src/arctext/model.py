@@ -16,8 +16,9 @@ convenient to build and debug but never appear in rendered text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Union
 
 from .errors import (
     CycleDetectedError,

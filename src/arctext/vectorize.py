@@ -56,6 +56,7 @@ class Vocabulary:
                 raise SchemaError(f"id {tid} is reserved for {expected!r}")
         self._ids = dict(ids)
         self._lexemes = lexemes
+        self._next_id = max(lexemes) + 1  # new words go above every id, gaps stay
         self.closed = closed
 
     @classmethod
@@ -78,7 +79,8 @@ class Vocabulary:
             raise UnknownTokenError(
                 f"{lexeme!r} is not in the closed vocabulary", subject=lexeme
             )
-        tid = max(self._lexemes) + 1
+        tid = self._next_id
+        self._next_id += 1
         self._ids[lexeme] = tid
         self._lexemes[tid] = lexeme
         return tid
@@ -151,15 +153,12 @@ def _numeric(atom: str) -> int | float | None:
     return None
 
 
-def _emit_atom(atom: str, v: Vocabulary, out: list[Token]) -> None:
-    num = _numeric(atom)
-    if num is not None:
-        out.append(Token(v.token_id(NUM_TOKEN), num))
-    else:
-        out.append(Token(v.token_id(atom)))
-
-
 def tokenize(d: Description, v: Vocabulary) -> TokenStream:
+    # tokens are immutable, so each distinct key or atom is looked up and
+    # built once per call; first occurrences still meet the vocabulary in
+    # text order, which fixes the ids an open vocabulary assigns
+    keys: dict[str, Token] = {}
+    atoms: dict[str, Token] = {}
     units = []
     sep = Token(v.token_id(";"))
     colon = Token(v.token_id(":"))
@@ -170,12 +169,20 @@ def tokenize(d: Description, v: Vocabulary) -> TokenStream:
             if tokens:
                 tokens.append(sep)
             key, _, value = part.partition(":")
-            tokens.append(Token(v.token_id(key)))
+            token = keys.get(key)
+            if token is None:
+                token = keys[key] = Token(v.token_id(key))
+            tokens.append(token)
             tokens.append(colon)
             for i, atom in enumerate(value.split("-")):
                 if i:
                     tokens.append(dash)
-                _emit_atom(atom, v, tokens)
+                token = atoms.get(atom)
+                if token is None:
+                    num = _numeric(atom)
+                    token = atoms[atom] = (Token(v.token_id(atom)) if num is None
+                                           else Token(v.token_id(NUM_TOKEN), num))
+                tokens.append(token)
         units.append(tuple(tokens))
     return TokenStream(tuple(units))
 
@@ -255,12 +262,12 @@ def unit_vector(line: UnitLine) -> np.ndarray:
 
 
 def _format_number(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
+    return str(int(x)) if x.is_integer() else repr(x)
 
 
 def vectors_csv(d: Description) -> str:
     """One unit per row, comma-separated, with a slot-name header."""
     rows = [",".join(VECTOR_SLOTS)]
     for line in d.lines:
-        rows.append(",".join(_format_number(x) for x in unit_vector(line)))
+        rows.append(",".join(map(_format_number, unit_vector(line).tolist())))
     return "\n".join(rows) + "\n"

@@ -137,16 +137,24 @@ class TestLongestPaths:
         assert len(longest_unnumbered_paths(g, {}, max_paths=64)) == 64
 
 
+def assert_position_table(order, expected):
+    assert order.by_position == tuple(sorted(expected, key=expected.__getitem__))
+    for pos in range(1, order.n + 1):
+        assert order.name_at(pos) == order.by_position[pos - 1]
+
+
 class TestAssignPositions:
     def test_resnet4(self, resnet4):
         order = assign_positions(resnet4)
         assert dict(order.positions) == RESNET4_POSITIONS
         assert order.n == 13
         assert order.by_position[0] == "S" and order.by_position[-1] == "E"
+        assert_position_table(order, RESNET4_POSITIONS)
 
     def test_branching25(self, branching25):
         order = assign_positions(branching25)
         assert dict(order.positions) == BRANCHING25_POSITIONS
+        assert_position_table(order, BRANCHING25_POSITIONS)
 
     def test_chain(self):
         order = assign_positions(mf_chain("A", "B", "C", "D"))

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arctext
 from arctext import Vocabulary
 from arctext.cli import main
 
@@ -43,6 +47,17 @@ class TestCanonicalize:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+        assert proc.stdout == resnet4_text
+
+    def test_python_dash_m(self, resnet4_text):
+        # the child imports the same arctext as this test run
+        src = str(Path(arctext.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "arctext", "canonicalize", "-i", RESNET_JSON],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout == resnet4_text
 
 

@@ -35,6 +35,25 @@ MF_A = "id:1;name:A;in_size:4;out_size:4;value:Null;connect_to:2"
 MF_SINK = "id:2;name:B;in_size:4;out_size:4;value:Null;connect_to:Null"
 
 
+CONV_BAD_ARITY = (
+    "id:1;in_size:8-8-3;out_size:8-8-3;kernel:1-1-1;stride:1-1;"
+    "padding:0-0-0-0-0-0-0-0;dilation:1;groups:1;bias_used:No;connect_to:2"
+)
+CONV_BAD_SPELLING = (
+    "id:1;in_size:01-8-3;out_size:8-8-3;kernel:1-1;stride:1-1;"
+    "padding:0-0-0-0-0-0-0-0;dilation:1;groups:1;bias_used:No;connect_to:2"
+)
+# wording of the errors that the multi-value integer checks fall back to
+MALFORMED_MESSAGES = {
+    CONV_BAD_ARITY: "line 1: kernel needs 2 values, got 3",
+    CONV_BAD_SPELLING: "line 1: in_size must be a non-negative integer, got '01'",
+    "id:1;name:A;in_size:4-4;out_size:4-4;value:Null;connect_to:2":
+        "line 1: in_size needs 1 or 3 values, got 2",
+    "id:01;name:A;in_size:4;out_size:4;value:Null;connect_to:2":
+        "line 1: id must be a non-negative integer, got '01'",
+}
+
+
 class TestRenderUnit:
     def test_conv_line(self):
         spec = ConvSpec((32, 32, 3), (32, 32, 3), (1, 1), (1, 1))
@@ -138,10 +157,14 @@ class TestParseLine:
         "id:1;in_size:64;out_size:1000;act_fun:ReLU;connect_to:",
         "id:1;in_size:64;out_size:1000;bias_used:yes;kernel:1-1;stride:1-1;padding:0-0-0-0-0-0-0-0;dilation:1;groups:1;connect_to:2",
         "id:1;in_size:0;out_size:4;act_fun:ReLU;connect_to:2",
+        CONV_BAD_ARITY,
+        CONV_BAD_SPELLING,
     ])
     def test_malformed(self, line):
-        with pytest.raises((MalformedLineError, UnclassifiableLineError)):
+        with pytest.raises((MalformedLineError, UnclassifiableLineError)) as exc:
             parse_line(line)
+        if line in MALFORMED_MESSAGES:
+            assert str(exc.value) == MALFORMED_MESSAGES[line]
 
     def test_field_order_is_strict(self):
         swapped = (
@@ -358,3 +381,40 @@ def test_every_rendered_line_parses_back(spec, uid, connect):
     assert parsed_spec == spec
     assert parsed_connect == connect
     assert render_unit(parsed_spec, parsed_uid, parsed_connect).text == line.text
+
+
+_MUTANT_CHARS = "0123456789-;:_aNYes"
+
+
+def _mutate(line: str, rng) -> str:
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(line) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            line = line[:i] + line[i + 1:]
+        elif op == 1:
+            line = line[:i] + rng.choice(_MUTANT_CHARS) + line[i:]
+        else:
+            line = line[:i] + rng.choice(_MUTANT_CHARS) + line[i + 1:]
+    return line
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_any_spec, uid=st.integers(1, 9), connect=_connects,
+       rng=st.randoms(use_true_random=False))
+def test_accepted_lines_are_already_rendered(spec, uid, connect, rng):
+    # description_from_text keeps each accepted line as it stands, which is
+    # only sound if rendering the parse of that line gives the line back
+    rendered = render_unit(spec, uid, connect).text
+    for _ in range(30):
+        mutant = _mutate(rendered, rng)
+        try:
+            m_uid, m_spec, m_connect = parse_line(mutant)
+        except (MalformedLineError, UnclassifiableLineError):
+            continue
+        expected = render_unit(m_spec, m_uid, m_connect)
+        filler = [f"id:{k};name:F;in_size:1;out_size:1;value:Null;connect_to:Null"
+                  for k in range(1, m_uid)]
+        line = description_from_text("\n".join(filler + [mutant])).lines[-1]
+        assert line == expected
+        assert line.text == expected.text == mutant

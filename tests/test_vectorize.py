@@ -8,6 +8,7 @@ from arctext import (
     MFSpec,
     SchemaError,
     Token,
+    TokenStream,
     UnknownTokenError,
     Vocabulary,
     description_from_text,
@@ -18,7 +19,9 @@ from arctext import (
     unit_vector,
     vectors_csv,
 )
-from arctext.vectorize import NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS
+from arctext.vectorize import (
+    NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _numeric,
+)
 
 import gen
 
@@ -79,6 +82,15 @@ class TestVocabulary:
                 {"closed": False, "tokens": {PAD_TOKEN: 0, UNK_TOKEN: 1, "x": 1.5}}
             ))
 
+    def test_new_ids_continue_above_the_largest(self):
+        v = Vocabulary.from_json(json.dumps({"closed": False, "tokens": {
+            PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID, "a": 7, "b": 3,
+        }}))
+        assert v.token_id("c") == 8
+        assert v.token_id("d") == 9
+        assert v.token_id("b") == 3
+        assert v.lexeme(8) == "c" and v.lexeme(9) == "d"
+
     def test_reserved_slots_enforced(self):
         with pytest.raises(SchemaError):
             Vocabulary({PAD_TOKEN: 0})
@@ -135,6 +147,66 @@ class TestTokenRoundTrip:
     def test_tokens_are_values(self):
         assert Token(5, 3) == Token(5, 3)
         assert Token(5, 3) != Token(5, 4)
+
+
+def reference_tokenize(d, v):
+    """The plain per-atom loop: a fresh Token and a number check per atom."""
+    units = []
+    sep, colon, dash = (Token(v.token_id(c)) for c in ";:-")
+    for line in d.lines:
+        tokens = []
+        for part in line.text.split(";"):
+            if tokens:
+                tokens.append(sep)
+            key, _, value = part.partition(":")
+            tokens += [Token(v.token_id(key)), colon]
+            for i, atom in enumerate(value.split("-")):
+                if i:
+                    tokens.append(dash)
+                num = _numeric(atom)
+                if num is None:
+                    tokens.append(Token(v.token_id(atom)))
+                else:
+                    tokens.append(Token(v.token_id(NUM_TOKEN), num))
+        units.append(tuple(tokens))
+    return TokenStream(tuple(units))
+
+
+def closed_copy(v):
+    doc = json.loads(v.to_json())
+    doc["closed"] = True
+    return Vocabulary.from_json(json.dumps(doc))
+
+
+class TestTokenizeMatchesReference:
+    @pytest.fixture
+    def descriptions(self, resnet4_text, branching25_text):
+        rng = random.Random(43)
+        texts = [render_description(gen.random_graph(rng)).text for _ in range(100)]
+        texts += [resnet4_text, branching25_text]
+        return [description_from_text(t) for t in texts]
+
+    def test_open_vocabulary(self, descriptions):
+        fast, slow = Vocabulary.default(), Vocabulary.default()
+        for d in descriptions:
+            assert tokenize(d, fast) == reference_tokenize(d, slow)
+        assert fast.to_json() == slow.to_json()
+
+    def test_closed_vocabulary_refuses_the_same_word(self, descriptions):
+        learned = Vocabulary.default()
+        tokenize(descriptions[-2], learned)  # resnet4 only
+        raised = 0
+        for closed in (Vocabulary.default(closed=True), closed_copy(learned)):
+            for d in descriptions:
+                outcomes = []
+                for fn in (tokenize, reference_tokenize):
+                    try:
+                        outcomes.append(fn(d, closed))
+                    except UnknownTokenError as exc:
+                        outcomes.append(("refused", exc.subject))
+                assert outcomes[0] == outcomes[1]
+                raised += isinstance(outcomes[0], tuple)
+        assert raised > 0
 
 
 class TestUnitVector:
