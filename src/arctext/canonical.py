@@ -66,15 +66,21 @@ class PathCandidate:
 
 
 def detect_terminals(g: ArchGraph) -> tuple[str, str]:
-    """Return (source, sink): the unique indegree-0 and outdegree-0 nodes."""
-    diag = validate_graph(g)
-    for finding in diag.errors():
-        exc = _VALIDATION_ERRORS.get(finding.code)
-        if exc is not None:
-            raise exc(finding.message, subject=finding.subject)
-    source = next(n for n in g.names() if g.in_degree(n) == 0)
-    sink = next(n for n in g.names() if g.out_degree(n) == 0)
-    return source, sink
+    """Return (source, sink): the unique indegree-0 and outdegree-0 nodes.
+
+    Anything else raises the typed error that ``validate_graph`` words.
+    """
+    sources = []
+    sinks = []
+    for name in g.names():
+        if not g.in_degree(name):
+            sources.append(name)
+        if not g.out_degree(name):
+            sinks.append(name)
+    if len(sources) == 1 and len(sinks) == 1:
+        return sources[0], sinks[0]
+    first = validate_graph(g).errors()[0]
+    raise _VALIDATION_ERRORS[first.code](first.message, subject=first.subject)
 
 
 def path_digest(path, g: ArchGraph) -> PathCandidate:

@@ -94,7 +94,7 @@ def render_unit(spec: NodeSpec, id: int, connect_to) -> UnitLine:
             raise InvalidSpecError(f"connect_to must be strictly ascending, got {targets}")
         if not targets:
             targets = None  # outdegree 0 is the sink
-    return UnitLine(kind_of(spec), id, tuple(basic_fields(spec)), targets)
+    return UnitLine(kind_of(spec), id, basic_fields(spec), targets)
 
 
 def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Description:
@@ -104,10 +104,12 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
     the node's successors in ascending order.
     """
     order = assign_positions(g, max_paths=max_paths)
+    positions = order.positions
     lines = []
     for pos, name in enumerate(order.by_position, start=1):
-        succ = sorted(order.position_of(s) for s in g.successors(name))
-        lines.append(render_unit(g.spec(name), pos, succ or None))
+        spec = g.spec(name)
+        succ = tuple(sorted([positions[s] for s in g.successors(name)]))
+        lines.append(UnitLine(kind_of(spec), pos, basic_fields(spec), succ or None))
     text = "\n".join(line.text for line in lines)
     return Description(tuple(lines), text)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .canonical import CanonicalOrder
 from .codec import Description
-from .errors import GraphFileSyntaxError, IoError, SchemaError
+from .errors import GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError
 from .model import (
     ArchGraph,
     ConvSpec,
@@ -45,119 +45,42 @@ _ALLOWED = {
     KIND_FULL: set(_FULL_FIELDS),
     KIND_MF: set(_MF_FIELDS),
 }
-
-
-def _where(record, index) -> str:
-    name = record.get("name") if isinstance(record, dict) else None
-    return f"node {name!r}" if isinstance(name, str) else f"node record #{index}"
-
-
-def _int_list(value, where, what, arity=None):
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
-        raise SchemaError(f"{where}: {what} must be an array of integers")
-    if arity is not None and len(value) != arity:
-        raise SchemaError(f"{where}: {what} must have {arity} elements")
-    return tuple(value)
+_SPEC_CLASS = {KIND_CONV: ConvSpec, KIND_POOL: PoolSpec, KIND_FULL: FullSpec, KIND_MF: MFSpec}
 
 
 def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
-    where = _where(record, index)
+    """One node record to (name, spec).
+
+    Only the record's shape is checked here. The record keys are the spec's
+    attribute names, so every value goes straight to the spec class, which
+    checks it and words the error. ``values`` must also be an array: a JSON
+    object would pass the spec check with its keys as the values.
+    """
     if not isinstance(record, dict):
         raise SchemaError(f"node record #{index} must be an object")
     name = record.get("name")
     if not isinstance(name, str) or not name:
+        where = f"node {name!r}" if isinstance(name, str) else f"node record #{index}"
         raise SchemaError(f"{where}: missing or empty \"name\"")
     kind = record.get("kind")
     if kind not in _ALLOWED:
-        raise SchemaError(f"{where}: unknown kind {kind!r}")
+        raise SchemaError(f"node {name!r}: unknown kind {kind!r}")
 
-    present = set(record) - {"name", "kind"}
-    unknown = present - _ALLOWED[kind]
+    fields = {key: value for key, value in record.items() if key not in ("name", "kind")}
+    unknown = fields.keys() - _ALLOWED[kind]
     if unknown:
-        raise SchemaError(f"{where}: unknown field(s) {sorted(unknown)}")
-    missing = _REQUIRED[kind] - present
+        raise SchemaError(f"node {name!r}: unknown field(s) {sorted(unknown)}")
+    missing = _REQUIRED[kind] - fields.keys()
     if missing:
-        raise SchemaError(f"{where}: missing field(s) {sorted(missing)}")
+        raise SchemaError(f"node {name!r}: missing field(s) {sorted(missing)}")
+    if kind == KIND_MF and not isinstance(fields["values"], list):
+        raise SchemaError(f"node {name!r}: values must be an array of strings")
 
     try:
-        if kind == KIND_CONV:
-            padding = record["padding"]
-            if not isinstance(padding, list) or len(padding) != 4:
-                raise SchemaError(f"{where}: padding must be 4 [value, count] pairs")
-            pairs = tuple(
-                _int_list(p, where, "padding pair", 2) for p in padding
-            )
-            return name, ConvSpec(
-                in_size=_int_list(record["in_size"], where, "in_size", 3),
-                out_size=_int_list(record["out_size"], where, "out_size", 3),
-                kernel=_int_list(record["kernel"], where, "kernel", 2),
-                stride=_int_list(record["stride"], where, "stride", 2),
-                padding=pairs,
-                dilation=_schema_int(record["dilation"], where, "dilation"),
-                groups=_schema_int(record["groups"], where, "groups"),
-                bias_used=_schema_bool(record["bias_used"], where),
-            )
-        if kind == KIND_POOL:
-            if not isinstance(record["pool_type"], str):
-                raise SchemaError(f"{where}: pool_type must be a string")
-            return name, PoolSpec(
-                pool_type=record["pool_type"],
-                in_size=_int_list(record["in_size"], where, "in_size", 3),
-                out_size=_int_list(record["out_size"], where, "out_size", 3),
-                kernel=_int_list(record["kernel"], where, "kernel", 2),
-                stride=_int_list(record["stride"], where, "stride", 2),
-                padding=_int_list(record["padding"], where, "padding", 4),
-                dilation=_schema_int(record["dilation"], where, "dilation"),
-                bias_used=_schema_bool(record["bias_used"], where),
-            )
-        if kind == KIND_FULL:
-            act = record.get("act_fun")
-            if act is not None and not isinstance(act, str):
-                raise SchemaError(f"{where}: act_fun must be a string")
-            return name, FullSpec(
-                in_size=_schema_int(record["in_size"], where, "in_size"),
-                out_size=_schema_int(record["out_size"], where, "out_size"),
-                act_fun=act,
-            )
-        values = record["values"]
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise SchemaError(f"{where}: values must be an array of strings")
-        return name, MFSpec(
-            op_name=_schema_str(record["op_name"], where, "op_name"),
-            in_size=_schema_shape(record["in_size"], where, "in_size"),
-            out_size=_schema_shape(record["out_size"], where, "out_size"),
-            values=tuple(values),
-        )
-    except SchemaError:
-        raise
-    except Exception as exc:  # spec invariants violated by well-typed JSON
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _schema_int(value, where, what) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: {what} must be an integer")
-    return value
-
-
-def _schema_bool(value, where) -> bool:
-    if not isinstance(value, bool):
-        raise SchemaError(f"{where}: bias_used must be true or false")
-    return value
-
-
-def _schema_str(value, where, what) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: {what} must be a string")
-    return value
-
-
-def _schema_shape(value, where, what):
-    if isinstance(value, int) and not isinstance(value, bool):
-        return (value,)
-    return _int_list(value, where, what)
+        return name, _SPEC_CLASS[kind](**fields)
+    except (InvalidSpecError, UnicodeEncodeError) as exc:
+        # MFSpec sorts values by UTF-8 bytes; a lone surrogate has none
+        raise SchemaError(f"node {name!r}: {exc}") from exc
 
 
 def parse_graph_json(text: str) -> ArchGraph:

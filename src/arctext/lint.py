@@ -23,7 +23,8 @@ STATUS_UNCHECKED = "unchecked"
 DEFAULT_SHAPE_CHANGE_OPS = ("Concatenation", "Interpolation")
 
 
-def _extent(in_: int, kernel: int, stride: int, pad_total: int, dilation: int) -> int:
+def conv_output_extent(in_: int, kernel: int, stride: int, pad_total: int, dilation: int) -> int:
+    """Output extent of a convolution or pooling window along one axis."""
     if min(in_, kernel, stride, dilation) < 1:
         raise InvalidSpecError("in, kernel, stride and dilation must be >= 1")
     if pad_total < 0:
@@ -37,14 +38,7 @@ def _extent(in_: int, kernel: int, stride: int, pad_total: int, dilation: int) -
     return out
 
 
-def conv_output_extent(in_: int, kernel: int, stride: int, pad_total: int, dilation: int) -> int:
-    """Output extent of a convolution along one axis."""
-    return _extent(in_, kernel, stride, pad_total, dilation)
-
-
-def pool_output_extent(in_: int, kernel: int, stride: int, pad_total: int, dilation: int) -> int:
-    """Output extent of a pooling window along one axis; same arithmetic."""
-    return _extent(in_, kernel, stride, pad_total, dilation)
+pool_output_extent = conv_output_extent  # pooling windows use the same arithmetic
 
 
 @dataclass(frozen=True)

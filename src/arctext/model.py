@@ -55,17 +55,44 @@ def _check_int(value: object, what: str, minimum: int) -> int:
     return value
 
 
+def _is_sequence(value: object) -> bool:
+    # tuples and lists first: the ABC check is the slow path
+    return isinstance(value, (tuple, list)) or (
+        isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+    )
+
+
+def _check_ints(items: tuple, what: str, minimum: int) -> tuple[int, ...]:
+    for v in items:
+        if type(v) is not int or v < minimum:
+            _check_int(v, f"{what} element", minimum)  # int subclasses pass
+    return items
+
+
 def _int_tuple(values: object, what: str, arity: int, minimum: int) -> tuple[int, ...]:
-    if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
+    if not _is_sequence(values):
         raise InvalidSpecError(f"{what} must be a sequence of {arity} integers")
     items = tuple(values)
     if len(items) != arity:
         raise InvalidSpecError(f"{what} must have {arity} elements, got {len(items)}")
-    return tuple(_check_int(v, f"{what} element", minimum) for v in items)
+    return _check_ints(items, what, minimum)
+
+
+class _Spec:
+    """Base of the four spec kinds.
+
+    :mod:`arctext.unitformat` keeps a spec's rendered basic fields in its
+    instance ``__dict__``; specs are frozen, so they cannot go stale. Only
+    the dataclass fields are pickled, so rendering never changes a spec's
+    pickle.
+    """
+
+    def __getstate__(self):
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
-class ConvSpec:
+class ConvSpec(_Spec):
     """Configuration of a convolutional layer.
 
     Shapes are (width, height, channels). ``stride`` is (vertical,
@@ -87,7 +114,7 @@ class ConvSpec:
         object.__setattr__(self, "out_size", _int_tuple(self.out_size, "out_size", 3, 1))
         object.__setattr__(self, "kernel", _int_tuple(self.kernel, "kernel", 2, 1))
         object.__setattr__(self, "stride", _int_tuple(self.stride, "stride", 2, 1))
-        if not isinstance(self.padding, Sequence) or len(self.padding) != 4:
+        if not isinstance(self.padding, (tuple, list, Sequence)) or len(self.padding) != 4:
             raise InvalidSpecError("padding must hold 4 (value, count) pairs")
         pads = tuple(
             _int_tuple(p, "padding pair", 2, 0) for p in self.padding
@@ -100,7 +127,7 @@ class ConvSpec:
 
 
 @dataclass(frozen=True)
-class PoolSpec:
+class PoolSpec(_Spec):
     """Configuration of a pooling layer.
 
     ``padding`` is four pad counts in the order up, down, left, right
@@ -138,7 +165,7 @@ class PoolSpec:
 
 
 @dataclass(frozen=True)
-class FullSpec:
+class FullSpec(_Spec):
     """Configuration of a fully-connected layer."""
 
     in_size: int
@@ -153,7 +180,7 @@ class FullSpec:
 
 
 @dataclass(frozen=True)
-class MFSpec:
+class MFSpec(_Spec):
     """Configuration of a multi-function node (activation, BN, dropout,
     addition/concatenation merge, interpolation, ...).
 
@@ -188,12 +215,12 @@ class MFSpec:
 def _shape_1_or_3(value: object, what: str) -> tuple[int, ...]:
     if isinstance(value, int) and not isinstance(value, bool):
         value = (value,)
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+    if not _is_sequence(value):
         raise InvalidSpecError(f"{what} must be an int or a shape tuple")
     items = tuple(value)
     if len(items) not in (1, 3):
         raise InvalidSpecError(f"{what} must have 1 or 3 elements, got {len(items)}")
-    return tuple(_check_int(v, f"{what} element", 1) for v in items)
+    return _check_ints(items, what, 1)
 
 
 NodeSpec = Union[ConvSpec, PoolSpec, FullSpec, MFSpec]

@@ -1,11 +1,15 @@
 import hashlib
+import pickle
 import random
 
 import pytest
 
 from arctext import (
     AmbiguousSinkError,
+    AmbiguousSourceError,
     BrokenPathError,
+    ConvSpec,
+    FullSpec,
     MFSpec,
     NoNodesError,
     PathExplosionError,
@@ -17,6 +21,7 @@ from arctext import (
     longest_unnumbered_paths,
     path_digest,
 )
+from arctext.unitformat import basic_fields
 
 import gen
 
@@ -57,12 +62,37 @@ class TestDetectTerminals:
              ("c", MFSpec("X", (4,), (4,)))],
             [("a", "b"), ("a", "c")],
         )
-        with pytest.raises(AmbiguousSinkError):
+        with pytest.raises(AmbiguousSinkError) as err:
             detect_terminals(g)
+        assert str(err.value) == "expected exactly one outdegree-0 node, found 2: ['b', 'c']"
+        assert err.value.subject == ("b", "c")
+
+    def test_two_sources_raise(self):
+        g = build_graph(
+            [("a", MFSpec("X", (4,), (4,))), ("b", MFSpec("X", (4,), (4,))),
+             ("c", MFSpec("X", (4,), (4,)))],
+            [("a", "c"), ("b", "c")],
+        )
+        with pytest.raises(AmbiguousSourceError) as err:
+            detect_terminals(g)
+        assert str(err.value) == "expected exactly one indegree-0 node, found 2: ['a', 'b']"
+        assert err.value.subject == ("a", "b")
+
+    def test_two_sources_and_two_sinks_report_the_sources(self):
+        g = build_graph(
+            [(v, MFSpec("X", (4,), (4,))) for v in "abcd"],
+            [("a", "c"), ("b", "d")],
+        )
+        with pytest.raises(AmbiguousSourceError) as err:
+            detect_terminals(g)
+        assert str(err.value) == "expected exactly one indegree-0 node, found 2: ['a', 'b']"
+        assert err.value.subject == ("a", "b")
 
     def test_no_nodes(self):
-        with pytest.raises(NoNodesError):
+        with pytest.raises(NoNodesError) as err:
             detect_terminals(build_graph([], []))
+        assert str(err.value) == "graph has no nodes"
+        assert err.value.subject is None
 
 
 class TestBasicString:
@@ -83,6 +113,39 @@ class TestBasicString:
         for name in resnet4.names():
             s = basic_string(resnet4.spec(name))
             assert "id:" not in s and "connect_to" not in s
+
+
+def _one_spec_of_each_kind():
+    return (
+        ConvSpec((8, 8, 3), (8, 8, 16), (3, 3), (1, 1), ((0, 1),) * 4, 1, 1, True),
+        PoolSpec("Avg", (8, 8, 16), (4, 4, 16), (2, 2), (2, 2)),
+        FullSpec(256, 10, "ReLU"),
+        MFSpec("Dropout", (512,), (512,), ("0.5",)),
+    )
+
+
+class TestBasicFieldsKept:
+    def test_computed_once(self):
+        for spec in _one_spec_of_each_kind():
+            fields = basic_fields(spec)
+            assert isinstance(fields, tuple)
+            assert basic_fields(spec) is fields
+            assert basic_string(spec) is basic_string(spec)
+
+    def test_spec_identity_is_untouched(self):
+        for spec, twin in zip(_one_spec_of_each_kind(), _one_spec_of_each_kind()):
+            text = basic_string(spec)
+            assert spec == twin and hash(spec) == hash(twin)
+            assert repr(spec) == repr(twin)
+            assert pickle.dumps(spec) == pickle.dumps(twin)
+            copy = pickle.loads(pickle.dumps(spec))
+            assert copy == spec and basic_string(copy) == text
+
+    def test_non_spec_is_refused(self):
+        with pytest.raises(TypeError):
+            basic_string(object())
+        with pytest.raises(TypeError):
+            basic_fields(42)
 
 
 class TestPathDigest:

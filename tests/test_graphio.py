@@ -37,10 +37,10 @@ class TestGraphFileLoad:
             assert parse_graph_json(graph_to_json(g)) == g
 
     def test_round_trip_random(self):
-        rng = random.Random(21)
-        for _ in range(25):
-            g = gen.random_graph(rng)
-            assert parse_graph_json(graph_to_json(g)) == g
+        rng = random.Random(1003)  # the corpus of acceptance criterion 3
+        for i in range(1000):
+            g = gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)
+            assert parse_graph_json(graph_to_json(g)) == g, f"graph #{i}"
 
     def test_save_and_load(self, tmp_path, resnet4):
         target = tmp_path / "net.json"
@@ -73,7 +73,34 @@ class TestGraphFileLoad:
             parse_graph_json(json.dumps(doc))
 
 
+# one valid record per kind, and the value fields the spec classes check
+RECORDS = {
+    "conv": {"name": "layer7", "kind": "conv", "in_size": [8, 8, 3], "out_size": [8, 8, 4],
+             "kernel": [3, 3], "stride": [1, 1], "padding": [[0, 1]] * 4,
+             "dilation": 1, "groups": 1, "bias_used": False},
+    "pool": {"name": "layer7", "kind": "pool", "pool_type": "Max", "in_size": [8, 8, 4],
+             "out_size": [4, 4, 4], "kernel": [2, 2], "stride": [2, 2],
+             "padding": [0, 0, 0, 0], "dilation": 1, "bias_used": False},
+    "full": {"name": "layer7", "kind": "full", "in_size": 64, "out_size": 10},
+    "mf": {"name": "layer7", "kind": "mf", "op_name": "BN", "in_size": [8, 8, 4],
+           "out_size": 256, "values": ["0.5"]},
+}
+VALUE_FIELDS = {
+    "conv": ("in_size", "out_size", "kernel", "stride", "padding",
+             "dilation", "groups", "bias_used"),
+    "pool": ("in_size", "out_size", "kernel", "stride", "padding",
+             "dilation", "bias_used"),
+    "full": ("in_size", "out_size"),
+    "mf": ("in_size", "out_size"),
+}
+
+
 class TestGraphFileErrors:
+    def test_base_records_load(self):
+        for record in RECORDS.values():
+            g = parse_graph_json(json.dumps({"nodes": [record], "edges": []}))
+            assert g.names() == ("layer7",)
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(GraphFileSyntaxError) as err:
             parse_graph_json('{"nodes": [,]}')
@@ -123,6 +150,50 @@ class TestGraphFileErrors:
         }
         with pytest.raises(SchemaError):
             parse_graph_json(json.dumps(doc))
+
+    def test_values_must_be_an_array(self):
+        record = dict(RECORDS["mf"], values={"a": 1})
+        with pytest.raises(SchemaError) as err:
+            parse_graph_json(json.dumps({"nodes": [record], "edges": []}))
+        assert "'layer7'" in str(err.value)
+
+    @pytest.mark.parametrize("kind, field, value", [
+        (kind, field, value)
+        for kind, fields in VALUE_FIELDS.items()
+        for field in fields
+        for value in (1 if field == "bias_used" else True, 1.5, "3", None, [], {})
+    ])
+    def test_each_bad_value_names_the_node(self, kind, field, value):
+        record = dict(RECORDS[kind], **{field: value})
+        with pytest.raises(SchemaError) as err:
+            parse_graph_json(json.dumps({"nodes": [record], "edges": []}))
+        assert "'layer7'" in str(err.value)
+
+    @pytest.mark.parametrize("kind, field", [
+        (kind, field)
+        for kind, fields in VALUE_FIELDS.items()
+        for field in fields
+        if isinstance(RECORDS[kind][field], list)
+    ])
+    @pytest.mark.parametrize("value", [True, 1.5, "3", None, [], {}])
+    def test_each_bad_element_names_the_node(self, kind, field, value):
+        record = json.loads(json.dumps(RECORDS[kind]))
+        record[field][0] = value
+        with pytest.raises(SchemaError) as err:
+            parse_graph_json(json.dumps({"nodes": [record], "edges": []}))
+        assert "'layer7'" in str(err.value)
+
+    def test_unencodable_value_is_a_schema_error(self):
+        record = dict(RECORDS["mf"], values=["\ud800", "a"])
+        with pytest.raises(SchemaError) as err:
+            parse_graph_json(json.dumps({"nodes": [record], "edges": []}))
+        assert "'layer7'" in str(err.value)
+
+    def test_value_errors_are_worded_by_the_spec(self):
+        record = dict(RECORDS["conv"], kernel=[True, 3])
+        with pytest.raises(SchemaError) as err:
+            parse_graph_json(json.dumps({"nodes": [record], "edges": []}))
+        assert str(err.value) == "node 'layer7': kernel element must be an integer, got True"
 
     def test_bad_edge_record(self):
         doc = {"nodes": [], "edges": [["a", "b", "c"]]}
