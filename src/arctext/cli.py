@@ -14,7 +14,7 @@ import os
 import sys
 
 from .canonical import DEFAULT_MAX_PATHS, assign_positions
-from .codec import description_from_text, parse_description, render_description
+from .codec import _parse_text, parse_description, render_description
 from .errors import ArcTextError
 from .graphio import (
     diff_descriptions,
@@ -159,20 +159,16 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_digest(args) -> int:
-    text = _read(args.input)
-    parse_description(text)  # full validation; digest covers exact bytes
-    desc = description_from_text(text)
+    _, _, desc = _parse_text(_read(args.input))  # digest covers exact bytes
     print(hashlib.sha224(desc.text.encode("utf-8")).hexdigest())
     return 0
 
 
 def _cmd_diff(args) -> int:
     left_text, right_text = _read(args.left), _read(args.right)
-    parse_description(left_text)
-    parse_description(right_text)
-    diff = diff_descriptions(
-        description_from_text(left_text), description_from_text(right_text)
-    )
+    _, _, left = _parse_text(left_text)
+    _, _, right = _parse_text(right_text)
+    diff = diff_descriptions(left, right)
     for uid in diff.left_only:
         _say(args, f"- id {uid} only in {args.left}")
     for uid in diff.right_only:
@@ -194,9 +190,7 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_vectorize(args) -> int:
-    text = _read(args.input)
-    parse_description(text)
-    desc = description_from_text(text)
+    _, _, desc = _parse_text(_read(args.input))
     if args.vocab and os.path.exists(args.vocab):
         vocab = Vocabulary.load(args.vocab)
     else:

@@ -5,13 +5,26 @@ joined by a single LF with no trailing newline. The grammar is deliberately
 rigid -- fixed field order per kind, canonical integer spelling, sorted
 multi-values, ascending connect_to -- so each architecture has exactly one
 spelling and byte equality coincides with architectural equality.
+
+The line grammar is declared once, in ``UNIT_FIELDS``: for each unit kind,
+its fields between ``id`` and ``connect_to`` in line order, each with its
+spec attribute and value shape. From that table one compiled pattern per
+kind is built, and the four are joined into a single alternation, so reading
+a line is one ``fullmatch`` that yields the id, every field's string and
+the connect list. What a pattern cannot express is checked after the match,
+in this order: ``id >= 1``, connect targets ``>= 1`` and strictly ascending,
+multi-values sorted by UTF-8 bytes; the spec class then checks its values.
+A line that matches no pattern goes through the field-by-field checks,
+which only word its first fault.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .canonical import DEFAULT_MAX_PATHS, CanonicalOrder, assign_positions
 from .errors import (
@@ -34,21 +47,15 @@ from .model import (
     PoolSpec,
     build_graph,
 )
-from .unitformat import basic_fields, join_multi, kind_of
-
-_INT = "(?:0|[1-9][0-9]*)"
-# one pattern per arity of a dash-joined integer field: the common, valid case
-# is checked in one match, and the per-token loop only words the error
-_INTS_RE = {n: re.compile("-".join([_INT] * n) + "$") for n in (1, 2, 3, 4, 8)}
-
-_CONV_KEYS = ("id", "in_size", "out_size", "kernel", "stride", "padding",
-              "dilation", "groups", "bias_used", "connect_to")
-_POOL_KEYS = ("id", "type", "in_size", "out_size", "kernel", "stride",
-              "padding", "dilation", "bias_used", "connect_to")
-_FULL_KEYS = ("id", "in_size", "out_size", "act_fun", "connect_to")
-_FULL_KEYS_BARE = ("id", "in_size", "out_size", "connect_to")
-_MF_KEYS = ("id", "name", "in_size", "out_size", "value", "connect_to")
-_KIND_KEYS = {"conv": _CONV_KEYS, "pool": _POOL_KEYS, "mf": _MF_KEYS}
+from .unitformat import (
+    KIND_CONV,
+    KIND_FULL,
+    KIND_MF,
+    KIND_POOL,
+    basic_fields,
+    join_multi,
+    kind_of,
+)
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,8 @@ class UnitLine:
     """One rendered unit: kind, id, its basic fields, and its successors.
 
     ``connect_to`` is None for the sink (rendered as the literal "Null").
-    ``text`` is computed on first use and kept.
+    ``text`` is the source line for a parsed unit; for a rendered one it is
+    computed on first use and kept.
     """
 
     unit_kind: str
@@ -114,6 +122,188 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
     return Description(tuple(lines), text)
 
 
+# --- the line grammar ----------------------------------------------------------
+
+_INT = "(?:0|[1-9][0-9]*)"
+_INT_RE = re.compile(_INT)
+# a token as the renderer writes it: no separator, no LF, no lone surrogate
+_TOKEN = "[^-:;\n\ud800-\udfff]+"
+
+
+def _fail(lineno: int, msg: str):
+    raise MalformedLineError(f"line {lineno}: {msg}", subject=lineno)
+
+
+def _check_int(token: str, lineno: int, what: str) -> None:
+    if not _INT_RE.fullmatch(token):
+        _fail(lineno, f"{what} must be a non-negative integer, got {token!r}")
+
+
+def _ints_check(arity: int):
+    def check(value: str, lineno: int, what: str) -> None:
+        tokens = value.split("-")
+        if len(tokens) != arity:
+            _fail(lineno, f"{what} needs {arity} values, got {len(tokens)}")
+        for token in tokens:
+            _check_int(token, lineno, what)
+    return check
+
+
+def _check_shape(value: str, lineno: int, what: str) -> None:
+    arity = value.count("-") + 1
+    if arity not in (1, 3):
+        _fail(lineno, f"{what} needs 1 or 3 values, got {arity}")
+    for token in value.split("-"):
+        _check_int(token, lineno, what)
+
+
+def _check_flag(value: str, lineno: int, what: str) -> None:
+    if value not in ("Yes", "No"):
+        _fail(lineno, f'{what} must be "Yes" or "No", got {value!r}')
+
+
+def _check_values(value: str, lineno: int, what: str) -> None:
+    if value != "Null" and "" in value.split("-"):
+        _fail(lineno, "empty parameter value")
+
+
+def _no_check(value: str, lineno: int, what: str) -> None:
+    pass
+
+
+def _read_ints(value: str) -> tuple[int, ...]:
+    return tuple(map(int, value.split("-")))
+
+
+def _read_pad_pairs(value: str) -> tuple[tuple[int, int], ...]:
+    flat = _read_ints(value)
+    return tuple(zip(flat[0::2], flat[1::2]))
+
+
+def _read_token(value: str | None) -> str | None:
+    return value
+
+
+def _read_values(value: str) -> tuple[str, ...]:
+    if value == "Null":
+        return ()
+    tokens = value.split("-")
+    # code-point order is UTF-8 byte order, so no token needs encoding
+    if any(a > b for a, b in zip(tokens, tokens[1:])):
+        raise InvalidSpecError(f"parameter values must be sorted ascending, got {tokens}")
+    return tuple(tokens)
+
+
+class _Shape(NamedTuple):
+    """How one field's value is spelled, read, and worded when misspelled."""
+
+    pattern: str  # no capturing groups
+    read: Callable[[str], object]  # a matched value -> its spec argument
+    check: Callable[[str, int, str], None]  # words why a value fails the pattern
+
+
+def _int_shape(arity: int, read=_read_ints) -> _Shape:
+    return _Shape("-".join([_INT] * arity), read, _ints_check(arity))
+
+
+_COUNT = _Shape(_INT, int, _check_int)
+_PAIR = _int_shape(2)
+_SIZE = _int_shape(3)
+_PADS = _int_shape(4)
+_PAD_PAIRS = _int_shape(8, _read_pad_pairs)
+_EXTENT = _Shape(f"{_INT}(?:-{_INT}-{_INT})?", _read_ints, _check_shape)
+_FLAG = _Shape("Yes|No", "Yes".__eq__, _check_flag)
+_WORD = _Shape(_TOKEN, _read_token, _no_check)
+_VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values, _check_values)
+
+
+class UnitField(NamedTuple):
+    key: str  # text key
+    attr: str  # spec attribute
+    shape: _Shape
+    optional: bool = False  # a line may leave the field out
+
+
+# Each kind's spec class and its fields between id and connect_to, in line
+# order, which is also the spec class's field order: matched values go to the
+# class positionally.
+UNIT_FIELDS: dict[str, tuple[type, tuple[UnitField, ...]]] = {
+    KIND_CONV: (ConvSpec, (
+        UnitField("in_size", "in_size", _SIZE),
+        UnitField("out_size", "out_size", _SIZE),
+        UnitField("kernel", "kernel", _PAIR),
+        UnitField("stride", "stride", _PAIR),
+        UnitField("padding", "padding", _PAD_PAIRS),
+        UnitField("dilation", "dilation", _COUNT),
+        UnitField("groups", "groups", _COUNT),
+        UnitField("bias_used", "bias_used", _FLAG),
+    )),
+    KIND_POOL: (PoolSpec, (
+        UnitField("type", "pool_type", _WORD),
+        UnitField("in_size", "in_size", _SIZE),
+        UnitField("out_size", "out_size", _SIZE),
+        UnitField("kernel", "kernel", _PAIR),
+        UnitField("stride", "stride", _PAIR),
+        UnitField("padding", "padding", _PADS),
+        UnitField("dilation", "dilation", _COUNT),
+        UnitField("bias_used", "bias_used", _FLAG),
+    )),
+    KIND_FULL: (FullSpec, (
+        UnitField("in_size", "in_size", _COUNT),
+        UnitField("out_size", "out_size", _COUNT),
+        UnitField("act_fun", "act_fun", _WORD, optional=True),
+    )),
+    KIND_MF: (MFSpec, (
+        UnitField("name", "op_name", _WORD),
+        UnitField("in_size", "in_size", _EXTENT),
+        UnitField("out_size", "out_size", _EXTENT),
+        UnitField("value", "values", _VALUES),
+    )),
+}
+
+# every key of a kind's line, then the same without its optional keys
+_KIND_KEYS = {
+    kind: (("id",) + tuple(f.key for f in fields) + ("connect_to",),
+           ("id",) + tuple(f.key for f in fields if not f.optional) + ("connect_to",))
+    for kind, (_, fields) in UNIT_FIELDS.items()
+}
+_FULL_KEYS = set(_KIND_KEYS[KIND_FULL][0])
+# the order the field checks have always run in: conv reads padding first
+_CHECK_ORDER = {
+    kind: sorted(fields, key=lambda f: kind == KIND_CONV and f.key != "padding")
+    for kind, (_, fields) in UNIT_FIELDS.items()
+}
+
+
+def _kind_pattern(fields) -> str:
+    body = []
+    for f in fields:
+        part = f";{f.key}:({f.shape.pattern})"
+        body.append(f"(?:{part})?" if f.optional else part)
+    return "".join(body)
+
+
+_LINE_RE = re.compile(
+    f"id:({_INT})(?:"
+    + "|".join(_kind_pattern(fields) for _, fields in UNIT_FIELDS.values())
+    + f");connect_to:(Null|{_INT}(?:-{_INT})*)"
+)
+
+
+def _branches():
+    # (kind, spec class, readers, keys, first group, end group) per kind, where
+    # a group index counts in match.groups(): 0 is the id
+    start = 1
+    for kind, (cls, fields) in UNIT_FIELDS.items():
+        stop = start + len(fields)
+        yield (kind, cls, tuple(f.shape.read for f in fields),
+               tuple(f.key for f in fields), start, stop)
+        start = stop
+
+
+_BRANCHES = tuple(_branches())
+
+
 def _split(line: str) -> list[tuple[str, str, str]]:
     """Each ``;``-separated part of a line, partitioned at its first colon."""
     return [part.partition(":") for part in line.split(";")]
@@ -121,13 +311,13 @@ def _split(line: str) -> list[tuple[str, str, str]]:
 
 def _classify(parts, keys, line: str) -> str:
     if "type" in keys:
-        return "pool"
+        return KIND_POOL
     if "name" in keys:
-        return "mf"
+        return KIND_MF
     if "kernel" in keys:
-        return "conv"
-    if all(sep for _, sep, _ in parts) and set(keys) <= set(_FULL_KEYS):
-        return "full"
+        return KIND_CONV
+    if all(sep for _, sep, _ in parts) and set(keys) <= _FULL_KEYS:
+        return KIND_FULL
     raise UnclassifiableLineError(
         f"line matches no unit kind: {line!r}", subject=line
     )
@@ -139,126 +329,94 @@ def classify_line(line: str) -> str:
     return _classify(parts, [key for key, _, _ in parts], line)
 
 
-def _fail(lineno: int, msg: str):
-    raise MalformedLineError(f"line {lineno}: {msg}", subject=lineno)
-
-
-def _int(token: str, lineno: int, what: str) -> int:
-    if not _INTS_RE[1].match(token):
-        _fail(lineno, f"{what} must be a non-negative integer, got {token!r}")
-    return int(token)
-
-
-def _ints(value: str, lineno: int, what: str, arity: int) -> tuple[int, ...]:
-    if _INTS_RE[arity].match(value):
-        return tuple(map(int, value.split("-")))
-    tokens = value.split("-")
-    if len(tokens) != arity:
-        _fail(lineno, f"{what} needs {arity} values, got {len(tokens)}")
-    return tuple(_int(t, lineno, what) for t in tokens)
-
-
-def _parse_connect(value: str, lineno: int) -> tuple[int, ...] | None:
+def _read_connect(value: str, lineno: int) -> tuple[int, ...] | None:
     if value == "Null":
         return None
-    targets = tuple(_int(t, lineno, "connect_to") for t in value.split("-"))
-    if any(t < 1 for t in targets):
+    targets = _read_ints(value)
+    if 0 in targets:
         _fail(lineno, "connect_to ids must be >= 1")
     if any(a >= b for a, b in zip(targets, targets[1:])):
         _fail(lineno, f"connect_to must be strictly ascending, got {targets}")
     return targets
 
 
-def parse_line(line: str, lineno: int = 1) -> tuple[int, NodeSpec, tuple[int, ...] | None]:
-    """Parse one line into (id, spec, connect_to); strict on everything."""
+def _parse_stepwise(line: str, lineno: int) -> tuple[int, NodeSpec, tuple[int, ...] | None]:
+    """Parse a line field by field, in the order the checks have always run.
+
+    This accepts exactly the lines the grammar accepts; ``parse_line`` calls
+    it only for a line that matches no pattern, so that the first fault is
+    worded as it always has been.
+    """
     parts = _split(line)
     keys = tuple(key for key, _, _ in parts)
     kind = _classify(parts, keys, line)
     for key, sep, value in parts:
         if not sep or not key or not value:
             _fail(lineno, f"field {key + sep + value!r} is not key:value")
-    if kind == "full":
-        expected = _FULL_KEYS if len(parts) == 5 else _FULL_KEYS_BARE
-    else:
-        expected = _KIND_KEYS[kind]
+    every, required = _KIND_KEYS[kind]
+    expected = every if len(parts) == len(every) else required
     if keys != expected:
         _fail(lineno, f"expected fields {expected}, got {keys}")
     # safe after the key-sequence check: schemas repeat no key
     values = {key: value for key, _, value in parts}
 
-    uid = _int(values["id"], lineno, "id")
+    _check_int(values["id"], lineno, "id")
+    uid = int(values["id"])
     if uid < 1:
         _fail(lineno, "id must be >= 1")
-    connect = _parse_connect(values["connect_to"], lineno)
+    if values["connect_to"] != "Null":
+        for token in values["connect_to"].split("-"):
+            _check_int(token, lineno, "connect_to")
+    connect = _read_connect(values["connect_to"], lineno)
 
+    cls, fields = UNIT_FIELDS[kind]
+    args = {}
     try:
-        if kind == "conv":
-            flat = _ints(values["padding"], lineno, "padding", 8)
-            spec: NodeSpec = ConvSpec(
-                in_size=_ints(values["in_size"], lineno, "in_size", 3),
-                out_size=_ints(values["out_size"], lineno, "out_size", 3),
-                kernel=_ints(values["kernel"], lineno, "kernel", 2),
-                stride=_ints(values["stride"], lineno, "stride", 2),
-                padding=tuple(zip(flat[0::2], flat[1::2])),
-                dilation=_int(values["dilation"], lineno, "dilation"),
-                groups=_int(values["groups"], lineno, "groups"),
-                bias_used=_parse_bool(values["bias_used"], lineno),
-            )
-        elif kind == "pool":
-            spec = PoolSpec(
-                pool_type=values["type"],
-                in_size=_ints(values["in_size"], lineno, "in_size", 3),
-                out_size=_ints(values["out_size"], lineno, "out_size", 3),
-                kernel=_ints(values["kernel"], lineno, "kernel", 2),
-                stride=_ints(values["stride"], lineno, "stride", 2),
-                padding=_ints(values["padding"], lineno, "padding", 4),
-                dilation=_int(values["dilation"], lineno, "dilation"),
-                bias_used=_parse_bool(values["bias_used"], lineno),
-            )
-        elif kind == "full":
-            spec = FullSpec(
-                in_size=_int(values["in_size"], lineno, "in_size"),
-                out_size=_int(values["out_size"], lineno, "out_size"),
-                act_fun=values.get("act_fun"),
-            )
-        else:
-            spec = MFSpec(
-                op_name=values["name"],
-                in_size=_parse_shape(values["in_size"], lineno, "in_size"),
-                out_size=_parse_shape(values["out_size"], lineno, "out_size"),
-                values=_parse_mf_values(values["value"], lineno),
-            )
+        for f in _CHECK_ORDER[kind]:
+            value = values.get(f.key)
+            if value is not None:
+                f.shape.check(value, lineno, f.key)
+            args[f.key] = f.shape.read(value)
+        spec = cls(*[args[f.key] for f in fields])
     except InvalidSpecError as exc:
         _fail(lineno, str(exc))
     return uid, spec, connect
 
 
-def _parse_bool(value: str, lineno: int) -> bool:
-    if value == "Yes":
-        return True
-    if value == "No":
-        return False
-    _fail(lineno, f'bias_used must be "Yes" or "No", got {value!r}')
+def parse_line(line: str, lineno: int = 1, *, _unit: bool = False):
+    """Parse one line into (id, spec, connect_to); strict on everything.
+
+    With ``_unit``, the line's ``UnitLine`` comes fourth: its fields are the
+    matched strings and its ``text`` is ``line`` itself.
+    """
+    match = _LINE_RE.fullmatch(line)
+    if match is None:
+        _parse_stepwise(line, lineno)
+        _fail(lineno, "line matches the field checks but not the grammar")
+    groups = match.groups()
+    uid = int(groups[0])
+    if uid < 1:
+        _fail(lineno, "id must be >= 1")
+    connect = _read_connect(groups[-1], lineno)
+    for kind, cls, readers, keys, start, stop in _BRANCHES:
+        if groups[start] is not None:
+            break
+    values = groups[start:stop]
+    try:
+        spec = cls(*[read(value) for read, value in zip(readers, values)])
+    except InvalidSpecError as exc:
+        _fail(lineno, str(exc))
+    if not _unit:
+        return uid, spec, connect
+    fields = tuple(zip(keys, values))
+    if None in values:  # an optional field the line leaves out
+        fields = tuple([field for field in fields if field[1] is not None])
+    unit = UnitLine(kind, uid, fields, connect)
+    unit.__dict__["text"] = line  # a matched line is already in rendered form
+    return uid, spec, connect, unit
 
 
-def _parse_shape(value: str, lineno: int, what: str) -> tuple[int, ...]:
-    arity = value.count("-") + 1
-    if arity not in (1, 3):
-        _fail(lineno, f"{what} needs 1 or 3 values, got {arity}")
-    return _ints(value, lineno, what, arity)
-
-
-def _parse_mf_values(value: str, lineno: int) -> tuple[str, ...]:
-    if value == "Null":
-        return ()
-    tokens = value.split("-")
-    if any(not t for t in tokens):
-        _fail(lineno, "empty parameter value")
-    encoded = [t.encode("utf-8") for t in tokens]
-    if any(a > b for a, b in zip(encoded, encoded[1:])):
-        _fail(lineno, f"parameter values must be sorted ascending, got {tokens}")
-    return tuple(tokens)
-
+# --- whole descriptions ------------------------------------------------------------
 
 def _body(text: str) -> str:
     """The text without its one tolerated trailing newline; never empty."""
@@ -269,13 +427,20 @@ def _body(text: str) -> str:
     return text
 
 
-def _parse_lines(lines: list[str]) -> list[tuple[int, NodeSpec, tuple[int, ...] | None]]:
+def _parse_lines(lines: list[str], units: bool):
+    """Each line's (id, spec, connect_to), and its UnitLine if ``units``."""
     parsed = []
+    unit_lines = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
             _fail(lineno, "blank line")
-        parsed.append(parse_line(line, lineno))
-    return parsed
+        if units:
+            entry = parse_line(line, lineno, _unit=True)
+            parsed.append(entry[:3])
+            unit_lines.append(entry[3])
+        else:
+            parsed.append(parse_line(line, lineno))
+    return parsed, unit_lines
 
 
 def _check_ids(parsed) -> int:
@@ -293,16 +458,15 @@ def _check_ids(parsed) -> int:
     return prev
 
 
-def parse_description(text: str) -> tuple[ArchGraph, CanonicalOrder]:
-    """Parse a full description back into a graph.
+def _read_text(text: str, units: bool):
+    """The body, each line's parse and UnitLine (if ``units``), and the top id."""
+    body = _body(text)
+    parsed, unit_lines = _parse_lines(body.split("\n"), units)
+    return body, parsed, unit_lines, _check_ids(parsed)
 
-    Node names are synthesized as "n1".."nN" from the ids; the returned
-    order maps each name to its id. Rendering the result reproduces the
-    input bytes whenever the input was itself canonically rendered.
-    """
-    parsed = _parse_lines(_body(text).split("\n"))
-    n = _check_ids(parsed)
 
+def _build(parsed, n: int) -> tuple[ArchGraph, CanonicalOrder]:
+    """Check the sink and the connect targets, then build the graph."""
     sinks = [uid for uid, _, connect in parsed if connect is None]
     if len(sinks) > 1:
         raise MultipleSinksError(
@@ -333,20 +497,37 @@ def parse_description(text: str) -> tuple[ArchGraph, CanonicalOrder]:
     return graph, order
 
 
+def parse_description(text: str) -> tuple[ArchGraph, CanonicalOrder]:
+    """Parse a full description back into a graph.
+
+    Node names are synthesized as "n1".."nN" from the ids; the returned
+    order maps each name to its id. Rendering the result reproduces the
+    input bytes whenever the input was itself canonically rendered.
+    """
+    _, parsed, _, n = _read_text(text, False)
+    return _build(parsed, n)
+
+
 def description_from_text(text: str) -> Description:
     """Validate text and repackage it as a Description (used by diffing).
 
-    Every line the parser accepts is already in rendered form, so each
-    UnitLine takes its fields straight from the line and ``text`` is the
-    input minus its one tolerated trailing newline; nothing is re-rendered.
+    Each line is checked as strictly as ``parse_description`` checks it, and
+    so is the id sequence; the sink, the connect targets and cycles are not.
+    Every line the grammar accepts is already in rendered form, so each
+    UnitLine takes its fields from the line's match and its ``text`` is the
+    line itself; ``text`` is the input minus its one tolerated trailing
+    newline. Nothing is re-rendered.
     """
-    text = _body(text)
-    lines = text.split("\n")
-    parsed = _parse_lines(lines)
-    _check_ids(parsed)
-    units = tuple(
-        UnitLine(kind_of(spec), uid,
-                 tuple((key, value) for key, _, value in _split(line)[1:-1]), connect)
-        for line, (uid, spec, connect) in zip(lines, parsed)
-    )
-    return Description(units, text)
+    body, _, unit_lines, _ = _read_text(text, True)
+    return Description(tuple(unit_lines), body)
+
+
+def _parse_text(text: str) -> tuple[ArchGraph, CanonicalOrder, Description]:
+    """``parse_description`` and ``description_from_text`` of ``text``.
+
+    Each line is parsed once; errors are raised as ``parse_description``
+    raises them.
+    """
+    body, parsed, unit_lines, n = _read_text(text, True)
+    graph, order = _build(parsed, n)
+    return graph, order, Description(tuple(unit_lines), body)

@@ -13,39 +13,24 @@ import json
 from dataclasses import dataclass
 
 from .canonical import CanonicalOrder
-from .codec import Description
+from .codec import UNIT_FIELDS, Description
 from .errors import GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError
 from .model import (
     ArchGraph,
     ConvSpec,
     FullSpec,
-    MFSpec,
     NodeSpec,
     PoolSpec,
     build_graph,
 )
-from .unitformat import KIND_CONV, KIND_FULL, KIND_MF, KIND_POOL, kind_of
+from .unitformat import KIND_MF, kind_of
 
-_CONV_FIELDS = ("in_size", "out_size", "kernel", "stride", "padding",
-                "dilation", "groups", "bias_used")
-_POOL_FIELDS = ("pool_type", "in_size", "out_size", "kernel", "stride",
-                "padding", "dilation", "bias_used")
-_FULL_FIELDS = ("in_size", "out_size", "act_fun")
-_MF_FIELDS = ("op_name", "in_size", "out_size", "values")
-
+# record keys are the spec attributes of each kind's text fields
+_ALLOWED = {kind: {f.attr for f in fields} for kind, (_, fields) in UNIT_FIELDS.items()}
 _REQUIRED = {
-    KIND_CONV: set(_CONV_FIELDS),
-    KIND_POOL: set(_POOL_FIELDS),
-    KIND_FULL: {"in_size", "out_size"},  # act_fun optional
-    KIND_MF: set(_MF_FIELDS),
+    kind: {f.attr for f in fields if not f.optional}
+    for kind, (_, fields) in UNIT_FIELDS.items()
 }
-_ALLOWED = {
-    KIND_CONV: set(_CONV_FIELDS),
-    KIND_POOL: set(_POOL_FIELDS),
-    KIND_FULL: set(_FULL_FIELDS),
-    KIND_MF: set(_MF_FIELDS),
-}
-_SPEC_CLASS = {KIND_CONV: ConvSpec, KIND_POOL: PoolSpec, KIND_FULL: FullSpec, KIND_MF: MFSpec}
 
 
 def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
@@ -63,7 +48,7 @@ def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
         where = f"node {name!r}" if isinstance(name, str) else f"node record #{index}"
         raise SchemaError(f"{where}: missing or empty \"name\"")
     kind = record.get("kind")
-    if kind not in _ALLOWED:
+    if not isinstance(kind, str) or kind not in _ALLOWED:
         raise SchemaError(f"node {name!r}: unknown kind {kind!r}")
 
     fields = {key: value for key, value in record.items() if key not in ("name", "kind")}
@@ -77,9 +62,8 @@ def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
         raise SchemaError(f"node {name!r}: values must be an array of strings")
 
     try:
-        return name, _SPEC_CLASS[kind](**fields)
-    except (InvalidSpecError, UnicodeEncodeError) as exc:
-        # MFSpec sorts values by UTF-8 bytes; a lone surrogate has none
+        return name, UNIT_FIELDS[kind][0](**fields)
+    except InvalidSpecError as exc:
         raise SchemaError(f"node {name!r}: {exc}") from exc
 
 
@@ -115,33 +99,17 @@ def load_graph_file(path) -> ArchGraph:
     return parse_graph_json(text)
 
 
+def _json_value(value):
+    return [_json_value(v) for v in value] if isinstance(value, tuple) else value
+
+
 def _spec_to_record(name: str, spec: NodeSpec) -> dict:
-    record: dict = {"name": name, "kind": kind_of(spec)}
-    if isinstance(spec, ConvSpec):
-        record.update(
-            in_size=list(spec.in_size), out_size=list(spec.out_size),
-            kernel=list(spec.kernel), stride=list(spec.stride),
-            padding=[list(p) for p in spec.padding],
-            dilation=spec.dilation, groups=spec.groups, bias_used=spec.bias_used,
-        )
-    elif isinstance(spec, PoolSpec):
-        record.update(
-            pool_type=spec.pool_type,
-            in_size=list(spec.in_size), out_size=list(spec.out_size),
-            kernel=list(spec.kernel), stride=list(spec.stride),
-            padding=list(spec.padding),
-            dilation=spec.dilation, bias_used=spec.bias_used,
-        )
-    elif isinstance(spec, FullSpec):
-        record.update(in_size=spec.in_size, out_size=spec.out_size)
-        if spec.act_fun is not None:
-            record["act_fun"] = spec.act_fun
-    else:
-        record.update(
-            op_name=spec.op_name,
-            in_size=list(spec.in_size), out_size=list(spec.out_size),
-            values=list(spec.values),
-        )
+    kind = kind_of(spec)
+    record: dict = {"name": name, "kind": kind}
+    for f in UNIT_FIELDS[kind][1]:
+        value = getattr(spec, f.attr)
+        if value is not None or not f.optional:
+            record[f.attr] = _json_value(value)
     return record
 
 

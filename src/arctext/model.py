@@ -44,6 +44,13 @@ def _check_token(value: object, what: str) -> str:
         raise InvalidSpecError(
             f"{what} {value!r} contains reserved character(s) {sorted(bad)!r}"
         )
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidSpecError(
+                f"{what} {value!r} contains a lone surrogate, which UTF-8 cannot encode"
+            ) from None
     return value
 
 
@@ -207,9 +214,8 @@ class MFSpec(_Spec):
             _check_token(v, "parameter value")
             if v == "Null":
                 raise InvalidSpecError('"Null" is reserved and cannot be a parameter value')
-        object.__setattr__(
-            self, "values", tuple(sorted(vals, key=lambda s: s.encode("utf-8")))
-        )
+        # code-point order is UTF-8 byte order once lone surrogates are out
+        object.__setattr__(self, "values", tuple(sorted(vals)))
 
 
 def _shape_1_or_3(value: object, what: str) -> tuple[int, ...]:

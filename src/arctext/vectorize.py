@@ -220,45 +220,56 @@ VECTOR_SLOTS = (
 _KIND_SLOT = {"conv": 0, "pool": 1, "full": 2, "mf": 3}
 
 
+def _floats(text: str) -> list[float]:
+    return [float(p) for p in text.split("-")]
+
+
 def _shape3(text: str) -> list[float]:
-    parts = [float(p) for p in text.split("-")]
+    parts = _floats(text)
     return parts + [0.0] * (3 - len(parts))
 
 
-def unit_vector(line: UnitLine) -> np.ndarray:
-    """A 24-slot numeric summary of one line; absent fields stay 0."""
-    vec = np.zeros(len(VECTOR_SLOTS))
-    vec[_KIND_SLOT[line.unit_kind]] = 1.0
-    vec[4] = line.id
+def _unit_row(line: UnitLine) -> list[float]:
+    """The 24 slots of one line as floats; absent fields stay 0."""
+    row = [0.0] * len(VECTOR_SLOTS)
+    row[_KIND_SLOT[line.unit_kind]] = 1.0
+    row[4] = float(line.id)
     fields = dict(line.fields)
     if "in_size" in fields:
-        vec[5:8] = _shape3(fields["in_size"])
+        row[5:8] = _shape3(fields["in_size"])
     if "out_size" in fields:
-        vec[8:11] = _shape3(fields["out_size"])
+        row[8:11] = _shape3(fields["out_size"])
     if "kernel" in fields:
-        vec[11:13] = [float(p) for p in fields["kernel"].split("-")]
+        row[11:13] = _floats(fields["kernel"])
     if "stride" in fields:
-        vec[13:15] = [float(p) for p in fields["stride"].split("-")]
+        row[13:15] = _floats(fields["stride"])
     if "padding" in fields:
-        pads = [float(p) for p in fields["padding"].split("-")]
+        pads = _floats(fields["padding"])
         if line.unit_kind == "conv":
             pads = pads[1::2]  # counts only; pad values do not affect geometry
-        vec[15:19] = pads
+        row[15:19] = pads
     if "dilation" in fields:
-        vec[19] = float(fields["dilation"])
+        row[19] = float(fields["dilation"])
     if "groups" in fields:
-        vec[20] = float(fields["groups"])
+        row[20] = float(fields["groups"])
     if fields.get("bias_used") == "Yes":
-        vec[21] = 1.0
+        row[21] = 1.0
     if fields.get("type") == "Max":
-        vec[22] = 1.0
+        row[22] = 1.0
     if line.unit_kind == "mf" and fields.get("value", "Null") != "Null":
         for atom in fields["value"].split("-"):
             num = _numeric(atom)
             if num is not None:
-                vec[23] = float(num)
+                row[23] = float(num)
                 break
-    return vec
+    if len(row) != len(VECTOR_SLOTS):
+        raise ValueError(f"unit {line.id} has a field of the wrong arity")
+    return row
+
+
+def unit_vector(line: UnitLine) -> np.ndarray:
+    """A 24-slot numeric summary of one line; absent fields stay 0."""
+    return np.array(_unit_row(line))
 
 
 def _format_number(x: float) -> str:
@@ -268,6 +279,11 @@ def _format_number(x: float) -> str:
 def vectors_csv(d: Description) -> str:
     """One unit per row, comma-separated, with a slot-name header."""
     rows = [",".join(VECTOR_SLOTS)]
+    spelled: dict[float, str] = {}  # most slots repeat a few values
     for line in d.lines:
-        rows.append(",".join(map(_format_number, unit_vector(line).tolist())))
+        row = _unit_row(line)
+        for x in row:
+            if x not in spelled:
+                spelled[x] = _format_number(x)
+        rows.append(",".join(map(spelled.__getitem__, row)))
     return "\n".join(rows) + "\n"

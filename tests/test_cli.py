@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import arctext
-from arctext import Vocabulary
+from arctext import Vocabulary, codec
 from arctext.cli import main
 
 from conftest import FIXTURES
@@ -165,6 +165,26 @@ class TestDiff:
         )
         assert main(["diff", resnet_text_file, str(other)]) == 1
         assert "~ id 13 out_size: 1000 -> 1001" in capsys.readouterr().out
+
+
+class TestSingleParse:
+    @pytest.mark.parametrize("command, inputs", [
+        (["digest", "-i"], 1),
+        (["diff"], 2),
+        (["vectorize", "-i"], 1),
+    ])
+    def test_each_line_is_parsed_once(self, monkeypatch, capsys, resnet_text_file,
+                                      resnet4_text, command, inputs):
+        parsed = []
+        parse_line = codec.parse_line
+
+        def counting(line, *args, **kwargs):
+            parsed.append(line)
+            return parse_line(line, *args, **kwargs)
+
+        monkeypatch.setattr(codec, "parse_line", counting)
+        assert main(command + [resnet_text_file] * inputs) == 0
+        assert parsed == resnet4_text.split("\n") * inputs
 
 
 class TestDot:

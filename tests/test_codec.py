@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arctext import (
+    ArcTextError,
     ConvSpec,
     CycleDetectedError,
     DanglingConnectError,
@@ -28,6 +30,7 @@ from arctext import (
     render_description,
     render_unit,
 )
+from arctext import codec
 
 import gen
 
@@ -418,3 +421,102 @@ def test_accepted_lines_are_already_rendered(spec, uid, connect, rng):
         line = description_from_text("\n".join(filler + [mutant])).lines[-1]
         assert line == expected
         assert line.text == expected.text == mutant
+
+
+# --- the compiled grammar against the field-by-field checks --------------------
+
+_RESPELLINGS = ("01", "+1", "1.0", "00", "-1", "0", "", "Null", "a", "\u00e9")
+
+
+def _field_mutant(line: str, rng) -> str:
+    """``line`` with one field blanked, re-spelled, one value longer or
+    shorter, set to Null, split by a separator, renamed, swapped or dropped."""
+    parts = line.split(";")
+    i, j = rng.randrange(len(parts)), rng.randrange(len(parts))
+    key, _, value = parts[i].partition(":")
+    atoms = value.split("-")
+    k = rng.randrange(len(atoms))
+    cut = rng.randrange(len(parts[i]) + 1)
+    edits = [
+        f"{key}:",
+        f":{value}",
+        f"{key}:" + "-".join(atoms[:k] + [rng.choice(_RESPELLINGS)] + atoms[k + 1:]),
+        f"{key}:{value}-{rng.choice('01a')}",
+        f"{key}:" + "-".join(atoms[:-1]),
+        f"{key}:Null",
+        parts[i][:cut] + rng.choice(";:-") + parts[i][cut:],
+        parts[j].partition(":")[0] + f":{value}",
+    ]
+    op = rng.randrange(len(edits) + 2)
+    if op < len(edits):
+        parts[i] = edits[op]
+    elif op == len(edits):
+        parts[i], parts[j] = parts[j], parts[i]
+    else:
+        del parts[i]
+    return ";".join(parts)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except ArcTextError as exc:
+        return type(exc), str(exc), exc.subject
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_any_spec, uid=st.integers(1, 9), connect=_connects,
+       rng=st.randoms(use_true_random=False))
+def test_grammar_agrees_with_the_field_checks(spec, uid, connect, rng):
+    # parse_line words a line the grammar rejects with the field-by-field
+    # checks; both must accept the same lines, with the same result, and
+    # fail the others with the same error
+    rendered = render_unit(spec, uid, connect).text
+    for mutant in [rendered] + [
+        _field_mutant(rendered, rng) if rng.random() < 0.8 else _mutate(rendered, rng)
+        for _ in range(30)
+    ]:
+        assert _outcome(parse_line, mutant) == _outcome(
+            lambda line: codec._parse_stepwise(line, 1), mutant)
+
+
+def test_valid_lines_never_reach_the_field_checks(monkeypatch, resnet4_text, branching25_text):
+    def unexpected(line, lineno):
+        raise AssertionError(f"line {lineno} missed the grammar: {line!r}")
+
+    monkeypatch.setattr(codec, "_parse_stepwise", unexpected)
+    rng = random.Random(1003)  # the C03 corpus
+    texts = [resnet4_text, branching25_text] + [
+        render_description(gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)).text
+        for _ in range(1000)
+    ]
+    for text in texts:
+        assert render_description(parse_description(text)[0]).text == text
+        assert description_from_text(text).text == text
+
+
+def test_parsed_units_keep_their_source_line(resnet4_text, branching25_text):
+    for text in (resnet4_text, branching25_text):
+        units = description_from_text(text).lines
+        for unit, line in zip(units, text.split("\n"), strict=True):
+            assert "text" in vars(unit)  # set from the source, not rendered on use
+            assert unit.text == line
+
+
+def test_unit_fields_follow_the_spec_field_order():
+    # parse_line hands the matched values to the spec class positionally
+    for kind, (cls, fields) in codec.UNIT_FIELDS.items():
+        assert [f.attr for f in fields] == [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("line", [
+    "id:1;name:BN;in_size:3;out_size:3;value:a-\ud800;connect_to:Null",
+    "id:1;name:\ud800;in_size:3;out_size:3;value:Null;connect_to:Null",
+    "id:1;in_size:3;out_size:3;act_fun:Re\udc80LU;connect_to:Null",
+])
+def test_lone_surrogate_is_a_malformed_line(line):
+    for read in (parse_line, parse_description, description_from_text):
+        with pytest.raises(MalformedLineError) as err:
+            read(line)
+        assert err.value.subject == 1
+        assert "lone surrogate" in str(err.value)

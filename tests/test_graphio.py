@@ -122,6 +122,13 @@ class TestGraphFileErrors:
             parse_graph_json(json.dumps(doc))
         assert "'a'" in str(err.value)
 
+    @pytest.mark.parametrize("kind", [[], ["mf"], {}, {"mf": 1}])
+    def test_array_or_object_kind(self, kind):
+        doc = {"nodes": [{"name": "a", "kind": kind}], "edges": []}
+        with pytest.raises(SchemaError) as err:
+            parse_graph_json(json.dumps(doc))
+        assert str(err.value) == f"node 'a': unknown kind {kind!r}"
+
     def test_missing_and_unknown_keys(self):
         base = {
             "name": "a", "kind": "pool", "pool_type": "Max",
@@ -188,6 +195,20 @@ class TestGraphFileErrors:
         with pytest.raises(SchemaError) as err:
             parse_graph_json(json.dumps({"nodes": [record], "edges": []}))
         assert "'layer7'" in str(err.value)
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("mf", "op_name", "\ud800"),
+        ("mf", "values", ["\udfff"]),
+        ("full", "act_fun", "Re\ud800LU"),
+    ])
+    def test_lone_surrogate_fails_before_render(self, kind, field, value):
+        doc = {"nodes": [dict(RECORDS[kind], name="a", **{field: value}),
+                         dict(RECORDS["mf"], name="b")],
+               "edges": [["a", "b"]]}
+        with pytest.raises(SchemaError) as err:
+            render_description(parse_graph_json(json.dumps(doc)))
+        assert str(err.value).startswith("node 'a': ")
+        assert "lone surrogate" in str(err.value)
 
     def test_value_errors_are_worded_by_the_spec(self):
         record = dict(RECORDS["conv"], kernel=[True, 3])

@@ -93,6 +93,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             MFSpec("Scale", (8,), (8,), values=("0-5",))
 
+    def test_mf_values_sorted_by_utf8_bytes(self):
+        spec = MFSpec("Scale", (8,), (8,), values=("\U0001f600", "\uffff", "\u00e9", "z"))
+        assert spec.values == tuple(sorted(spec.values, key=lambda v: v.encode("utf-8")))
+        assert spec.values == ("z", "\u00e9", "\uffff", "\U0001f600")
+
+    @pytest.mark.parametrize("build", [
+        lambda: MFSpec("\ud800", (8,), (8,)),
+        lambda: MFSpec("BN", (8,), (8,), values=("a", "b\udfff")),
+        lambda: FullSpec(10, 10, act_fun="Re\udc80LU"),
+    ])
+    def test_lone_surrogate_tokens_rejected(self, build):
+        with pytest.raises(InvalidSpecError) as err:
+            build()
+        assert "lone surrogate" in str(err.value)
+
 
 class TestBuildGraph:
     def test_duplicate_name(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from arctext import (
+    Description,
     MFSpec,
     SchemaError,
     Token,
@@ -272,6 +273,20 @@ class TestUnitVector:
         b = unit_vector(render_unit(spec, 9, [12]))
         diff = np.nonzero(a != b)[0]
         np.testing.assert_array_equal(diff, [4])
+
+    def test_short_shapes_pad_and_huge_ints_go_through_float(self):
+        line = render_unit(MFSpec("X", (10**20,), (2**53 + 1, 3, 4), ("7",)), 1, None)
+        expected = [0.0] * 24
+        expected[3], expected[4], expected[5] = 1.0, 1.0, 1e20
+        expected[8:11] = [float(2**53 + 1), 3.0, 4.0]
+        expected[23] = 7.0
+        vec = unit_vector(line)
+        assert isinstance(vec, np.ndarray) and vec.dtype == np.float64
+        assert vec.tolist() == expected
+        row = vectors_csv(Description((line,), line.text)).splitlines()[1]
+        assert row == ",".join(
+            ["0", "0", "0", "1", "1", "100000000000000000000", "0", "0",
+             "9007199254740992", "3", "4"] + ["0"] * 12 + ["7"])
 
     def test_csv_shape(self, branching25_text):
         d = description_from_text(branching25_text)
