@@ -6,8 +6,10 @@ path that still contains an unnumbered node and walking it in order. Tied
 longest paths are ranked by the SHA-224 digest of their nodes' basic
 property strings (largest digest wins); paths whose digests are also equal
 are resolved by a fixed positional rule so the whole procedure is
-deterministic. Identical architectures therefore always produce identical
-orderings, no matter how their nodes and edges were enumerated on input.
+deterministic. That rule ends in node insertion order, so when tied paths
+also have equal positions so far, the order nodes were inserted in can
+change the ordering (ROADMAP item 1); renaming nodes or reordering edges
+never does.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ rigid -- fixed field order per kind, canonical integer spelling, sorted
 multi-values, ascending connect_to -- so each architecture has exactly one
 spelling and byte equality coincides with architectural equality.
 
-The line grammar is declared once, in ``UNIT_FIELDS``: for each unit kind,
+The line grammar is built from the field table ``UNIT_FIELDS`` in
+:mod:`arctext.unitformat`, which also writes the fields: for each unit kind,
 its fields between ``id`` and ``connect_to`` in line order, each with its
 spec attribute and value shape. From that table one compiled pattern per
 kind is built, and the four are joined into a single alternation, so reading
@@ -21,10 +22,8 @@ which only word its first fault.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .canonical import DEFAULT_MAX_PATHS, CanonicalOrder, assign_positions
 from .errors import (
@@ -32,26 +31,22 @@ from .errors import (
     DuplicateIdError,
     EmptyInputError,
     InvalidSpecError,
-    MalformedLineError,
     MultipleSinksError,
     NonCanonicalSinkError,
     NonContiguousIdsError,
     UnclassifiableLineError,
 )
-from .model import (
-    ArchGraph,
-    ConvSpec,
-    FullSpec,
-    MFSpec,
-    NodeSpec,
-    PoolSpec,
-    build_graph,
-)
+from .model import ArchGraph, NodeSpec, build_graph
 from .unitformat import (
+    _INT,
     KIND_CONV,
     KIND_FULL,
     KIND_MF,
     KIND_POOL,
+    UNIT_FIELDS,
+    _check_int,
+    _fail,
+    _read_ints,
     basic_fields,
     join_multi,
     kind_of,
@@ -123,143 +118,6 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
 
 
 # --- the line grammar ----------------------------------------------------------
-
-_INT = "(?:0|[1-9][0-9]*)"
-_INT_RE = re.compile(_INT)
-# a token as the renderer writes it: no separator, no LF, no lone surrogate
-_TOKEN = "[^-:;\n\ud800-\udfff]+"
-
-
-def _fail(lineno: int, msg: str):
-    raise MalformedLineError(f"line {lineno}: {msg}", subject=lineno)
-
-
-def _check_int(token: str, lineno: int, what: str) -> None:
-    if not _INT_RE.fullmatch(token):
-        _fail(lineno, f"{what} must be a non-negative integer, got {token!r}")
-
-
-def _ints_check(arity: int):
-    def check(value: str, lineno: int, what: str) -> None:
-        tokens = value.split("-")
-        if len(tokens) != arity:
-            _fail(lineno, f"{what} needs {arity} values, got {len(tokens)}")
-        for token in tokens:
-            _check_int(token, lineno, what)
-    return check
-
-
-def _check_shape(value: str, lineno: int, what: str) -> None:
-    arity = value.count("-") + 1
-    if arity not in (1, 3):
-        _fail(lineno, f"{what} needs 1 or 3 values, got {arity}")
-    for token in value.split("-"):
-        _check_int(token, lineno, what)
-
-
-def _check_flag(value: str, lineno: int, what: str) -> None:
-    if value not in ("Yes", "No"):
-        _fail(lineno, f'{what} must be "Yes" or "No", got {value!r}')
-
-
-def _check_values(value: str, lineno: int, what: str) -> None:
-    if value != "Null" and "" in value.split("-"):
-        _fail(lineno, "empty parameter value")
-
-
-def _no_check(value: str, lineno: int, what: str) -> None:
-    pass
-
-
-def _read_ints(value: str) -> tuple[int, ...]:
-    return tuple(map(int, value.split("-")))
-
-
-def _read_pad_pairs(value: str) -> tuple[tuple[int, int], ...]:
-    flat = _read_ints(value)
-    return tuple(zip(flat[0::2], flat[1::2]))
-
-
-def _read_token(value: str | None) -> str | None:
-    return value
-
-
-def _read_values(value: str) -> tuple[str, ...]:
-    if value == "Null":
-        return ()
-    tokens = value.split("-")
-    # code-point order is UTF-8 byte order, so no token needs encoding
-    if any(a > b for a, b in zip(tokens, tokens[1:])):
-        raise InvalidSpecError(f"parameter values must be sorted ascending, got {tokens}")
-    return tuple(tokens)
-
-
-class _Shape(NamedTuple):
-    """How one field's value is spelled, read, and worded when misspelled."""
-
-    pattern: str  # no capturing groups
-    read: Callable[[str], object]  # a matched value -> its spec argument
-    check: Callable[[str, int, str], None]  # words why a value fails the pattern
-
-
-def _int_shape(arity: int, read=_read_ints) -> _Shape:
-    return _Shape("-".join([_INT] * arity), read, _ints_check(arity))
-
-
-_COUNT = _Shape(_INT, int, _check_int)
-_PAIR = _int_shape(2)
-_SIZE = _int_shape(3)
-_PADS = _int_shape(4)
-_PAD_PAIRS = _int_shape(8, _read_pad_pairs)
-_EXTENT = _Shape(f"{_INT}(?:-{_INT}-{_INT})?", _read_ints, _check_shape)
-_FLAG = _Shape("Yes|No", "Yes".__eq__, _check_flag)
-_WORD = _Shape(_TOKEN, _read_token, _no_check)
-_VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values, _check_values)
-
-
-class UnitField(NamedTuple):
-    key: str  # text key
-    attr: str  # spec attribute
-    shape: _Shape
-    optional: bool = False  # a line may leave the field out
-
-
-# Each kind's spec class and its fields between id and connect_to, in line
-# order, which is also the spec class's field order: matched values go to the
-# class positionally.
-UNIT_FIELDS: dict[str, tuple[type, tuple[UnitField, ...]]] = {
-    KIND_CONV: (ConvSpec, (
-        UnitField("in_size", "in_size", _SIZE),
-        UnitField("out_size", "out_size", _SIZE),
-        UnitField("kernel", "kernel", _PAIR),
-        UnitField("stride", "stride", _PAIR),
-        UnitField("padding", "padding", _PAD_PAIRS),
-        UnitField("dilation", "dilation", _COUNT),
-        UnitField("groups", "groups", _COUNT),
-        UnitField("bias_used", "bias_used", _FLAG),
-    )),
-    KIND_POOL: (PoolSpec, (
-        UnitField("type", "pool_type", _WORD),
-        UnitField("in_size", "in_size", _SIZE),
-        UnitField("out_size", "out_size", _SIZE),
-        UnitField("kernel", "kernel", _PAIR),
-        UnitField("stride", "stride", _PAIR),
-        UnitField("padding", "padding", _PADS),
-        UnitField("dilation", "dilation", _COUNT),
-        UnitField("bias_used", "bias_used", _FLAG),
-    )),
-    KIND_FULL: (FullSpec, (
-        UnitField("in_size", "in_size", _COUNT),
-        UnitField("out_size", "out_size", _COUNT),
-        UnitField("act_fun", "act_fun", _WORD, optional=True),
-    )),
-    KIND_MF: (MFSpec, (
-        UnitField("name", "op_name", _WORD),
-        UnitField("in_size", "in_size", _EXTENT),
-        UnitField("out_size", "out_size", _EXTENT),
-        UnitField("value", "values", _VALUES),
-    )),
-}
 
 # every key of a kind's line, then the same without its optional keys
 _KIND_KEYS = {

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .canonical import CanonicalOrder
-from .codec import UNIT_FIELDS, Description
+from .codec import Description
 from .errors import GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError
 from .model import (
     ArchGraph,
@@ -23,7 +23,7 @@ from .model import (
     PoolSpec,
     build_graph,
 )
-from .unitformat import KIND_MF, kind_of
+from .unitformat import KIND_MF, UNIT_FIELDS, kind_of
 
 # record keys are the spec attributes of each kind's text fields
 _ALLOWED = {kind: {f.attr for f in fields} for kind, (_, fields) in UNIT_FIELDS.items()}

@@ -269,10 +269,10 @@ class ArchGraph:
     """An immutable architecture DAG.
 
     Use :func:`build_graph`; the constructor assumes its inputs were already
-    checked. Node insertion order is recorded (it seeds deterministic
-    iteration and the final ordering tie-break) but never changes which
-    canonical description a graph maps to, except between paths whose
-    rendered content is identical anyway.
+    checked. Node insertion order is recorded: it seeds deterministic
+    iteration and is the last key of the ordering tie-break, so it can
+    change the canonical description when tied paths have equal digests
+    and equal positions (ROADMAP item 1).
 
     Equality compares the name->spec mapping and the edge *set*; insertion
     order is deliberately ignored.

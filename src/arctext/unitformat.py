@@ -1,9 +1,17 @@
-"""Per-kind field rendering shared by the canonicalizer and the codec.
+"""The per-kind field table, and the unit fields written from it.
 
 Every unit renders to an ordered list of ``key:value`` fields. The *basic*
 fields are everything except ``id`` and ``connect_to``, which depend on the
 canonical ordering rather than on the node itself; path fingerprints hash
 only the basic fields so that ordering does not feed back into itself.
+
+The fields are declared once, in ``UNIT_FIELDS``: for each unit kind, its
+spec class and its basic fields in line order, each with its text key, spec
+attribute and value shape. A shape says how a value is spelled (a pattern),
+written (spec value -> text), read back (text -> spec value) and worded when
+misspelled. ``basic_fields`` writes a spec's fields from this table; the
+line grammar in :mod:`arctext.codec` and the graph file's record keys in
+:mod:`arctext.graphio` are built from it too.
 
 Each spec's basic fields and basic string are computed on first use and
 kept in the spec's instance ``__dict__``, the way ``functools.cached_property``
@@ -12,6 +20,11 @@ keeps its value; specs are frozen, so the kept value cannot go stale.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
+from typing import NamedTuple
+
+from .errors import InvalidSpecError, MalformedLineError
 from .model import ConvSpec, FullSpec, MFSpec, NodeSpec, PoolSpec
 
 KIND_CONV = "conv"
@@ -19,73 +32,186 @@ KIND_POOL = "pool"
 KIND_FULL = "full"
 KIND_MF = "mf"
 
-
-def kind_of(spec: NodeSpec) -> str:
-    if isinstance(spec, ConvSpec):
-        return KIND_CONV
-    if isinstance(spec, PoolSpec):
-        return KIND_POOL
-    if isinstance(spec, FullSpec):
-        return KIND_FULL
-    if isinstance(spec, MFSpec):
-        return KIND_MF
-    raise TypeError(f"not a node spec: {type(spec).__name__}")
+_INT = "(?:0|[1-9][0-9]*)"
+_INT_RE = re.compile(_INT)
+# a token as the renderer writes it: no separator, no LF, no lone surrogate
+_TOKEN = "[^-:;\n\ud800-\udfff]+"
 
 
 def join_multi(values) -> str:
     return "-".join(map(str, values))
 
 
-def yes_no(flag: bool) -> str:
-    return "Yes" if flag else "No"
+# --- value shapes ---------------------------------------------------------------
+
+def _fail(lineno: int, msg: str):
+    raise MalformedLineError(f"line {lineno}: {msg}", subject=lineno)
+
+
+def _check_int(token: str, lineno: int, what: str) -> None:
+    if not _INT_RE.fullmatch(token):
+        _fail(lineno, f"{what} must be a non-negative integer, got {token!r}")
+
+
+def _ints_check(arity: int):
+    def check(value: str, lineno: int, what: str) -> None:
+        tokens = value.split("-")
+        if len(tokens) != arity:
+            _fail(lineno, f"{what} needs {arity} values, got {len(tokens)}")
+        for token in tokens:
+            _check_int(token, lineno, what)
+    return check
+
+
+def _check_shape(value: str, lineno: int, what: str) -> None:
+    arity = value.count("-") + 1
+    if arity not in (1, 3):
+        _fail(lineno, f"{what} needs 1 or 3 values, got {arity}")
+    for token in value.split("-"):
+        _check_int(token, lineno, what)
+
+
+def _check_flag(value: str, lineno: int, what: str) -> None:
+    if value not in ("Yes", "No"):
+        _fail(lineno, f'{what} must be "Yes" or "No", got {value!r}')
+
+
+def _check_values(value: str, lineno: int, what: str) -> None:
+    if value != "Null" and "" in value.split("-"):
+        _fail(lineno, "empty parameter value")
+
+
+def _no_check(value: str, lineno: int, what: str) -> None:
+    pass
+
+
+def _read_ints(value: str) -> tuple[int, ...]:
+    return tuple(map(int, value.split("-")))
+
+
+def _read_pad_pairs(value: str) -> tuple[tuple[int, int], ...]:
+    flat = _read_ints(value)
+    return tuple(zip(flat[0::2], flat[1::2]))
+
+
+def _write_pad_pairs(pairs) -> str:
+    return join_multi([x for pair in pairs for x in pair])
+
+
+def _read_token(value: str | None) -> str | None:
+    return value
+
+
+def _read_values(value: str) -> tuple[str, ...]:
+    if value == "Null":
+        return ()
+    tokens = value.split("-")
+    # code-point order is UTF-8 byte order, so no token needs encoding
+    if any(a > b for a, b in zip(tokens, tokens[1:])):
+        raise InvalidSpecError(f"parameter values must be sorted ascending, got {tokens}")
+    return tuple(tokens)
+
+
+def _write_values(values) -> str:
+    return join_multi(values) if values else "Null"
+
+
+class _Shape(NamedTuple):
+    """How one field's value is spelled, read, worded when misspelled, and written."""
+
+    pattern: str  # no capturing groups
+    read: Callable[[str], object]  # a matched value -> its spec argument
+    check: Callable[[str, int, str], None]  # words why a value fails the pattern
+    write: Callable[[object], str] = join_multi  # a spec value -> its text
+
+
+def _int_shape(arity: int, read=_read_ints, write=join_multi) -> _Shape:
+    return _Shape("-".join([_INT] * arity), read, _ints_check(arity), write)
+
+
+_COUNT = _Shape(_INT, int, _check_int, str)
+_PAIR = _int_shape(2)
+_SIZE = _int_shape(3)
+_PADS = _int_shape(4)
+_PAD_PAIRS = _int_shape(8, _read_pad_pairs, _write_pad_pairs)
+_EXTENT = _Shape(f"{_INT}(?:-{_INT}-{_INT})?", _read_ints, _check_shape)
+_FLAG = _Shape("Yes|No", "Yes".__eq__, _check_flag, ("No", "Yes").__getitem__)
+_WORD = _Shape(_TOKEN, _read_token, _no_check, str)
+_VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values, _check_values, _write_values)
+
+
+class UnitField(NamedTuple):
+    key: str  # text key
+    attr: str  # spec attribute
+    shape: _Shape
+    optional: bool = False  # a line may leave the field out
+
+
+# Each kind's spec class and its fields between id and connect_to, in line
+# order, which is also the spec class's field order: matched values go to the
+# class positionally.
+UNIT_FIELDS: dict[str, tuple[type, tuple[UnitField, ...]]] = {
+    KIND_CONV: (ConvSpec, (
+        UnitField("in_size", "in_size", _SIZE),
+        UnitField("out_size", "out_size", _SIZE),
+        UnitField("kernel", "kernel", _PAIR),
+        UnitField("stride", "stride", _PAIR),
+        UnitField("padding", "padding", _PAD_PAIRS),
+        UnitField("dilation", "dilation", _COUNT),
+        UnitField("groups", "groups", _COUNT),
+        UnitField("bias_used", "bias_used", _FLAG),
+    )),
+    KIND_POOL: (PoolSpec, (
+        UnitField("type", "pool_type", _WORD),
+        UnitField("in_size", "in_size", _SIZE),
+        UnitField("out_size", "out_size", _SIZE),
+        UnitField("kernel", "kernel", _PAIR),
+        UnitField("stride", "stride", _PAIR),
+        UnitField("padding", "padding", _PADS),
+        UnitField("dilation", "dilation", _COUNT),
+        UnitField("bias_used", "bias_used", _FLAG),
+    )),
+    KIND_FULL: (FullSpec, (
+        UnitField("in_size", "in_size", _COUNT),
+        UnitField("out_size", "out_size", _COUNT),
+        UnitField("act_fun", "act_fun", _WORD, optional=True),
+    )),
+    KIND_MF: (MFSpec, (
+        UnitField("name", "op_name", _WORD),
+        UnitField("in_size", "in_size", _EXTENT),
+        UnitField("out_size", "out_size", _EXTENT),
+        UnitField("value", "values", _VALUES),
+    )),
+}
+
+# each kind's (key, attr, write) per field, in line order
+_ROWS = {
+    kind: tuple((f.key, f.attr, f.shape.write) for f in fields)
+    for kind, (_, fields) in UNIT_FIELDS.items()
+}
+
+
+# --- the writer -------------------------------------------------------------------
+
+def kind_of(spec: NodeSpec) -> str:
+    for kind, (cls, _) in UNIT_FIELDS.items():
+        if isinstance(spec, cls):
+            return kind
+    raise TypeError(f"not a node spec: {type(spec).__name__}")
 
 
 def basic_fields(spec: NodeSpec) -> tuple[tuple[str, str], ...]:
     """Ordered ``(key, value)`` fields of a unit, minus id and connect_to."""
-    memo = getattr(spec, "__dict__", {})  # a non-spec fails in _basic_fields
+    memo = getattr(spec, "__dict__", {})  # a non-spec fails in kind_of
     fields = memo.get("_basic_fields")
     if fields is None:
-        fields = memo["_basic_fields"] = _basic_fields(spec)
+        rows = _ROWS[kind_of(spec)]
+        # only an optional field is ever None: the spec classes allow no other
+        fields = memo["_basic_fields"] = tuple([
+            (key, write(value)) for key, attr, write in rows
+            if (value := getattr(spec, attr)) is not None
+        ])
     return fields
-
-
-def _basic_fields(spec: NodeSpec) -> tuple[tuple[str, str], ...]:
-    if isinstance(spec, ConvSpec):
-        flat_pad = [x for pair in spec.padding for x in pair]
-        return (
-            ("in_size", join_multi(spec.in_size)),
-            ("out_size", join_multi(spec.out_size)),
-            ("kernel", join_multi(spec.kernel)),
-            ("stride", join_multi(spec.stride)),
-            ("padding", join_multi(flat_pad)),
-            ("dilation", str(spec.dilation)),
-            ("groups", str(spec.groups)),
-            ("bias_used", yes_no(spec.bias_used)),
-        )
-    if isinstance(spec, PoolSpec):
-        return (
-            ("type", spec.pool_type),
-            ("in_size", join_multi(spec.in_size)),
-            ("out_size", join_multi(spec.out_size)),
-            ("kernel", join_multi(spec.kernel)),
-            ("stride", join_multi(spec.stride)),
-            ("padding", join_multi(spec.padding)),
-            ("dilation", str(spec.dilation)),
-            ("bias_used", yes_no(spec.bias_used)),
-        )
-    if isinstance(spec, FullSpec):
-        fields = (("in_size", str(spec.in_size)), ("out_size", str(spec.out_size)))
-        if spec.act_fun is not None:
-            fields += (("act_fun", spec.act_fun),)
-        return fields
-    if isinstance(spec, MFSpec):
-        return (
-            ("name", spec.op_name),
-            ("in_size", join_multi(spec.in_size)),
-            ("out_size", join_multi(spec.out_size)),
-            ("value", join_multi(spec.values) if spec.values else "Null"),
-        )
-    raise TypeError(f"not a node spec: {type(spec).__name__}")
 
 
 def basic_string(spec: NodeSpec) -> str:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import Description, UnitLine
 from .errors import IoError, SchemaError, UnknownTokenError
+from .unitformat import _INT_RE
 
 PAD_ID = 0
 UNK_ID = 1
@@ -33,8 +33,6 @@ _STRUCTURAL = (
     "act_fun", "connect_to",
     "Max", "Avg", "Yes", "No", "Null",
 )
-
-_INT_RE = re.compile(r"^(0|[1-9][0-9]*)$")
 
 
 class Vocabulary:
@@ -141,7 +139,7 @@ class TokenStream:
 
 
 def _numeric(atom: str) -> int | float | None:
-    if _INT_RE.match(atom):
+    if _INT_RE.fullmatch(atom):
         return int(atom)
     try:
         val = float(atom)

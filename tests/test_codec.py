@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from arctext import (
     render_unit,
 )
 from arctext import codec
+from arctext.unitformat import UNIT_FIELDS, basic_fields
 
 import gen
 
@@ -507,6 +509,30 @@ def test_unit_fields_follow_the_spec_field_order():
     # parse_line hands the matched values to the spec class positionally
     for kind, (cls, fields) in codec.UNIT_FIELDS.items():
         assert [f.attr for f in fields] == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_each_field_writes_what_its_shape_reads(resnet4, branching25):
+    rng = random.Random(1003)  # the C03 corpus
+    graphs = [resnet4, branching25] + [
+        gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3) for _ in range(1000)
+    ]
+    for g in graphs:
+        for name in g.names():
+            spec = g.spec(name)
+            written = dict(basic_fields(spec))
+            for f in UNIT_FIELDS[kind_of(spec)][1]:
+                value = getattr(spec, f.attr)
+                if value is None:
+                    assert f.optional and f.key not in written
+                    continue
+                text = f.shape.write(value)
+                assert re.fullmatch(f.shape.pattern, text), (f.key, text)
+                assert f.shape.read(text) == value
+                assert written[f.key] == text
+
+
+def test_a_full_unit_without_act_fun_leaves_the_field_out():
+    assert basic_fields(FullSpec(256, 10)) == (("in_size", "256"), ("out_size", "10"))
 
 
 @pytest.mark.parametrize("line", [

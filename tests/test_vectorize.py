@@ -10,6 +10,7 @@ from arctext import (
     SchemaError,
     Token,
     TokenStream,
+    UnitLine,
     UnknownTokenError,
     Vocabulary,
     description_from_text,
@@ -20,6 +21,7 @@ from arctext import (
     unit_vector,
     vectors_csv,
 )
+from arctext.unitformat import UNIT_FIELDS
 from arctext.vectorize import (
     NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _numeric,
 )
@@ -39,6 +41,12 @@ class TestVocabulary:
         assert v.token_id(NUM_TOKEN) == 5
         assert v.token_id("id") == 6
         assert v.token_id("Null") == 24
+
+    def test_default_reserves_every_field_key(self):
+        v = Vocabulary.default(closed=True)
+        keys = {f.key for _, fields in UNIT_FIELDS.values() for f in fields}
+        for key in keys | {"id", "connect_to"}:
+            assert key in v
 
     def test_open_growth(self):
         v = Vocabulary.default()
@@ -137,6 +145,15 @@ class TestTokenRoundTrip:
         stream = tokenize(d, v)
         assert detokenize(stream, v) == text
         assert "007" in v and "1e3" in v
+
+    def test_a_number_before_an_lf_stays_a_word(self):
+        # only a hand-built line can hold an LF: the text readers split on it
+        line = UnitLine("full", 1, (("in_size", "5\n"), ("out_size", "7")), None)
+        v = Vocabulary.default()
+        stream = tokenize(Description((line,), line.text), v)
+        assert detokenize(stream, v) == line.text
+        assert "5\n" in v
+        assert _numeric("5\n") is None
 
     def test_random_descriptions_identity(self):
         rng = random.Random(41)
