@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _max_paths(args) -> int:
     if args.max_paths is not None:
-        value = args.max_paths
+        value, source = args.max_paths, "--max-paths"
     else:
         raw = os.environ.get("ARCTEXT_MAX_PATHS")
         if raw is None:
@@ -91,8 +91,9 @@ def _max_paths(args) -> int:
             value = int(raw)
         except ValueError:
             raise _UsageError(f"ARCTEXT_MAX_PATHS must be an integer, got {raw!r}")
+        source = "ARCTEXT_MAX_PATHS"
     if value < 1:
-        raise _UsageError("--max-paths must be >= 1")
+        raise _UsageError(f"{source} must be >= 1")
     return value
 
 

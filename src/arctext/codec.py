@@ -12,11 +12,13 @@ its fields between ``id`` and ``connect_to`` in line order, each with its
 spec attribute and value shape. From that table one compiled pattern per
 kind is built, and the four are joined into a single alternation, so reading
 a line is one ``fullmatch`` that yields the id, every field's string and
-the connect list. What a pattern cannot express is checked after the match,
-in this order: ``id >= 1``, connect targets ``>= 1`` and strictly ascending,
-multi-values sorted by UTF-8 bytes; the spec class then checks its values.
-A line that matches no pattern goes through the field-by-field checks,
-which only word its first fault.
+the connect list. The patterns make every check on one value (spelling,
+arity, minimum, pool type); after the match run only the three that compare
+values: connect targets strictly ascending, MF values sorted by UTF-8 bytes
+with no ``Null`` token, pool channels equal. A line that passes builds its
+spec unchecked (``description_from_text`` builds none); the field-by-field
+checks and the public spec class word any other line's first fault. Specs
+built any other way run every check.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .model import ArchGraph, NodeSpec, build_graph
 from .unitformat import (
-    _INT,
+    _POS,
     KIND_CONV,
     KIND_FULL,
     KIND_MF,
@@ -48,6 +50,7 @@ from .unitformat import (
     _fail,
     _read_ints,
     basic_fields,
+    basic_string,
     join_multi,
     kind_of,
 )
@@ -70,8 +73,11 @@ class UnitLine:
     @cached_property
     def text(self) -> str:
         body = ";".join(f"{k}:{v}" for k, v in self.fields)
-        tail = "Null" if self.connect_to is None else join_multi(self.connect_to)
-        return f"id:{self.id};{body};connect_to:{tail}"
+        return f"id:{self.id};{body};connect_to:{_connect_text(self.connect_to)}"
+
+
+def _connect_text(connect_to: tuple[int, ...] | None) -> str:
+    return "Null" if connect_to is None else join_multi(connect_to)
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,11 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
     lines = []
     for pos, name in enumerate(order.by_position, start=1):
         spec = g.spec(name)
-        succ = tuple(sorted([positions[s] for s in g.successors(name)]))
-        lines.append(UnitLine(kind_of(spec), pos, basic_fields(spec), succ or None))
+        succ = tuple(sorted([positions[s] for s in g.successors(name)])) or None
+        line = UnitLine(kind_of(spec), pos, basic_fields(spec), succ)
+        # ordering has already joined and kept each spec's basic string
+        line.__dict__["text"] = f"id:{pos};{basic_string(spec)};connect_to:{_connect_text(succ)}"
+        lines.append(line)
     text = "\n".join(line.text for line in lines)
     return Description(tuple(lines), text)
 
@@ -142,20 +151,34 @@ def _kind_pattern(fields) -> str:
 
 
 _LINE_RE = re.compile(
-    f"id:({_INT})(?:"
+    f"id:({_POS})(?:"
     + "|".join(_kind_pattern(fields) for _, fields in UNIT_FIELDS.values())
-    + f");connect_to:(Null|{_INT}(?:-{_INT})*)"
+    + f");connect_to:(Null|{_POS}(?:-{_POS})*)"
 )
 
 
+# The value comparisons no pattern makes, on a kind's matched strings in table
+# order; spellings are canonical, so equal text is an equal value.
+def _pool_channels_agree(values) -> bool:  # type, in_size, out_size, ...
+    return values[1].rpartition("-")[2] == values[2].rpartition("-")[2]
+
+
+def _mf_values_agree(values) -> bool:  # name, in_size, out_size, value
+    tokens = values[3].split("-")
+    return values[3] == "Null" or ("Null" not in tokens and tokens == sorted(tokens))
+
+
+_AGREE = {KIND_POOL: _pool_channels_agree, KIND_MF: _mf_values_agree}
+
+
 def _branches():
-    # (kind, spec class, readers, keys, first group, end group) per kind, where
-    # a group index counts in match.groups(): 0 is the id
+    # (kind, unchecked constructor, readers, keys, first group, end group,
+    # value comparison) per kind; a group index counts in match.groups()
     start = 1
     for kind, (cls, fields) in UNIT_FIELDS.items():
         stop = start + len(fields)
-        yield (kind, cls, tuple(f.shape.read for f in fields),
-               tuple(f.key for f in fields), start, stop)
+        yield (kind, cls._checked, tuple(f.shape.read for f in fields),
+               tuple(f.key for f in fields), start, stop, _AGREE.get(kind))
         start = stop
 
 
@@ -187,23 +210,12 @@ def classify_line(line: str) -> str:
     return _classify(parts, [key for key, _, _ in parts], line)
 
 
-def _read_connect(value: str, lineno: int) -> tuple[int, ...] | None:
-    if value == "Null":
-        return None
-    targets = _read_ints(value)
-    if 0 in targets:
-        _fail(lineno, "connect_to ids must be >= 1")
-    if any(a >= b for a, b in zip(targets, targets[1:])):
-        _fail(lineno, f"connect_to must be strictly ascending, got {targets}")
-    return targets
-
-
 def _parse_stepwise(line: str, lineno: int) -> tuple[int, NodeSpec, tuple[int, ...] | None]:
     """Parse a line field by field, in the order the checks have always run.
 
-    This accepts exactly the lines the grammar accepts; ``parse_line`` calls
-    it only for a line that matches no pattern, so that the first fault is
-    worded as it always has been.
+    This accepts exactly the lines the grammar and the value comparisons
+    accept; ``parse_line`` calls it only for a line they refuse, so that the
+    first fault is worded as it always has been.
     """
     parts = _split(line)
     keys = tuple(key for key, _, _ in parts)
@@ -222,10 +234,15 @@ def _parse_stepwise(line: str, lineno: int) -> tuple[int, NodeSpec, tuple[int, .
     uid = int(values["id"])
     if uid < 1:
         _fail(lineno, "id must be >= 1")
+    connect = None
     if values["connect_to"] != "Null":
         for token in values["connect_to"].split("-"):
             _check_int(token, lineno, "connect_to")
-    connect = _read_connect(values["connect_to"], lineno)
+        connect = _read_ints(values["connect_to"])
+        if 0 in connect:
+            _fail(lineno, "connect_to ids must be >= 1")
+        if any(a >= b for a, b in zip(connect, connect[1:])):
+            _fail(lineno, f"connect_to must be strictly ascending, got {connect}")
 
     cls, fields = UNIT_FIELDS[kind]
     args = {}
@@ -241,30 +258,37 @@ def _parse_stepwise(line: str, lineno: int) -> tuple[int, NodeSpec, tuple[int, .
     return uid, spec, connect
 
 
-def parse_line(line: str, lineno: int = 1, *, _unit: bool = False):
+def _refuse(line: str, lineno: int):
+    """Raise the error the field checks and the spec classes give for ``line``."""
+    _parse_stepwise(line, lineno)
+    _fail(lineno, "line matches the field checks but not the grammar")
+
+
+_SPEC, _UNIT, _BOTH = 1, 2, 3  # what parse_line builds for the description readers
+
+
+def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
     """Parse one line into (id, spec, connect_to); strict on everything.
 
-    With ``_unit``, the line's ``UnitLine`` comes fourth: its fields are the
-    matched strings and its ``text`` is ``line`` itself.
+    The description readers pass ``_want``. With ``_BOTH`` or ``_UNIT`` the
+    line's ``UnitLine`` comes fourth, its fields the matched strings and its
+    ``text`` the line itself; with ``_UNIT`` no spec is built (None).
     """
     match = _LINE_RE.fullmatch(line)
     if match is None:
-        _parse_stepwise(line, lineno)
-        _fail(lineno, "line matches the field checks but not the grammar")
+        _refuse(line, lineno)
     groups = match.groups()
-    uid = int(groups[0])
-    if uid < 1:
-        _fail(lineno, "id must be >= 1")
-    connect = _read_connect(groups[-1], lineno)
-    for kind, cls, readers, keys, start, stop in _BRANCHES:
+    for kind, checked, readers, keys, start, stop, agree in _BRANCHES:
         if groups[start] is not None:
             break
     values = groups[start:stop]
-    try:
-        spec = cls(*[read(value) for read, value in zip(readers, values)])
-    except InvalidSpecError as exc:
-        _fail(lineno, str(exc))
-    if not _unit:
+    connect = None if groups[-1] == "Null" else _read_ints(groups[-1])
+    if connect and any(a >= b for a, b in zip(connect, connect[1:])) or (
+            agree and not agree(values)):
+        _refuse(line, lineno)
+    uid = int(groups[0])
+    spec = None if _want == _UNIT else checked(*[read(v) for read, v in zip(readers, values)])
+    if _want == _SPEC:
         return uid, spec, connect
     fields = tuple(zip(keys, values))
     if None in values:  # an optional field the line leaves out
@@ -285,19 +309,19 @@ def _body(text: str) -> str:
     return text
 
 
-def _parse_lines(lines: list[str], units: bool):
-    """Each line's (id, spec, connect_to), and its UnitLine if ``units``."""
+def _parse_lines(lines: list[str], want: int):
+    """Each line's (id, spec, connect_to), and its UnitLine if ``want`` asks."""
     parsed = []
     unit_lines = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
             _fail(lineno, "blank line")
-        if units:
-            entry = parse_line(line, lineno, _unit=True)
+        if want == _SPEC:
+            parsed.append(parse_line(line, lineno))
+        else:
+            entry = parse_line(line, lineno, _want=want)
             parsed.append(entry[:3])
             unit_lines.append(entry[3])
-        else:
-            parsed.append(parse_line(line, lineno))
     return parsed, unit_lines
 
 
@@ -316,10 +340,10 @@ def _check_ids(parsed) -> int:
     return prev
 
 
-def _read_text(text: str, units: bool):
-    """The body, each line's parse and UnitLine (if ``units``), and the top id."""
+def _read_text(text: str, want: int):
+    """The body, each line's parse and UnitLine (if ``want`` asks), and the top id."""
     body = _body(text)
-    parsed, unit_lines = _parse_lines(body.split("\n"), units)
+    parsed, unit_lines = _parse_lines(body.split("\n"), want)
     return body, parsed, unit_lines, _check_ids(parsed)
 
 
@@ -362,7 +386,7 @@ def parse_description(text: str) -> tuple[ArchGraph, CanonicalOrder]:
     order maps each name to its id. Rendering the result reproduces the
     input bytes whenever the input was itself canonically rendered.
     """
-    _, parsed, _, n = _read_text(text, False)
+    _, parsed, _, n = _read_text(text, _SPEC)
     return _build(parsed, n)
 
 
@@ -374,9 +398,9 @@ def description_from_text(text: str) -> Description:
     Every line the grammar accepts is already in rendered form, so each
     UnitLine takes its fields from the line's match and its ``text`` is the
     line itself; ``text`` is the input minus its one tolerated trailing
-    newline. Nothing is re-rendered.
+    newline. Nothing is re-rendered, and no spec is built.
     """
-    body, _, unit_lines, _ = _read_text(text, True)
+    body, _, unit_lines, _ = _read_text(text, _UNIT)
     return Description(tuple(unit_lines), body)
 
 
@@ -386,6 +410,6 @@ def _parse_text(text: str) -> tuple[ArchGraph, CanonicalOrder, Description]:
     Each line is parsed once; errors are raised as ``parse_description``
     raises them.
     """
-    body, parsed, unit_lines, n = _read_text(text, True)
+    body, parsed, unit_lines, n = _read_text(text, _BOTH)
     graph, order = _build(parsed, n)
     return graph, order, Description(tuple(unit_lines), body)

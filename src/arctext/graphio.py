@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .canonical import CanonicalOrder
-from .codec import Description
+from .codec import Description, _connect_text
 from .errors import GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError
 from .model import (
     ArchGraph,
@@ -188,10 +188,7 @@ class DescriptionDiff:
 
 def _line_fields(line) -> dict[str, str]:
     fields = dict(line.fields)
-    fields["connect_to"] = (
-        "Null" if line.connect_to is None
-        else "-".join(str(t) for t in line.connect_to)
-    )
+    fields["connect_to"] = _connect_text(line.connect_to)
     return fields
 
 

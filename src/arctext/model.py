@@ -97,6 +97,13 @@ class _Spec:
     def __getstate__(self):
         return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
+    @classmethod
+    def _checked(cls, *values):
+        """A spec from values ``codec.parse_line`` has proved: no ``__post_init__``."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(zip(cls.__dataclass_fields__, values))
+        return spec
+
 
 @dataclass(frozen=True)
 class ConvSpec(_Spec):

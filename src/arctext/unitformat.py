@@ -24,8 +24,8 @@ import re
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .errors import InvalidSpecError, MalformedLineError
-from .model import ConvSpec, FullSpec, MFSpec, NodeSpec, PoolSpec
+from .errors import MalformedLineError
+from .model import POOL_TYPES, ConvSpec, FullSpec, MFSpec, NodeSpec, PoolSpec
 
 KIND_CONV = "conv"
 KIND_POOL = "pool"
@@ -34,6 +34,7 @@ KIND_MF = "mf"
 
 _INT = "(?:0|[1-9][0-9]*)"
 _INT_RE = re.compile(_INT)
+_POS = "[1-9][0-9]*"  # an integer of at least 1
 # a token as the renderer writes it: no separator, no LF, no lone surrogate
 _TOKEN = "[^-:;\n\ud800-\udfff]+"
 
@@ -77,8 +78,12 @@ def _check_flag(value: str, lineno: int, what: str) -> None:
 
 
 def _check_values(value: str, lineno: int, what: str) -> None:
-    if value != "Null" and "" in value.split("-"):
+    tokens = value.split("-")
+    if value != "Null" and "" in tokens:
         _fail(lineno, "empty parameter value")
+    # code-point order is UTF-8 byte order, so no token needs encoding
+    if tokens != sorted(tokens):
+        _fail(lineno, f"parameter values must be sorted ascending, got {tokens}")
 
 
 def _no_check(value: str, lineno: int, what: str) -> None:
@@ -103,13 +108,7 @@ def _read_token(value: str | None) -> str | None:
 
 
 def _read_values(value: str) -> tuple[str, ...]:
-    if value == "Null":
-        return ()
-    tokens = value.split("-")
-    # code-point order is UTF-8 byte order, so no token needs encoding
-    if any(a > b for a, b in zip(tokens, tokens[1:])):
-        raise InvalidSpecError(f"parameter values must be sorted ascending, got {tokens}")
-    return tuple(tokens)
+    return () if value == "Null" else tuple(value.split("-"))
 
 
 def _write_values(values) -> str:
@@ -119,22 +118,23 @@ def _write_values(values) -> str:
 class _Shape(NamedTuple):
     """How one field's value is spelled, read, worded when misspelled, and written."""
 
-    pattern: str  # no capturing groups
+    pattern: str  # no capturing groups; makes every check on the value alone
     read: Callable[[str], object]  # a matched value -> its spec argument
-    check: Callable[[str, int, str], None]  # words why a value fails the pattern
+    check: Callable[[str, int, str], None]  # words a misspelling (the spec class words the rest)
     write: Callable[[object], str] = join_multi  # a spec value -> its text
 
 
-def _int_shape(arity: int, read=_read_ints, write=join_multi) -> _Shape:
-    return _Shape("-".join([_INT] * arity), read, _ints_check(arity), write)
+def _int_shape(arity: int, atom=_POS, read=_read_ints, write=join_multi) -> _Shape:
+    return _Shape("-".join([atom] * arity), read, _ints_check(arity), write)
 
 
-_COUNT = _Shape(_INT, int, _check_int, str)
+_COUNT = _Shape(_POS, int, _check_int, str)
 _PAIR = _int_shape(2)
 _SIZE = _int_shape(3)
-_PADS = _int_shape(4)
-_PAD_PAIRS = _int_shape(8, _read_pad_pairs, _write_pad_pairs)
-_EXTENT = _Shape(f"{_INT}(?:-{_INT}-{_INT})?", _read_ints, _check_shape)
+_PADS = _int_shape(4, _INT)
+_PAD_PAIRS = _int_shape(8, _INT, _read_pad_pairs, _write_pad_pairs)
+_EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, _check_shape)
+_POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, _no_check, str)
 _FLAG = _Shape("Yes|No", "Yes".__eq__, _check_flag, ("No", "Yes").__getitem__)
 _WORD = _Shape(_TOKEN, _read_token, _no_check, str)
 _VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values, _check_values, _write_values)
@@ -162,7 +162,7 @@ UNIT_FIELDS: dict[str, tuple[type, tuple[UnitField, ...]]] = {
         UnitField("bias_used", "bias_used", _FLAG),
     )),
     KIND_POOL: (PoolSpec, (
-        UnitField("type", "pool_type", _WORD),
+        UnitField("type", "pool_type", _POOL_TYPE),
         UnitField("in_size", "in_size", _SIZE),
         UnitField("out_size", "out_size", _SIZE),
         UnitField("kernel", "kernel", _PAIR),

@@ -243,6 +243,13 @@ class TestUsageAndLimits:
         assert main(["canonicalize", "-i", RESNET_JSON]) == 2
         assert "ARCTEXT_MAX_PATHS" in capsys.readouterr().err
 
+    def test_env_cap_must_be_positive(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARCTEXT_MAX_PATHS", "0")
+        assert main(["canonicalize", "-i", RESNET_JSON]) == 2
+        err = capsys.readouterr().err
+        assert "usage error: ARCTEXT_MAX_PATHS must be >= 1" in err
+        assert "--max-paths" not in err
+
     def test_tiny_cap_fails_fast(self, capsys):
         assert main(["--max-paths", "1", "canonicalize", "-i", BRANCH_JSON]) == 1
         assert "error[PathExplosion]" in capsys.readouterr().err

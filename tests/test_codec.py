@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 import re
 
@@ -32,7 +33,7 @@ from arctext import (
     render_unit,
 )
 from arctext import codec
-from arctext.unitformat import UNIT_FIELDS, basic_fields
+from arctext.unitformat import UNIT_FIELDS, basic_fields, basic_string
 
 import gen
 
@@ -546,3 +547,88 @@ def test_lone_surrogate_is_a_malformed_line(line):
             read(line)
         assert err.value.subject == 1
         assert "lone surrogate" in str(err.value)
+
+
+# --- matched lines build their specs unchecked ---------------------------------
+
+@pytest.fixture(scope="module")
+def c03_descriptions():
+    rng = random.Random(1003)  # the C03 corpus
+    return [render_description(gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3))
+            for _ in range(1000)]
+
+
+def test_checked_specs_equal_public_specs(resnet4_text, branching25_text, c03_descriptions):
+    # parse_line builds a matched line's spec without the spec class's checks;
+    # _parse_stepwise builds it from the same values through the public class
+    texts = [resnet4_text, branching25_text] + [d.text for d in c03_descriptions]
+    for text in texts:
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            _, spec, _ = parse_line(line, lineno)
+            _, public, _ = codec._parse_stepwise(line, lineno)
+            assert type(spec) is type(public)
+            assert spec == public
+            assert hash(spec) == hash(public)
+            assert repr(spec) == repr(public)
+            assert pickle.dumps(spec) == pickle.dumps(public)
+            body = line.split(";", 1)[1].rpartition(";")[0]
+            assert basic_string(spec) == basic_string(public) == body
+
+
+def test_matched_lines_run_no_spec_checks(monkeypatch, resnet4_text, branching25_text):
+    def checked(self):
+        raise AssertionError(f"{type(self).__name__} re-checked a matched line")
+
+    def built(*values):
+        raise AssertionError("description_from_text built a spec")
+
+    for cls in (ConvSpec, PoolSpec, FullSpec, MFSpec):
+        monkeypatch.setattr(cls, "__post_init__", checked)
+    for text in (resnet4_text, branching25_text):
+        assert render_description(parse_description(text)[0]).text == text
+    monkeypatch.setattr(codec, "_BRANCHES", tuple(
+        branch[:1] + (built,) + branch[2:] for branch in codec._BRANCHES))
+    for text in (resnet4_text, branching25_text):
+        assert description_from_text(text).text == text
+
+
+_POOL = ("id:1;type:{};in_size:8-8-{};out_size:4-4-{};kernel:2-2;stride:2-2;"
+         "padding:0-0-0-0;dilation:{};bias_used:No;connect_to:Null")
+_MF = "id:{};name:A;in_size:{};out_size:4;value:{};connect_to:{}"
+_CONV = ("id:1;in_size:8-8-3;out_size:8-8-3;kernel:{};stride:1-1;"
+         "padding:0-0-0-0-0-0-0-0;dilation:1;groups:{};bias_used:No;connect_to:Null")
+
+
+# each line passes every spelling check and fails one value comparison or
+# one minimum; the wording is the one these lines have always had
+@pytest.mark.parametrize("line, message", [
+    (_POOL.format("Max", 3, 6, 1), "pooling cannot change the channel count (3 -> 6)"),
+    (_POOL.format("Med", 3, 3, 1), "pool_type must be one of ('Max', 'Avg'), got 'Med'"),
+    (_POOL.format("Max", 3, 3, 0), "dilation must be >= 1, got 0"),
+    (_MF.format(1, 4, "Null-a", "Null"), '"Null" is reserved and cannot be a parameter value'),
+    (_MF.format(1, 4, "b-a", "Null"), "parameter values must be sorted ascending, got ['b', 'a']"),
+    (_MF.format(1, 0, "Null", "Null"), "in_size element must be >= 1, got 0"),
+    (_MF.format(1, "4-0-4", "Null", "Null"), "in_size element must be >= 1, got 0"),
+    (_MF.format(0, 4, "Null", "Null"), "id must be >= 1"),
+    (_MF.format(1, 4, "Null", "0"), "connect_to ids must be >= 1"),
+    (_MF.format(1, 4, "Null", "3-2"), "connect_to must be strictly ascending, got (3, 2)"),
+    (_MF.format(1, 4, "Null", "2-2"), "connect_to must be strictly ascending, got (2, 2)"),
+    (_CONV.format("0-1", 1), "kernel element must be >= 1, got 0"),
+    (_CONV.format("1-1", 0), "groups must be >= 1, got 0"),
+    ("id:1;in_size:0;out_size:10;act_fun:ReLU;connect_to:Null", "in_size must be >= 1, got 0"),
+])
+def test_faults_past_the_spelling_keep_their_wording(line, message):
+    for read in (parse_line, parse_description, description_from_text):
+        with pytest.raises(ArcTextError) as err:
+            read(line)
+        assert type(err.value) is MalformedLineError
+        assert str(err.value) == f"line 1: {message}"
+        assert err.value.subject == 1
+
+
+def test_rendered_line_text_is_its_fields_joined(resnet4, branching25, c03_descriptions):
+    # render_description sets each line's text from the kept basic string
+    for d in [render_description(resnet4), render_description(branching25)] + c03_descriptions:
+        for line in d.lines:
+            assert "text" in vars(line)
+            assert line.text == dataclasses.replace(line).text
