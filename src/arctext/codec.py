@@ -300,56 +300,38 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
 
 # --- whole descriptions ------------------------------------------------------------
 
-def _body(text: str) -> str:
-    """The text without its one tolerated trailing newline; never empty."""
+def _read_text(text: str, want: int):
+    """The text minus its one tolerated trailing newline, and each line's entry.
+
+    An entry is what ``parse_line`` returns with ``_want=want``. Every line is
+    parsed before the ids are checked, and line k must carry id k. At the
+    first line out of step, lines 1..k-1 hold ids 1..k-1, so a smaller id
+    repeats one of them.
+    """
     if text.endswith("\n"):
         text = text[:-1]  # tolerate one trailing newline, nothing more
     if not text:
         raise EmptyInputError("no content to parse")
-    return text
-
-
-def _parse_lines(lines: list[str], want: int):
-    """Each line's (id, spec, connect_to), and its UnitLine if ``want`` asks."""
-    parsed = []
-    unit_lines = []
-    for lineno, line in enumerate(lines, start=1):
+    entries = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             _fail(lineno, "blank line")
-        if want == _SPEC:
-            parsed.append(parse_line(line, lineno))
-        else:
-            entry = parse_line(line, lineno, _want=want)
-            parsed.append(entry[:3])
-            unit_lines.append(entry[3])
-    return parsed, unit_lines
-
-
-def _check_ids(parsed) -> int:
-    seen: set[int] = set()
-    prev = 0
-    for lineno, (uid, _, _) in enumerate(parsed, start=1):
-        if uid in seen:
+        entries.append(parse_line(line, lineno, _want=want))
+    for lineno, entry in enumerate(entries, start=1):
+        uid = entry[0]
+        if uid < lineno:
             raise DuplicateIdError(f"line {lineno}: id {uid} repeats", subject=uid)
-        seen.add(uid)
-        if uid != prev + 1:
+        if uid > lineno:
             raise NonContiguousIdsError(
-                f"line {lineno}: expected id {prev + 1}, got {uid}", subject=uid
+                f"line {lineno}: expected id {lineno}, got {uid}", subject=uid
             )
-        prev = uid
-    return prev
+    return text, entries
 
 
-def _read_text(text: str, want: int):
-    """The body, each line's parse and UnitLine (if ``want`` asks), and the top id."""
-    body = _body(text)
-    parsed, unit_lines = _parse_lines(body.split("\n"), want)
-    return body, parsed, unit_lines, _check_ids(parsed)
-
-
-def _build(parsed, n: int) -> tuple[ArchGraph, CanonicalOrder]:
+def _build(entries) -> tuple[ArchGraph, CanonicalOrder]:
     """Check the sink and the connect targets, then build the graph."""
-    sinks = [uid for uid, _, connect in parsed if connect is None]
+    n = len(entries)
+    sinks = [entry[0] for entry in entries if entry[2] is None]
     if len(sinks) > 1:
         raise MultipleSinksError(
             f"connect_to:Null on ids {sinks}; only the last unit may be the sink",
@@ -361,21 +343,21 @@ def _build(parsed, n: int) -> tuple[ArchGraph, CanonicalOrder]:
             subject=sinks[0],
         )
 
-    for uid, _, connect in parsed:
-        for target in connect or ():
+    for entry in entries:
+        for target in entry[2] or ():
             if target > n:
                 raise DanglingConnectError(
-                    f"id {uid} connects to missing id {target}", subject=target
+                    f"id {entry[0]} connects to missing id {target}", subject=target
                 )
 
-    nodes = [(f"n{uid}", spec) for uid, spec, _ in parsed]
+    nodes = [(f"n{entry[0]}", entry[1]) for entry in entries]
     edges = [
-        (f"n{uid}", f"n{target}")
-        for uid, _, connect in parsed
-        for target in connect or ()
+        (f"n{entry[0]}", f"n{target}")
+        for entry in entries
+        for target in entry[2] or ()
     ]
     graph = build_graph(nodes, edges)  # cycles surface here when no unit is Null
-    order = CanonicalOrder({f"n{uid}": uid for uid, _, _ in parsed}, n)
+    order = CanonicalOrder({f"n{entry[0]}": entry[0] for entry in entries}, n)
     return graph, order
 
 
@@ -386,8 +368,7 @@ def parse_description(text: str) -> tuple[ArchGraph, CanonicalOrder]:
     order maps each name to its id. Rendering the result reproduces the
     input bytes whenever the input was itself canonically rendered.
     """
-    _, parsed, _, n = _read_text(text, _SPEC)
-    return _build(parsed, n)
+    return _build(_read_text(text, _SPEC)[1])
 
 
 def description_from_text(text: str) -> Description:
@@ -400,8 +381,8 @@ def description_from_text(text: str) -> Description:
     line itself; ``text`` is the input minus its one tolerated trailing
     newline. Nothing is re-rendered, and no spec is built.
     """
-    body, _, unit_lines, _ = _read_text(text, _UNIT)
-    return Description(tuple(unit_lines), body)
+    body, entries = _read_text(text, _UNIT)
+    return Description(tuple([entry[3] for entry in entries]), body)
 
 
 def _parse_text(text: str) -> tuple[ArchGraph, CanonicalOrder, Description]:
@@ -410,6 +391,6 @@ def _parse_text(text: str) -> tuple[ArchGraph, CanonicalOrder, Description]:
     Each line is parsed once; errors are raised as ``parse_description``
     raises them.
     """
-    body, parsed, unit_lines, n = _read_text(text, _BOTH)
-    graph, order = _build(parsed, n)
-    return graph, order, Description(tuple(unit_lines), body)
+    body, entries = _read_text(text, _BOTH)
+    graph, order = _build(entries)
+    return graph, order, Description(tuple([entry[3] for entry in entries]), body)

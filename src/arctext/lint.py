@@ -65,31 +65,16 @@ class ShapeReport:
         return not self.mismatches() and not self.addition_warnings
 
 
-def _conv_expected(spec: ConvSpec) -> tuple[tuple[int, int], str]:
-    pad = spec.padding  # (value, count) per direction: up, down, left, right
+def _window(spec: ConvSpec | PoolSpec, pads) -> tuple[int, int]:
+    """Output (width, height) of a conv or pool window; pads: up, down, left, right."""
+    up, down, left, right = pads
     width = conv_output_extent(
         spec.in_size[0], spec.kernel[0], spec.stride[1],
-        pad[2][1] + pad[3][1], spec.dilation,
+        left + right, spec.dilation,
     )
     height = conv_output_extent(
         spec.in_size[1], spec.kernel[1], spec.stride[0],
-        pad[0][1] + pad[1][1], spec.dilation,
-    )
-    note = ""
-    if spec.in_size[2] % spec.groups:
-        note = f"groups {spec.groups} does not divide input channels {spec.in_size[2]}"
-    return (width, height), note
-
-
-def _pool_expected(spec: PoolSpec) -> tuple[int, int]:
-    pad = spec.padding  # counts: up, down, left, right
-    width = pool_output_extent(
-        spec.in_size[0], spec.kernel[0], spec.stride[1],
-        pad[2] + pad[3], spec.dilation,
-    )
-    height = pool_output_extent(
-        spec.in_size[1], spec.kernel[1], spec.stride[0],
-        pad[0] + pad[1], spec.dilation,
+        up + down, spec.dilation,
     )
     return width, height
 
@@ -104,55 +89,28 @@ def lint_shapes(
     entries: list[ShapeEntry] = []
     for name in g.names():
         spec = g.spec(name)
-        if isinstance(spec, ConvSpec):
+        expected, declared, status, note = None, spec.out_size, STATUS_UNCHECKED, ""
+        if isinstance(spec, (ConvSpec, PoolSpec)):
+            conv = isinstance(spec, ConvSpec)
+            # conv padding is a (value, count) pair per direction, pool's a count
+            pads = [count for _, count in spec.padding] if conv else spec.padding
             try:
-                (width, height), note = _conv_expected(spec)
+                width, height = _window(spec, pads)
             except NonPositiveOutputError as exc:
-                entries.append(
-                    ShapeEntry(name, None, spec.out_size, STATUS_MISMATCH, str(exc))
-                )
-                continue
-            expected = (width, height, spec.out_size[2])  # channels free up to groups
-            ok = expected[:2] == spec.out_size[:2] and not note
-            entries.append(
-                ShapeEntry(
-                    name, expected, spec.out_size,
-                    STATUS_OK if ok else STATUS_MISMATCH, note,
-                )
-            )
-        elif isinstance(spec, PoolSpec):
-            try:
-                width, height = _pool_expected(spec)
-            except NonPositiveOutputError as exc:
-                entries.append(
-                    ShapeEntry(name, None, spec.out_size, STATUS_MISMATCH, str(exc))
-                )
-                continue
-            expected = (width, height, spec.in_size[2])
-            ok = expected == spec.out_size
-            entries.append(
-                ShapeEntry(
-                    name, expected, spec.out_size,
-                    STATUS_OK if ok else STATUS_MISMATCH,
-                )
-            )
-        elif isinstance(spec, FullSpec):
-            entries.append(
-                ShapeEntry(name, None, (spec.out_size,), STATUS_UNCHECKED)
-            )
-        elif isinstance(spec, MFSpec):
-            if spec.op_name in allow:
-                entries.append(
-                    ShapeEntry(name, None, spec.out_size, STATUS_UNCHECKED)
-                )
+                note = str(exc)
             else:
-                ok = spec.in_size == spec.out_size
-                entries.append(
-                    ShapeEntry(
-                        name, spec.in_size, spec.out_size,
-                        STATUS_OK if ok else STATUS_MISMATCH,
-                    )
-                )
+                if conv and spec.in_size[2] % spec.groups:
+                    note = (f"groups {spec.groups} does not divide "
+                            f"input channels {spec.in_size[2]}")
+                # conv channels are free up to groups; pooling keeps its input's
+                expected = (width, height, (spec.out_size if conv else spec.in_size)[2])
+            status = STATUS_OK if expected == declared and not note else STATUS_MISMATCH
+        elif isinstance(spec, FullSpec):
+            declared = (spec.out_size,)
+        elif isinstance(spec, MFSpec) and spec.op_name not in allow:
+            expected = spec.in_size
+            status = STATUS_OK if expected == declared else STATUS_MISMATCH
+        entries.append(ShapeEntry(name, expected, declared, status, note))
 
     warnings = []
     for name in g.names():

@@ -422,7 +422,7 @@ def _topological_order(
                 queue.append(w)
     if len(order) != len(node_map):
         cycle = _find_cycle(
-            {name for name in node_map if indeg[name] > 0}, succ
+            {name for name in node_map if indeg[name] > 0}, succ, pred
         )
         raise CycleDetectedError(
             "graph contains a cycle: " + " -> ".join(cycle), subject=tuple(cycle)
@@ -430,8 +430,20 @@ def _topological_order(
     return tuple(order)
 
 
-def _find_cycle(remaining: set[str], succ: dict[str, list[str]]) -> list[str]:
-    # every remaining node lies on or leads into a cycle; walk until a repeat
+def _find_cycle(
+    remaining: set[str], succ: dict[str, list[str]], pred: dict[str, list[str]]
+) -> list[str]:
+    # nodes downstream of a cycle remain too: drop them, from the far end
+    outdeg = {v: sum(w in remaining for w in succ[v]) for v in remaining}
+    dead = [v for v in remaining if not outdeg[v]]
+    for v in dead:  # grows as nodes lose their last remaining successor
+        for u in pred[v]:
+            if u in outdeg:
+                outdeg[u] -= 1
+                if not outdeg[u]:
+                    dead.append(u)
+    remaining = remaining.difference(dead)
+    # now every remaining node lies on or leads into a cycle; walk until a repeat
     start = next(iter(sorted(remaining)))
     seen_at: dict[str, int] = {}
     walk: list[str] = []

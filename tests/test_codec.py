@@ -33,6 +33,7 @@ from arctext import (
     render_unit,
 )
 from arctext import codec
+from arctext.cli import main
 from arctext.unitformat import UNIT_FIELDS, basic_fields, basic_string
 
 import gen
@@ -267,6 +268,46 @@ class TestParseDescription:
         graph, order = parse_description(MF_A + "\n" + MF_SINK)
         assert set(graph.names()) == {"n1", "n2"}
         assert order.position_of("n1") == 1
+
+    def test_cycle_with_a_node_downstream_of_it(self):
+        # n10 sorts first among the nodes the cycle n2 <-> n3 leaves over
+        targets = {3: "2-10", 10: "Null"}
+        text = "\n".join(
+            f"id:{i};name:A;in_size:4;out_size:4;value:Null;connect_to:{targets.get(i, i + 1)}"
+            for i in range(1, 11)
+        )
+        with pytest.raises(CycleDetectedError) as err:
+            parse_description(text)
+        assert err.value.subject == ("n2", "n3", "n2")
+
+
+_ID_LINES = [f"id:{i};name:{name};in_size:4;out_size:4;value:Null;connect_to:{connect}"
+             for i, name, connect in ((1, "A", "2"), (2, "B", "3"), (3, "C", "Null"))]
+
+
+# line k must carry id k; the wording is the one these faults have always had
+@pytest.mark.parametrize("lines, error, message, subject", [
+    ([0, 1, 1, 2], DuplicateIdError, "line 3: id 2 repeats", 2),
+    ([0, 1, 0, 2], DuplicateIdError, "line 3: id 1 repeats", 1),
+    ([0, 2], NonContiguousIdsError, "line 2: expected id 2, got 3", 3),
+    ([1, 0, 2], NonContiguousIdsError, "line 1: expected id 1, got 2", 2),
+    # every line is parsed before the ids are checked
+    ([0, 2, "id:3;name:C;in_size:4;out_size:4;value:Null"], MalformedLineError,
+     "line 3: expected fields ('id', 'name', 'in_size', 'out_size', 'value', 'connect_to'), "
+     "got ('id', 'name', 'in_size', 'out_size', 'value')", 3),
+])
+def test_id_faults_keep_their_wording(tmp_path, capsys, lines, error, message, subject):
+    text = "\n".join(_ID_LINES[k] if isinstance(k, int) else k for k in lines)
+    for read in (parse_description, description_from_text):
+        with pytest.raises(ArcTextError) as err:
+            read(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        assert err.value.subject == subject
+    path = tmp_path / "ids.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["digest", "-i", str(path)]) == 1
+    assert capsys.readouterr().err == f"error[{error.code}]: {message}\n"
 
 
 class TestRenderDescription:

@@ -171,8 +171,11 @@ class TestLintRules:
         g = perturbed(resnet4, "S", 2)
         assert lint_shapes(g).clean
 
-    def test_impossible_window_is_a_mismatch(self):
-        bad = PoolSpec("Max", (2, 2, 1), (1, 1, 1), (5, 5), (1, 1))
+    @pytest.mark.parametrize("bad", [
+        PoolSpec("Max", (2, 2, 1), (1, 1, 1), (5, 5), (1, 1)),
+        ConvSpec((2, 2, 1), (1, 1, 1), (5, 5), (1, 1)),
+    ], ids=["pool", "conv"])
+    def test_impossible_window_is_a_mismatch(self, bad):
         g = build_graph(
             [("a", MFSpec("X", (2, 2, 1), (2, 2, 1))), ("b", bad)],
             [("a", "b")],

@@ -139,6 +139,16 @@ class TestBuildGraph:
         cycle = info.value.subject
         assert cycle[0] == cycle[-1] and set(cycle) == {"b", "c"}
 
+    def test_cycle_with_a_node_downstream_of_it(self):
+        # "a" sorts first among the nodes left over, but leads into no cycle
+        with pytest.raises(CycleDetectedError) as info:
+            build_graph(
+                [("s", mf()), ("b", mf()), ("c", mf()), ("a", mf())],
+                [("s", "b"), ("b", "c"), ("c", "b"), ("c", "a")],
+            )
+        cycle = info.value.subject
+        assert cycle[0] == cycle[-1] and set(cycle) == {"b", "c"}
+
     def test_two_node_cycle(self):
         with pytest.raises(CycleDetectedError):
             build_graph([("a", mf()), ("b", mf())], [("a", "b"), ("b", "a")])
