@@ -203,7 +203,7 @@ def assign_positions(
 
     infinity = n + 1  # beyond any assignable position
 
-    while True:
+    while len(positions) < n:  # once every node has one, no path holds an unnumbered node
         candidates = longest_unnumbered_paths(g, positions, max_paths=max_paths)
         if not candidates:
             break

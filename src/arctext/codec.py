@@ -17,8 +17,8 @@ arity, minimum, pool type); after the match run only the three that compare
 values: connect targets strictly ascending, MF values sorted by UTF-8 bytes
 with no ``Null`` token, pool channels equal. A line that passes builds its
 spec unchecked (``description_from_text`` builds none); the field-by-field
-checks and the public spec class word any other line's first fault. Specs
-built any other way run every check.
+checks and the public spec class word any other line's first fault. Graph
+files are read through the same patterns; the spec classes run every check.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .unitformat import (
     UNIT_FIELDS,
     _check_int,
     _fail,
+    _kind_pattern,
     _read_ints,
     basic_fields,
     basic_string,
@@ -140,14 +141,6 @@ _CHECK_ORDER = {
     kind: sorted(fields, key=lambda f: kind == KIND_CONV and f.key != "padding")
     for kind, (_, fields) in UNIT_FIELDS.items()
 }
-
-
-def _kind_pattern(fields) -> str:
-    body = []
-    for f in fields:
-        part = f";{f.key}:({f.shape.pattern})"
-        body.append(f"(?:{part})?" if f.optional else part)
-    return "".join(body)
 
 
 _LINE_RE = re.compile(

@@ -4,16 +4,20 @@ The graph file is strict JSON: top-level "nodes" (ordered records) and
 "edges" (name pairs). Every record carries "name", "kind" and exactly the
 fields of its kind, named after the NodeSpec dataclass fields; unknown or missing
 keys are errors. Strictness keeps fixtures stable and makes the format
-auto-detectable from ArcText by the first byte ("{" vs "i").
+auto-detectable from ArcText by the first byte ("{" vs "i"). A record with
+exactly its kind's keys is loaded and written by the field table; if the
+written fields match the line grammar, its spec is built unchecked. Any other
+record goes to the spec class.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .canonical import CanonicalOrder
-from .codec import Description, _connect_text
+from .codec import _AGREE, Description, _connect_text
 from .errors import GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError
 from .model import (
     ArchGraph,
@@ -23,23 +27,51 @@ from .model import (
     PoolSpec,
     build_graph,
 )
-from .unitformat import KIND_MF, UNIT_FIELDS, kind_of
+from .unitformat import KIND_MF, KIND_POOL, UNIT_FIELDS, _kind_pattern, kind_of
 
-# record keys are the spec attributes of each kind's text fields
-_ALLOWED = {kind: {f.attr for f in fields} for kind, (_, fields) in UNIT_FIELDS.items()}
-_REQUIRED = {
-    kind: {f.attr for f in fields if not f.optional}
-    for kind, (_, fields) in UNIT_FIELDS.items()
+# a record's keys: name, kind and the spec attributes of its kind's text fields
+_ALLOWED = {kind: {"name", "kind"} | {f.attr for f in fields}
+            for kind, (_, fields) in UNIT_FIELDS.items()}
+_REQUIRED = {kind: {"name", "kind"} | {f.attr for f in fields if not f.optional}
+             for kind, (_, fields) in UNIT_FIELDS.items()}
+# per kind: (key, attr, load, write) per field, pattern, constructor, pool comparison
+_LOADING = {
+    kind: (tuple((f.key, f.attr, f.shape.load, f.shape.write) for f in fields),
+           re.compile(_kind_pattern(fields)), cls._checked,
+           _AGREE[kind] if kind == KIND_POOL else None)
+    for kind, (cls, fields) in UNIT_FIELDS.items()
 }
+
+
+def _loaded_spec(record: dict, kind: str) -> NodeSpec | None:
+    """The spec of a record the line grammar proves, or None to leave it to the class."""
+    if record.keys() != _ALLOWED[kind] and record.keys() != _REQUIRED[kind]:
+        return None
+    rows, pattern, checked, agree = _LOADING[kind]
+    values, fields = [], []
+    for key, attr, load, write in rows:
+        value = load(record[attr]) if attr in record else None  # optional fields may be left out
+        if value is not None:
+            fields.append((key, write(value)))
+        elif attr in record:
+            return None
+        values.append(value)
+    text = "".join([f";{key}:{value}" for key, value in fields])
+    match = pattern.fullmatch(text)
+    if match is None or agree and not agree(match.groups()):
+        return None
+    spec = checked(*values)
+    spec.__dict__.update(_basic_fields=tuple(fields), _basic_string=text[1:])
+    return spec
 
 
 def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
     """One node record to (name, spec).
 
-    Only the record's shape is checked here. The record keys are the spec's
-    attribute names, so every value goes straight to the spec class, which
-    checks it and words the error. ``values`` must also be an array: a JSON
-    object would pass the spec check with its keys as the values.
+    A record the line grammar proves is built unchecked. For any other, only
+    its shape is checked here: the record keys are the spec's attribute
+    names, so the values go to the spec class, which checks them and words
+    the error. ``values`` must be an array: an object would pass as its keys.
     """
     if not isinstance(record, dict):
         raise SchemaError(f"node record #{index} must be an object")
@@ -50,17 +82,19 @@ def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
     kind = record.get("kind")
     if not isinstance(kind, str) or kind not in _ALLOWED:
         raise SchemaError(f"node {name!r}: unknown kind {kind!r}")
+    if (spec := _loaded_spec(record, kind)) is not None:
+        return name, spec
 
-    fields = {key: value for key, value in record.items() if key not in ("name", "kind")}
-    unknown = fields.keys() - _ALLOWED[kind]
+    unknown = record.keys() - _ALLOWED[kind]
     if unknown:
         raise SchemaError(f"node {name!r}: unknown field(s) {sorted(unknown)}")
-    missing = _REQUIRED[kind] - fields.keys()
+    missing = _REQUIRED[kind] - record.keys()
     if missing:
         raise SchemaError(f"node {name!r}: missing field(s) {sorted(missing)}")
-    if kind == KIND_MF and not isinstance(fields["values"], list):
+    if kind == KIND_MF and not isinstance(record["values"], list):
         raise SchemaError(f"node {name!r}: values must be an array of strings")
 
+    fields = {key: value for key, value in record.items() if key not in ("name", "kind")}
     try:
         return name, UNIT_FIELDS[kind][0](**fields)
     except InvalidSpecError as exc:
@@ -75,6 +109,8 @@ def parse_graph_json(text: str) -> ArchGraph:
         raise GraphFileSyntaxError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+        raise GraphFileSyntaxError(f"cannot read the JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"nodes", "edges"}:
         raise SchemaError('top level must be an object with exactly "nodes" and "edges"')
     if not isinstance(doc["nodes"], list) or not isinstance(doc["edges"], list):

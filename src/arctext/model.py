@@ -99,7 +99,7 @@ class _Spec:
 
     @classmethod
     def _checked(cls, *values):
-        """A spec from values ``codec.parse_line`` has proved: no ``__post_init__``."""
+        """A spec from values the line grammar has proved: no ``__post_init__``."""
         spec = object.__new__(cls)
         spec.__dict__.update(zip(cls.__dataclass_fields__, values))
         return spec

@@ -9,9 +9,9 @@ The fields are declared once, in ``UNIT_FIELDS``: for each unit kind, its
 spec class and its basic fields in line order, each with its text key, spec
 attribute and value shape. A shape says how a value is spelled (a pattern),
 written (spec value -> text), read back (text -> spec value) and worded when
-misspelled. ``basic_fields`` writes a spec's fields from this table; the
-line grammar in :mod:`arctext.codec` and the graph file's record keys in
-:mod:`arctext.graphio` are built from it too.
+misspelled, and loaded from a graph file. ``basic_fields`` writes a spec's
+fields from this table; the line grammar in :mod:`arctext.codec` and the graph
+file's record keys and reader in :mod:`arctext.graphio` are built from it too.
 
 Each spec's basic fields and basic string are computed on first use and
 kept in the spec's instance ``__dict__``, the way ``functools.cached_property``
@@ -21,6 +21,7 @@ keeps its value; specs are frozen, so the kept value cannot go stale.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -32,9 +33,10 @@ KIND_POOL = "pool"
 KIND_FULL = "full"
 KIND_MF = "mf"
 
-_INT = "(?:0|[1-9][0-9]*)"
-_INT_RE = re.compile(_INT)
-_POS = "[1-9][0-9]*"  # an integer of at least 1
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int()'s limit; 0: none
+_POS = "[1-9][0-9]" + (f"{{0,{_MAX_DIGITS - 1}}}" if _MAX_DIGITS else "*")  # >= 1, int()-able
+_INT = f"(?:0|{_POS})"
+_INT_RE = re.compile("0|[1-9][0-9]*")  # the spelling, whatever its length
 # a token as the renderer writes it: no separator, no LF, no lone surrogate
 _TOKEN = "[^-:;\n\ud800-\udfff]+"
 
@@ -52,6 +54,8 @@ def _fail(lineno: int, msg: str):
 def _check_int(token: str, lineno: int, what: str) -> None:
     if not _INT_RE.fullmatch(token):
         _fail(lineno, f"{what} must be a non-negative integer, got {token!r}")
+    if len(token) > _MAX_DIGITS > 0:
+        _fail(lineno, f"{what} has more than {_MAX_DIGITS} digits")
 
 
 def _ints_check(arity: int):
@@ -100,7 +104,7 @@ def _read_pad_pairs(value: str) -> tuple[tuple[int, int], ...]:
 
 
 def _write_pad_pairs(pairs) -> str:
-    return join_multi([x for pair in pairs for x in pair])
+    return "-".join([str(x) for pair in pairs for x in pair])
 
 
 def _read_token(value: str | None) -> str | None:
@@ -115,29 +119,50 @@ def _write_values(values) -> str:
     return join_multi(values) if values else "Null"
 
 
+def _exactly(cls: type):
+    return lambda value: value if type(value) is cls else None
+
+
+def _load_ints(value) -> tuple[int, ...] | None:
+    return tuple(value) if type(value) is list and {*map(type, value)} <= {int} else None
+
+
+def _load_pad_pairs(value):  # written flat, so each pair must hold two values
+    pairs = tuple(map(_load_ints, value)) if type(value) is list else (None,)
+    return pairs if None not in pairs and {*map(len, pairs)} <= {2} else None
+
+
+def _load_values(value):  # a "-" inside a value, or "Null", is written as another list
+    ok = type(value) is list and {*map(type, value)} <= {str} and "Null" not in value
+    return tuple(sorted(value)) if ok and "-" not in "".join(value) else None
+
+
 class _Shape(NamedTuple):
-    """How one field's value is spelled, read, worded when misspelled, and written."""
+    """How one field's value is spelled, read, worded when misspelled, written and loaded."""
 
     pattern: str  # no capturing groups; makes every check on the value alone
     read: Callable[[str], object]  # a matched value -> its spec argument
     check: Callable[[str, int, str], None]  # words a misspelling (the spec class words the rest)
     write: Callable[[object], str] = join_multi  # a spec value -> its text
+    load: Callable[[object], object] = _load_ints  # a JSON value -> its spec value, or None
 
 
 def _int_shape(arity: int, atom=_POS, read=_read_ints, write=join_multi) -> _Shape:
     return _Shape("-".join([atom] * arity), read, _ints_check(arity), write)
 
 
-_COUNT = _Shape(_POS, int, _check_int, str)
+_COUNT = _Shape(_POS, int, _check_int, str, _exactly(int))
 _PAIR = _int_shape(2)
 _SIZE = _int_shape(3)
 _PADS = _int_shape(4, _INT)
-_PAD_PAIRS = _int_shape(8, _INT, _read_pad_pairs, _write_pad_pairs)
-_EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, _check_shape)
-_POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, _no_check, str)
-_FLAG = _Shape("Yes|No", "Yes".__eq__, _check_flag, ("No", "Yes").__getitem__)
-_WORD = _Shape(_TOKEN, _read_token, _no_check, str)
-_VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values, _check_values, _write_values)
+_PAD_PAIRS = _int_shape(8, _INT, _read_pad_pairs, _write_pad_pairs)._replace(load=_load_pad_pairs)
+_EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, _check_shape, join_multi,
+                 lambda value: (value,) if type(value) is int else _load_ints(value))
+_POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, _no_check, str, _exactly(str))
+_FLAG = _Shape("Yes|No", "Yes".__eq__, _check_flag, ("No", "Yes").__getitem__, _exactly(bool))
+_WORD = _Shape(_TOKEN, _read_token, _no_check, str, _exactly(str))
+_VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values, _check_values, _write_values,
+                 _load_values)
 
 
 class UnitField(NamedTuple):
@@ -183,6 +208,12 @@ UNIT_FIELDS: dict[str, tuple[type, tuple[UnitField, ...]]] = {
         UnitField("value", "values", _VALUES),
     )),
 }
+
+
+def _kind_pattern(fields) -> str:  # each field led by its ";"
+    parts = [(f";{f.key}:({f.shape.pattern})", f.optional) for f in fields]
+    return "".join(f"(?:{part})?" if optional else part for part, optional in parts)
+
 
 # each kind's (key, attr, write) per field, in line order
 _ROWS = {

@@ -97,7 +97,7 @@ class Vocabulary:
     def from_json(cls, text: str) -> "Vocabulary":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
             raise SchemaError(f"vocabulary is not valid JSON: {exc}") from exc
         if (
             not isinstance(doc, dict)

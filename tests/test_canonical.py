@@ -21,6 +21,7 @@ from arctext import (
     longest_unnumbered_paths,
     path_digest,
 )
+from arctext import canonical
 from arctext.unitformat import basic_fields
 
 import gen
@@ -280,3 +281,20 @@ class TestAssignPositions:
                 s1 = g1.spec(p1.name_at(pos))
                 s2 = g2.spec(p2.name_at(pos))
                 assert basic_string(s1) == basic_string(s2)
+
+
+def test_ordering_stops_once_every_node_has_a_number(monkeypatch, resnet4, branching25):
+    # every round numbers at least one node, so no round comes back empty
+    rounds = []
+
+    def recorded(*args, **kwargs):
+        rounds.append(longest_unnumbered_paths(*args, **kwargs))
+        return rounds[-1]
+
+    monkeypatch.setattr(canonical, "longest_unnumbered_paths", recorded)
+    for g, expected in ((gen.chain_graph(1), 0), (gen.chain_graph(2), 0),
+                        (gen.chain_graph(5), 1), (resnet4, None), (branching25, None)):
+        rounds.clear()
+        assign_positions(g)
+        assert all(rounds)
+        assert expected is None or len(rounds) == expected

@@ -2,6 +2,7 @@ import dataclasses
 import pickle
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from arctext import (
     DuplicateIdError,
     EmptyInputError,
     FullSpec,
+    GraphFileSyntaxError,
     InvalidSpecError,
     MalformedLineError,
     MFSpec,
@@ -21,13 +23,16 @@ from arctext import (
     NonCanonicalSinkError,
     NonContiguousIdsError,
     PoolSpec,
+    SchemaError,
     SelfLoopError,
     UnclassifiableLineError,
+    Vocabulary,
     build_graph,
     classify_line,
     description_from_text,
     kind_of,
     parse_description,
+    parse_graph_json,
     parse_line,
     render_description,
     render_unit,
@@ -588,6 +593,47 @@ def test_lone_surrogate_is_a_malformed_line(line):
             read(line)
         assert err.value.subject == 1
         assert "lone surrogate" in str(err.value)
+
+
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+_LONG = "1" * (_MAX_DIGITS + 1)  # more digits than int() converts
+_MF_LINE = "id:{};name:BN;in_size:{};out_size:3;value:Null;connect_to:{}"
+_TOO_LONG = pytest.mark.skipif(not _MAX_DIGITS, reason="int() converts any number of digits")
+
+
+@pytest.mark.parametrize("readers, text, error", [
+    ((parse_graph_json,), "[" * 200000, GraphFileSyntaxError),
+    ((Vocabulary.from_json,), "[" * 200000, SchemaError),
+    pytest.param((parse_graph_json,), f'{{"nodes": [], "edges": [{_LONG}]}}',
+                 GraphFileSyntaxError, marks=_TOO_LONG),
+    pytest.param((Vocabulary.from_json,), f'{{"closed": false, "tokens": {{"a": {_LONG}}}}}',
+                 SchemaError, marks=_TOO_LONG),
+    pytest.param((parse_description, description_from_text), _MF_LINE.format(_LONG, 3, "Null"),
+                 MalformedLineError, marks=_TOO_LONG),
+    pytest.param((parse_description, description_from_text), _MF_LINE.format(1, _LONG, "Null"),
+                 MalformedLineError, marks=_TOO_LONG),
+    pytest.param((parse_description, description_from_text), _MF_LINE.format(1, 3, _LONG),
+                 MalformedLineError, marks=_TOO_LONG),
+], ids=["graph-deep", "vocab-deep", "graph-digits", "vocab-digits", "id-digits",
+        "size-digits", "connect-digits"])
+def test_deep_or_long_input_raises_a_typed_error(readers, text, error):
+    # too deep for the JSON reader, or more digits than int() converts
+    outcomes = []
+    for read in readers:
+        with pytest.raises(ArcTextError) as err:
+            read(text)
+        assert type(err.value) is error
+        outcomes.append((str(err.value), err.value.subject))
+    if error is MalformedLineError:  # the two text readers agree, and name the line
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0].startswith("line 1: ") and outcomes[0][1] == 1
+
+
+@_TOO_LONG
+def test_the_longest_integer_int_converts_still_reads():
+    line = _MF_LINE.format(1, "9" * _MAX_DIGITS, "Null")
+    assert parse_description(line)[0].spec("n1").in_size == (int("9" * _MAX_DIGITS),)
+    assert description_from_text(line).text == line
 
 
 # --- matched lines build their specs unchecked ---------------------------------

@@ -1,14 +1,20 @@
 import json
+import pickle
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arctext import (
+    ArcTextError,
     ConvSpec,
     DuplicateEdgeError,
+    FullSpec,
     GraphFileSyntaxError,
     IoError,
     MFSpec,
+    PoolSpec,
     SchemaError,
     assign_positions,
     build_graph,
@@ -22,6 +28,8 @@ from arctext import (
     save_graph_file,
     validate_graph,
 )
+from arctext import graphio
+from arctext.unitformat import basic_fields, basic_string
 
 import gen
 from conftest import FIXTURES, branching25_graph, resnet4_graph
@@ -318,3 +326,126 @@ class TestDiff:
         a = render_description(resnet4)
         b = render_description(gen.permuted_renamed(resnet4, random.Random(1)))
         assert diff_descriptions(a, b).empty
+
+
+# --- records read through the line grammar --------------------------------------
+
+def test_graph_file_specs_run_no_spec_checks(monkeypatch, resnet4_text, branching25_text):
+    expected = {"resnet4": resnet4_graph(), "branching25": branching25_graph()}
+
+    def checked(self):
+        raise AssertionError(f"{type(self).__name__} re-checked a graph-file record")
+
+    for cls in (ConvSpec, PoolSpec, FullSpec, MFSpec):
+        monkeypatch.setattr(cls, "__post_init__", checked)
+    for stem, text in (("resnet4", resnet4_text), ("branching25", branching25_text)):
+        g = load_graph_file(FIXTURES / f"{stem}.json")
+        assert g == expected[stem]
+        assert render_description(g).text == text
+
+
+# words and scalars that the spec classes reject, or that a careless writer
+# would spell as some other valid value
+_WORDS = ("a-b", "a;b", "a:b", "a\nb", "\ud800", "", "Null", "Max", "Avg", "x", "b", "3")
+_SCALARS = (True, False, 1.5, 3.0, "3", "8-8-3", None, [], {}, 0, -1, 4, 2**70, [4],
+            [7, 7, 7], [[0, 1]] * 4, ["a", "b"])
+
+
+def _other(value, rng):
+    """Something to put where ``value`` was."""
+    if isinstance(value, str) and rng.random() < 0.7:
+        return rng.choice(_WORDS)
+    if type(value) is int and rng.random() < 0.7:
+        return rng.choice((value + 1, value - 1, str(value), f"{value}-{value}", [value],
+                           float(value), value == 1))
+    return rng.choice(_SCALARS)
+
+
+def _mutate_value(value, rng):
+    if not isinstance(value, list) or rng.random() < 0.1:
+        return _other(value, rng)
+    value = json.loads(json.dumps(value))
+    target = value  # the list to edit: the value, or one of its pairs
+    inner = [v for v in value if isinstance(v, list)]
+    if inner and rng.random() < 0.5:
+        target = rng.choice(inner)
+    i = rng.randrange(len(target)) if target else 0
+    element = target[i] if target else rng.choice(_WORDS + (1,))
+    op = rng.randrange(6)
+    if op == 0:  # one element more
+        target.insert(rng.randrange(len(target) + 1), rng.choice((element, _other(element, rng))))
+    elif op == 1:  # one fewer
+        del target[i:i + 1]
+    elif op == 2:  # one element changed
+        target[i:i + 1] = [_other(element, rng)]
+    elif op == 3:  # one element nested
+        target[i:i + 1] = [[element]]
+    elif op == 4:  # unsorted or duplicated
+        target[:] = [element] + target if rng.random() < 0.5 else target[::-1] + [element]
+    else:  # the whole value nested
+        value = [value]
+    return value
+
+
+def record_mutants(record: dict, rng, count: int):
+    """``count`` mutants of a graph-file node record, each with one or two
+    fields changed, dropped, added, or set to null."""
+    attrs = [key for key in record if key not in ("name", "kind")]
+    allowed = sorted(graphio._ALLOWED[record["kind"]] - {"name", "kind"})
+    for _ in range(count):
+        mutant = json.loads(json.dumps(record))
+        for _ in range(rng.randint(1, 2)):
+            roll = rng.random()
+            if roll < 0.05:
+                mutant.pop(rng.choice(attrs), None)
+            elif roll < 0.1:
+                mutant[rng.choice(allowed + ["surprise"])] = rng.choice((None, "ReLU", 1))
+            else:
+                attr = rng.choice(attrs)
+                mutant[attr] = _mutate_value(mutant.get(attr), rng)
+        yield mutant
+
+
+def _record_outcome(record: dict):
+    """A record's spec, seen every way it can be used, or its error."""
+    try:
+        name, spec = graphio._record_to_spec(json.loads(json.dumps(record)), 0)
+    except ArcTextError as exc:
+        return type(exc), str(exc), exc.subject
+    return (name, type(spec), spec, hash(spec), repr(spec), pickle.dumps(spec),
+            basic_fields(spec), basic_string(spec))
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_graph_file_records_agree_with_the_spec_classes(seed):
+    # a record the line grammar proves builds its spec unchecked; each of
+    # 50 mutants must come out as the spec class alone makes it: the same
+    # spec, or the same error
+    rng = random.Random(seed)
+    record = graphio._spec_to_record("a", gen.rand_spec(rng))
+    assert graphio._loaded_spec(json.loads(json.dumps(record)), record["kind"]) is not None
+    mutants = [record] + list(record_mutants(record, rng, 50))
+    outcomes = [_record_outcome(mutant) for mutant in mutants]
+    with mock.patch.object(graphio, "_loaded_spec", lambda record, kind: None):
+        assert [_record_outcome(mutant) for mutant in mutants] == outcomes
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("mf", "values", ["a-b"]),
+    ("mf", "values", ["Null"]),
+    ("mf", "values", ["b", "a-c"]),
+    ("conv", "in_size", ["8", 8, 3]),
+    ("conv", "in_size", ["8-8", 3]),
+    ("conv", "padding", [[0, 1, 0], [1], [0, 1], [0, 1]]),
+    ("conv", "dilation", "3"),
+    ("conv", "bias_used", 1),
+    ("full", "act_fun", 5),
+])
+def test_values_spelled_like_others_are_refused(kind, field, value):
+    # each of these writes as the text of a valid value, which the spec
+    # class rejects: the loader must refuse it
+    record = dict(RECORDS[kind], **{field: value})
+    assert graphio._loaded_spec(record, kind) is None
+    with pytest.raises(SchemaError):
+        graphio._record_to_spec(record, 0)
