@@ -72,17 +72,18 @@ def detect_terminals(g: ArchGraph) -> tuple[str, str]:
 
     Anything else raises the typed error that ``validate_graph`` words.
     """
-    sources = []
-    sinks = []
-    for name in g.names():
-        if not g.in_degree(name):
-            sources.append(name)
-        if not g.out_degree(name):
-            sinks.append(name)
+    sources = [name for name, pred in g._pred.items() if not pred]
+    sinks = [name for name, succ in g._succ.items() if not succ]
     if len(sources) == 1 and len(sinks) == 1:
         return sources[0], sinks[0]
     first = validate_graph(g).errors()[0]
     raise _VALIDATION_ERRORS[first.code](first.message, subject=first.subject)
+
+
+def _candidate(seq: tuple[str, ...], g: ArchGraph) -> PathCandidate:
+    specs = g.nodes
+    joined = "\n".join([basic_string(specs[name]) for name in seq])
+    return PathCandidate(seq, joined, hashlib.sha224(joined.encode("utf-8")).digest())
 
 
 def path_digest(path, g: ArchGraph) -> PathCandidate:
@@ -90,6 +91,8 @@ def path_digest(path, g: ArchGraph) -> PathCandidate:
 
     Identifiers and connection lists never enter the digest: they are what
     the ordering produces, so they cannot exist yet when paths are ranked.
+    A given path's edges are checked first; the ordering enumerates its
+    paths along edges and builds the same candidates without the check.
     """
     seq = tuple(path)
     for a, b in zip(seq, seq[1:]):
@@ -97,9 +100,7 @@ def path_digest(path, g: ArchGraph) -> PathCandidate:
             raise BrokenPathError(
                 f"no edge {a!r} -> {b!r} on the given path", subject=(a, b)
             )
-    joined = "\n".join(basic_string(g.spec(name)) for name in seq)
-    digest = hashlib.sha224(joined.encode("utf-8")).digest()
-    return PathCandidate(seq, joined, digest)
+    return _candidate(seq, g)
 
 
 def longest_unnumbered_paths(
@@ -113,7 +114,8 @@ def longest_unnumbered_paths(
     Empty when every source->sink path consists only of numbered nodes.
     Raises PathExplosionError if more than ``max_paths`` such paths exist;
     the bound is checked during enumeration so pathological graphs fail
-    fast instead of exhausting memory.
+    fast instead of exhausting memory. Each candidate is what ``path_digest``
+    gives for its sequence.
     """
     source, sink = detect_terminals(g)
     exact, exact_u = _suffix_length_masks(g, sink, positions)
@@ -121,17 +123,18 @@ def longest_unnumbered_paths(
     if best < 1:
         return []
     if best == 1:  # single-node graph; the DFS below assumes >= 1 edge
-        return [path_digest((source,), g)]
+        return [_candidate((source,), g)]
 
     sequences = _enumerate_paths(g, source, positions, exact, exact_u, best, max_paths)
-    return [path_digest(seq, g) for seq in sequences]
+    return [_candidate(seq, g) for seq in sequences]
 
 
 def _suffix_length_masks(g, sink, positions):
     # exact[v] bit L: some v->sink path has exactly L nodes.
     # exact_u[v] bit L: additionally, the path contains an unnumbered node.
-    exact = {name: 0 for name in g.names()}
-    exact_u = {name: 0 for name in g.names()}
+    succ = g._succ
+    exact = {}
+    exact_u = {}
     for v in reversed(g.topological_order()):
         if v == sink:
             exact[v] = 0b10  # the 1-node path
@@ -139,7 +142,7 @@ def _suffix_length_masks(g, sink, positions):
             continue
         succ_any = 0
         succ_un = 0
-        for w in g.successors(v):
+        for w in succ[v]:
             succ_any |= exact[w]
             succ_un |= exact_u[w]
         exact[v] = succ_any << 1
@@ -148,11 +151,12 @@ def _suffix_length_masks(g, sink, positions):
 
 
 def _enumerate_paths(g, source, positions, exact, exact_u, target_len, max_paths):
+    succ = g._succ
     found: list[tuple[str, ...]] = []
     path = [source]
     # at depth d (= len(path)) a successor w must extend to the sink in
     # exactly target_len - d more nodes
-    stack = [iter(g.successors(source))]
+    stack = [iter(succ[source])]
     have_un = [source not in positions]
     while stack:
         depth = len(path)
@@ -177,7 +181,7 @@ def _enumerate_paths(g, source, positions, exact, exact_u, target_len, max_paths
             continue
         path.append(step)
         have_un.append(have_un[-1] or step not in positions)
-        stack.append(iter(g.successors(step)))
+        stack.append(iter(succ[step]))
     return found
 
 
@@ -202,6 +206,7 @@ def assign_positions(
     next_free = 2
 
     infinity = n + 1  # beyond any assignable position
+    index = g._index  # insertion order
 
     while len(positions) < n:  # once every node has one, no path holds an unnumbered node
         candidates = longest_unnumbered_paths(g, positions, max_paths=max_paths)
@@ -209,17 +214,18 @@ def assign_positions(
             break
 
         def tie_key(c: PathCandidate):
-            return tuple(
-                (positions.get(name, infinity), g.node_index(name))
-                for name in c.node_sequence
-            )
+            return [(positions.get(name, infinity), index[name]) for name in c.node_sequence]
 
-        best = candidates[0]
+        best, best_key = candidates[0], None  # the key is made once a tie needs it
         for c in candidates[1:]:
             if c.digest > best.digest:
-                best = c
-            elif c.digest == best.digest and tie_key(c) < tie_key(best):
-                best = c
+                best, best_key = c, None
+            elif c.digest == best.digest:
+                key = tie_key(c)
+                if best_key is None:
+                    best_key = tie_key(best)
+                if key < best_key:
+                    best, best_key = c, key
 
         for name in best.node_sequence:
             if name not in positions:

@@ -81,6 +81,9 @@ def _connect_text(connect_to: tuple[int, ...] | None) -> str:
     return "Null" if connect_to is None else join_multi(connect_to)
 
 
+_KIND_OF_TYPE = {cls: kind for kind, (cls, _) in UNIT_FIELDS.items()}  # kind_of walks subclasses
+
+
 @dataclass(frozen=True)
 class Description:
     """A complete rendered architecture: lines ascending by id."""
@@ -111,20 +114,32 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
     """Canonicalize and render a whole graph.
 
     Node ids are canonical positions; each connect_to lists the positions of
-    the node's successors in ascending order.
+    the node's successors in ascending order. Each line equals what
+    ``render_unit`` gives for its spec, id and successors, and is built the
+    way ``_Spec._checked`` builds specs: its values are already proved.
     """
     order = assign_positions(g, max_paths=max_paths)
     positions = order.positions
-    lines = []
+    specs, successors = g.nodes, g._succ
+    lines, texts = [], []
     for pos, name in enumerate(order.by_position, start=1):
-        spec = g.spec(name)
-        succ = tuple(sorted([positions[s] for s in g.successors(name)])) or None
-        line = UnitLine(kind_of(spec), pos, basic_fields(spec), succ)
+        spec = specs[name]
+        targets = successors[name]
+        if len(targets) == 1:  # most lines: no sort, no join
+            succ = (positions[targets[0]],)
+            connect = str(succ[0])
+        else:
+            succ = tuple(sorted([positions[s] for s in targets])) or None
+            connect = _connect_text(succ)
         # ordering has already joined and kept each spec's basic string
-        line.__dict__["text"] = f"id:{pos};{basic_string(spec)};connect_to:{_connect_text(succ)}"
+        text = f"id:{pos};{basic_string(spec)};connect_to:{connect}"
+        line = object.__new__(UnitLine)
+        line.__dict__.update(
+            unit_kind=_KIND_OF_TYPE.get(type(spec)) or kind_of(spec), id=pos,
+            fields=basic_fields(spec), connect_to=succ, text=text)
         lines.append(line)
-    text = "\n".join(line.text for line in lines)
-    return Description(tuple(lines), text)
+        texts.append(text)
+    return Description(tuple(lines), "\n".join(texts))
 
 
 # --- the line grammar ----------------------------------------------------------

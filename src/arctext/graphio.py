@@ -5,9 +5,10 @@ The graph file is strict JSON: top-level "nodes" (ordered records) and
 fields of its kind, named after the NodeSpec dataclass fields; unknown or missing
 keys are errors. Strictness keeps fixtures stable and makes the format
 auto-detectable from ArcText by the first byte ("{" vs "i"). A record with
-exactly its kind's keys is loaded and written by the field table; if the
-written fields match the line grammar, its spec is built unchecked. Any other
-record goes to the spec class.
+exactly its kind's keys is spelled by the field table, each field's JSON
+value becoming its spec value and its text in one step; if the joined text
+matches the line grammar, its spec is built unchecked. Any other record goes
+to the spec class.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ _ALLOWED = {kind: {"name", "kind"} | {f.attr for f in fields}
             for kind, (_, fields) in UNIT_FIELDS.items()}
 _REQUIRED = {kind: {"name", "kind"} | {f.attr for f in fields if not f.optional}
              for kind, (_, fields) in UNIT_FIELDS.items()}
-# per kind: (key, attr, load, write) per field, pattern, constructor, pool comparison
-_LOADING = {
-    kind: (tuple((f.key, f.attr, f.shape.load, f.shape.write) for f in fields),
+# per kind: (key, attr, spell) per field, pattern, constructor, pool comparison
+_SPELLING = {
+    kind: (tuple((f.key, f.attr, f.shape.spell) for f in fields),
            re.compile(_kind_pattern(fields)), cls._checked,
            _AGREE[kind] if kind == KIND_POOL else None)
     for kind, (cls, fields) in UNIT_FIELDS.items()
@@ -47,15 +48,17 @@ def _loaded_spec(record: dict, kind: str) -> NodeSpec | None:
     """The spec of a record the line grammar proves, or None to leave it to the class."""
     if record.keys() != _ALLOWED[kind] and record.keys() != _REQUIRED[kind]:
         return None
-    rows, pattern, checked, agree = _LOADING[kind]
+    rows, pattern, checked, agree = _SPELLING[kind]
     values, fields = [], []
-    for key, attr, load, write in rows:
-        value = load(record[attr]) if attr in record else None  # optional fields may be left out
-        if value is not None:
-            fields.append((key, write(value)))
-        elif attr in record:
-            return None
-        values.append(value)
+    for key, attr, spell in rows:
+        if attr in record:
+            spelled = spell(record[attr])
+            if spelled is None:
+                return None
+            values.append(spelled[0])
+            fields.append((key, spelled[1]))
+        else:  # an optional field left out
+            values.append(None)
     text = "".join([f";{key}:{value}" for key, value in fields])
     match = pattern.fullmatch(text)
     if match is None or agree and not agree(match.groups()):
@@ -119,11 +122,8 @@ def parse_graph_json(text: str) -> ArchGraph:
     nodes = [_record_to_spec(rec, i) for i, rec in enumerate(doc["nodes"])]
     edges = []
     for i, pair in enumerate(doc["edges"]):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(p, str) for p in pair)
-        ):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise SchemaError(f"edge #{i} must be a [from, to] pair of names")
         edges.append((pair[0], pair[1]))
     return build_graph(nodes, edges)

@@ -16,6 +16,7 @@ convenient to build and debug but never appear in rendered text.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Union
@@ -31,6 +32,10 @@ from .errors import (
 )
 
 POOL_TYPES = ("Max", "Avg")
+
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # str()'s limit; 0: none
+# the least integer whose decimal form is longer than str() writes
+_TOO_LONG = 10 ** _MAX_DIGITS if _MAX_DIGITS else float("inf")
 
 # characters that would collide with the text grammar's separators
 _FORBIDDEN_TOKEN_CHARS = set(";:-\n")
@@ -59,6 +64,8 @@ def _check_int(value: object, what: str, minimum: int) -> int:
         raise InvalidSpecError(f"{what} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidSpecError(f"{what} must be >= {minimum}, got {value}")
+    if value >= _TOO_LONG:
+        raise InvalidSpecError(f"{what} has more than {_MAX_DIGITS} digits")
     return value
 
 
@@ -71,7 +78,7 @@ def _is_sequence(value: object) -> bool:
 
 def _check_ints(items: tuple, what: str, minimum: int) -> tuple[int, ...]:
     for v in items:
-        if type(v) is not int or v < minimum:
+        if type(v) is not int or v < minimum or v >= _TOO_LONG:
             _check_int(v, f"{what} element", minimum)  # int subclasses pass
     return items
 

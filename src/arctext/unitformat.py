@@ -9,9 +9,11 @@ The fields are declared once, in ``UNIT_FIELDS``: for each unit kind, its
 spec class and its basic fields in line order, each with its text key, spec
 attribute and value shape. A shape says how a value is spelled (a pattern),
 written (spec value -> text), read back (text -> spec value) and worded when
-misspelled, and loaded from a graph file. ``basic_fields`` writes a spec's
-fields from this table; the line grammar in :mod:`arctext.codec` and the graph
-file's record keys and reader in :mod:`arctext.graphio` are built from it too.
+misspelled, and how a graph file's JSON value becomes its spec value and its
+text in one step (``spell``), which the pattern then proves. ``basic_fields``
+writes a spec's fields from this table; the line grammar in
+:mod:`arctext.codec` and the graph file's record keys and reader in
+:mod:`arctext.graphio` are built from it too.
 
 Each spec's basic fields and basic string are computed on first use and
 kept in the spec's instance ``__dict__``, the way ``functools.cached_property``
@@ -21,19 +23,17 @@ keeps its value; specs are frozen, so the kept value cannot go stale.
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Callable
 from typing import NamedTuple
 
 from .errors import MalformedLineError
-from .model import POOL_TYPES, ConvSpec, FullSpec, MFSpec, NodeSpec, PoolSpec
+from .model import _MAX_DIGITS, POOL_TYPES, ConvSpec, FullSpec, MFSpec, NodeSpec, PoolSpec
 
 KIND_CONV = "conv"
 KIND_POOL = "pool"
 KIND_FULL = "full"
 KIND_MF = "mf"
 
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int()'s limit; 0: none
 _POS = "[1-9][0-9]" + (f"{{0,{_MAX_DIGITS - 1}}}" if _MAX_DIGITS else "*")  # >= 1, int()-able
 _INT = f"(?:0|{_POS})"
 _INT_RE = re.compile("0|[1-9][0-9]*")  # the spelling, whatever its length
@@ -119,50 +119,67 @@ def _write_values(values) -> str:
     return join_multi(values) if values else "Null"
 
 
-def _exactly(cls: type):
-    return lambda value: value if type(value) is cls else None
+def _spell_scalar(cls: type, write=str):
+    return lambda value: (value, write(value)) if type(value) is cls else None
 
 
-def _load_ints(value) -> tuple[int, ...] | None:
-    return tuple(value) if type(value) is list and {*map(type, value)} <= {int} else None
+def _spell_ints(value):
+    # any element but an int reprs with a dot, quote, letter or bracket, and a
+    # negative one with a leading or doubled "-": the pattern refuses them all
+    if type(value) is not list:
+        return None
+    return tuple(value), repr(value)[1:-1].replace(", ", "-")
 
 
-def _load_pad_pairs(value):  # written flat, so each pair must hold two values
-    pairs = tuple(map(_load_ints, value)) if type(value) is list else (None,)
-    return pairs if None not in pairs and {*map(len, pairs)} <= {2} else None
+def _spell_pad_pairs(value):  # written flat, so each pair must hold two values
+    if type(value) is not list or {*map(type, value)} != {list} or {*map(len, value)} != {2}:
+        return None
+    flat = [x for pair in value for x in pair]
+    return tuple(map(tuple, value)), repr(flat)[1:-1].replace(", ", "-")
 
 
-def _load_values(value):  # a "-" inside a value, or "Null", is written as another list
+def _spell_extent(value):
+    return ((value,), str(value)) if type(value) is int else _spell_ints(value)
+
+
+def _spell_values(value):  # a "-" inside a value, or "Null", is written as another list
     ok = type(value) is list and {*map(type, value)} <= {str} and "Null" not in value
-    return tuple(sorted(value)) if ok and "-" not in "".join(value) else None
+    if not ok or "-" in "".join(value):
+        return None
+    values = tuple(sorted(value))
+    return values, _write_values(values)
 
 
 class _Shape(NamedTuple):
-    """How one field's value is spelled, read, worded when misspelled, written and loaded."""
+    """How one field's value is spelled, read, worded, written and taken from a graph file."""
 
     pattern: str  # no capturing groups; makes every check on the value alone
     read: Callable[[str], object]  # a matched value -> its spec argument
     check: Callable[[str, int, str], None]  # words a misspelling (the spec class words the rest)
     write: Callable[[object], str] = join_multi  # a spec value -> its text
-    load: Callable[[object], object] = _load_ints  # a JSON value -> its spec value, or None
+    # a graph file's JSON value -> (its spec value, its text), or None to refuse it;
+    # the text need not match the pattern, which the caller then tests
+    spell: Callable[[object], tuple[object, str] | None] = _spell_ints
 
 
 def _int_shape(arity: int, atom=_POS, read=_read_ints, write=join_multi) -> _Shape:
     return _Shape("-".join([atom] * arity), read, _ints_check(arity), write)
 
 
-_COUNT = _Shape(_POS, int, _check_int, str, _exactly(int))
+_COUNT = _Shape(_POS, int, _check_int, str, _spell_scalar(int))
 _PAIR = _int_shape(2)
 _SIZE = _int_shape(3)
 _PADS = _int_shape(4, _INT)
-_PAD_PAIRS = _int_shape(8, _INT, _read_pad_pairs, _write_pad_pairs)._replace(load=_load_pad_pairs)
+_PAD_PAIRS = _int_shape(8, _INT, _read_pad_pairs, _write_pad_pairs)._replace(
+    spell=_spell_pad_pairs)
 _EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, _check_shape, join_multi,
-                 lambda value: (value,) if type(value) is int else _load_ints(value))
-_POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, _no_check, str, _exactly(str))
-_FLAG = _Shape("Yes|No", "Yes".__eq__, _check_flag, ("No", "Yes").__getitem__, _exactly(bool))
-_WORD = _Shape(_TOKEN, _read_token, _no_check, str, _exactly(str))
+                 _spell_extent)
+_POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, _no_check, str, _spell_scalar(str))
+_FLAG = _Shape("Yes|No", "Yes".__eq__, _check_flag, ("No", "Yes").__getitem__,
+               _spell_scalar(bool, ("No", "Yes").__getitem__))
+_WORD = _Shape(_TOKEN, _read_token, _no_check, str, _spell_scalar(str))
 _VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values, _check_values, _write_values,
-                 _load_values)
+                 _spell_values)
 
 
 class UnitField(NamedTuple):

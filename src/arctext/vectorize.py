@@ -5,20 +5,24 @@ on a dedicated NUM token carrying their value, and everything else (operation
 names, activation names, non-numeric parameters) is a vocabulary word. A
 number is only encoded by value when its lexeme is the canonical spelling of
 that value; oddly spelled numbers ("007", "1e3") stay words so detokenize
-can always reproduce the source bytes.
+can always reproduce the source bytes. So does an integer of more digits
+than ``int()`` converts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import Description, UnitLine
 from .errors import IoError, SchemaError, UnknownTokenError
-from .unitformat import _INT_RE
+from .unitformat import _INT
+
+_NUMBER_RE = re.compile(_INT)  # an integer's spelling that int() converts
 
 PAD_ID = 0
 UNK_ID = 1
@@ -139,7 +143,7 @@ class TokenStream:
 
 
 def _numeric(atom: str) -> int | float | None:
-    if _INT_RE.fullmatch(atom):
+    if _NUMBER_RE.fullmatch(atom):
         return int(atom)
     try:
         val = float(atom)
@@ -256,9 +260,8 @@ def _unit_row(line: UnitLine) -> list[float]:
         row[22] = 1.0
     if line.unit_kind == "mf" and fields.get("value", "Null") != "Null":
         for atom in fields["value"].split("-"):
-            num = _numeric(atom)
-            if num is not None:
-                row[23] = float(num)
+            if _numeric(atom) is not None:
+                row[23] = float(atom)  # inf, as in the other slots, past a float's range
                 break
     if len(row) != len(VECTOR_SLOTS):
         raise ValueError(f"unit {line.id} has a field of the wrong arity")

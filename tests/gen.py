@@ -204,3 +204,23 @@ def braid_graph(layers: int = 20, width: int = 2) -> ArchGraph:
     for a in prev:
         edges.append((a, "out"))
     return build_graph(nodes, edges)
+
+
+def resnext_graph(blocks: int = 2, branches: int = 4) -> ArchGraph:
+    """A stem, then ``blocks`` blocks of identical conv-MF branches merged by addition."""
+    rng = random.Random(13)
+    branch = (rand_conv(rng), rand_mf(rng))
+    merge = MFSpec("Addition", (8, 8, 4), (8, 8, 4))
+    nodes = [("stem", rand_conv(rng))]
+    edges = []
+    prev = "stem"
+    for b in range(blocks):
+        for k in range(branches):
+            names = [f"x{b}_{k}_{i}" for i in range(len(branch))]
+            nodes += zip(names, branch)
+            edges += [(prev, names[0])] + list(zip(names, names[1:])) + [(names[-1], f"m{b}")]
+        nodes.append((f"m{b}", merge))
+        prev = f"m{b}"
+    nodes.append(("out", rand_full(rng)))
+    edges.append((prev, "out"))
+    return build_graph(nodes, edges)

@@ -18,6 +18,7 @@ from arctext import (
     basic_string,
     build_graph,
     detect_terminals,
+    load_graph_file,
     longest_unnumbered_paths,
     path_digest,
 )
@@ -25,6 +26,7 @@ from arctext import canonical
 from arctext.unitformat import basic_fields
 
 import gen
+from conftest import FIXTURES
 
 RESNET4_POSITIONS = {
     "S": 1, "A": 2, "B": 3, "C": 4, "D": 5, "F": 6, "G": 7, "H": 8,
@@ -298,3 +300,30 @@ def test_ordering_stops_once_every_node_has_a_number(monkeypatch, resnet4, branc
         assign_positions(g)
         assert all(rounds)
         assert expected is None or len(rounds) == expected
+
+
+def test_candidates_equal_their_path_digest(monkeypatch, resnet4, branching25):
+    # each round's candidates are built from the enumerated sequences, whose
+    # edges are not re-checked; each must be what path_digest makes of it
+    rounds = []
+
+    def recorded(g, positions, **kwargs):
+        rounds.append(longest_unnumbered_paths(g, positions, **kwargs))
+        return rounds[-1]
+
+    rng = random.Random(1003)  # the C03 corpus
+    graphs = [resnet4, branching25, load_graph_file(FIXTURES / "resnet4.json"),
+              load_graph_file(FIXTURES / "branching25.json"),
+              gen.resnext_graph(2, 4), gen.resnext_graph(1, 8), gen.braid_graph(layers=6, width=2)]
+    graphs += [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)
+               for _ in range(1000)]
+    monkeypatch.setattr(canonical, "longest_unnumbered_paths", recorded)
+    for g in graphs:
+        rounds.clear()
+        assign_positions(g)
+        assert rounds and all(rounds)
+        for candidates in rounds:
+            for c in candidates:
+                assert c == path_digest(c.node_sequence, g)
+    single = gen.chain_graph(1)
+    assert longest_unnumbered_paths(single, {}) == [path_digest(single.names(), single)]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import pickle
 import random
 import re
@@ -26,22 +27,26 @@ from arctext import (
     SchemaError,
     SelfLoopError,
     UnclassifiableLineError,
+    UnitLine,
     Vocabulary,
     build_graph,
     classify_line,
     description_from_text,
+    graph_to_json,
     kind_of,
+    load_graph_file,
     parse_description,
     parse_graph_json,
     parse_line,
     render_description,
     render_unit,
 )
-from arctext import codec
+from arctext import canonical, codec
 from arctext.cli import main
 from arctext.unitformat import UNIT_FIELDS, basic_fields, basic_string
 
 import gen
+from conftest import FIXTURES
 
 MF_A = "id:1;name:A;in_size:4;out_size:4;value:Null;connect_to:2"
 MF_SINK = "id:2;name:B;in_size:4;out_size:4;value:Null;connect_to:Null"
@@ -563,7 +568,12 @@ def test_each_field_writes_what_its_shape_reads(resnet4, branching25):
     graphs = [resnet4, branching25] + [
         gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3) for _ in range(1000)
     ]
-    for g in graphs:
+    # each graph's records as a graph file holds them: the fixture files, else as written
+    files = [(FIXTURES / f"{stem}.json").read_text(encoding="utf-8")
+             for stem in ("resnet4", "branching25")]
+    files += [graph_to_json(g) for g in graphs[2:]]
+    for g, graph_file in zip(graphs, files):
+        records = {record["name"]: record for record in json.loads(graph_file)["nodes"]}
         for name in g.names():
             spec = g.spec(name)
             written = dict(basic_fields(spec))
@@ -571,11 +581,46 @@ def test_each_field_writes_what_its_shape_reads(resnet4, branching25):
                 value = getattr(spec, f.attr)
                 if value is None:
                     assert f.optional and f.key not in written
+                    assert f.attr not in records[name]
                     continue
                 text = f.shape.write(value)
                 assert re.fullmatch(f.shape.pattern, text), (f.key, text)
                 assert f.shape.read(text) == value
                 assert written[f.key] == text
+                spelled = f.shape.spell(records[name][f.attr])
+                assert spelled == (value, text) and type(spelled[0]) is type(value)
+
+
+def test_rendered_lines_equal_render_unit(resnet4, branching25):
+    # render_description builds each UnitLine directly; it must be the line
+    # render_unit makes from the same spec, id and successors
+    rng = random.Random(1003)  # the C03 corpus
+    graphs = [resnet4, branching25, load_graph_file(FIXTURES / "resnet4.json"),
+              load_graph_file(FIXTURES / "branching25.json"),
+              gen.resnext_graph(2, 4), gen.braid_graph(layers=6, width=2), gen.chain_graph(1)]
+    graphs += [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)
+               for _ in range(1000)]
+    for g in graphs:
+        d = render_description(g)
+        order = canonical.assign_positions(g)
+        assert len(d.lines) == len(g)
+        for line, name in zip(d.lines, order.by_position):
+            succ = sorted(order.position_of(s) for s in g.successors(name)) or None
+            unit = render_unit(g.spec(name), order.position_of(name), succ)
+            assert type(line) is UnitLine
+            assert (line, hash(line), repr(line), line.text) == (
+                unit, hash(unit), repr(unit), unit.text)
+        assert d.text == "\n".join(line.text for line in d.lines)
+
+
+def test_a_spec_subclass_renders_as_its_kind():
+    class Tagged(MFSpec):
+        pass
+
+    g = build_graph([("a", Tagged("ReLU", 4, 4)), ("b", FullSpec(4, 2))], [("a", "b")])
+    line = render_description(g).lines[0]
+    assert line.unit_kind == "mf"
+    assert line.text == "id:1;name:ReLU;in_size:4;out_size:4;value:Null;connect_to:2"
 
 
 def test_a_full_unit_without_act_fun_leaves_the_field_out():

@@ -230,6 +230,15 @@ class TestGraphFileErrors:
             parse_graph_json(json.dumps(doc))
         assert "edge #0" in str(err.value)
 
+    @pytest.mark.parametrize("edge", [["a"], ["a", "b", "c"], [], ["a", 1], [1, "b"],
+                                      ["a", None], [["a"], "b"], "ab", {"a": "b"}, None])
+    def test_each_bad_edge_is_worded_alike(self, edge):
+        doc = {"nodes": [dict(RECORDS["mf"], name="a"), dict(RECORDS["mf"], name="b")],
+               "edges": [["a", "b"], edge]}
+        with pytest.raises(SchemaError) as err:
+            parse_graph_json(json.dumps(doc))
+        assert str(err.value) == "edge #1 must be a [from, to] pair of names"
+
     def test_nameless_node_is_indexed_in_message(self):
         doc = {"nodes": [{"kind": "mf"}], "edges": []}
         with pytest.raises(SchemaError) as err:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from arctext import (
     SelfLoopError,
     UnknownEdgeEndpointError,
     build_graph,
+    render_description,
     validate_graph,
 )
 
@@ -223,3 +225,29 @@ class TestValidateGraph:
         assert not diag.has_errors
         codes = {f.code for f in diag.warnings()}
         assert codes == {"SourceOutdegreeNotOne", "SinkIndegreeNotOne"}
+
+
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
+
+@pytest.mark.skipif(not _MAX_DIGITS, reason="str() writes any number of digits")
+@pytest.mark.parametrize("build", [
+    lambda big: FullSpec(big, 1),
+    lambda big: FullSpec(1, big, "ReLU"),
+    lambda big: ConvSpec((1, 1, big), (1, 1, 1), (1, 1), (1, 1)),
+    lambda big: ConvSpec((1, 1, 1), (1, 1, 1), (1, 1), (1, 1), ((0, 0), (0, big), (0, 0), (0, 0))),
+    lambda big: ConvSpec((1, 1, 1), (1, 1, 1), (1, 1), (1, 1), dilation=big),
+    lambda big: ConvSpec((1, 1, 1), (1, 1, 1), (1, 1), (1, 1), groups=big),
+    lambda big: PoolSpec("Max", (1, 1, 1), (1, 1, 1), (big, 1), (1, 1)),
+    lambda big: PoolSpec("Avg", (1, 1, 1), (1, 1, 1), (1, 1), (1, 1), (0, 0, 0, big)),
+    lambda big: MFSpec("BN", big, 1),
+    lambda big: MFSpec("BN", (1, 1, 1), (1, big, 1)),
+], ids=["full-in", "full-out", "conv-size", "conv-pad", "conv-dilation", "conv-groups",
+        "pool-kernel", "pool-pad", "mf-extent", "mf-shape"])
+def test_an_integer_too_long_to_write_is_an_invalid_spec(build):
+    # the text would need more digits than str() writes: refuse it when built
+    with pytest.raises(InvalidSpecError, match=f"has more than {_MAX_DIGITS} digits"):
+        build(10 ** _MAX_DIGITS)
+    spec = build(10 ** _MAX_DIGITS - 1)  # the longest that is written
+    text = render_description(build_graph([("a", spec)], [])).text
+    assert "9" * _MAX_DIGITS in text

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -314,3 +315,27 @@ class TestUnitVector:
         assert all(len(row.split(",")) == 24 for row in rows)
         assert rows[-1].endswith(",0.5")
         assert csv.endswith("\n")
+
+
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+_LONG = "1" * (_MAX_DIGITS + 1)  # more digits than int() converts
+
+
+@pytest.mark.skipif(not _MAX_DIGITS, reason="int() converts any number of digits")
+@pytest.mark.parametrize("value, slot", [
+    (_LONG, "0"),
+    (f"{_LONG}-7", "7"),
+    (f"{_LONG}-a", "0"),
+    (f"0.5-{_LONG}", "0.5"),
+    ("9" * 400, "inf"),  # int() converts it; a float cannot hold it
+], ids=["long", "long-7", "long-a", "0.5-long", "400-digits"])
+def test_a_number_too_long_to_convert_stays_a_word(value, slot):
+    text = f"id:1;name:X;in_size:4;out_size:4;value:{value};connect_to:Null"
+    d = description_from_text(text)
+    v = Vocabulary.default()
+    stream = tokenize(d, v)
+    assert detokenize(stream, v) == text
+    for atom in value.split("-"):
+        assert (atom in v) == (_numeric(atom) is None)  # a word, else a number
+    row = vectors_csv(d).splitlines()[1].split(",")
+    assert row[VECTOR_SLOTS.index("mf_value")] == slot
