@@ -16,9 +16,13 @@ the connect list. The patterns make every check on one value (spelling,
 arity, minimum, pool type); after the match run only the three that compare
 values: connect targets strictly ascending, MF values sorted by UTF-8 bytes
 with no ``Null`` token, pool channels equal. A line that passes builds its
-spec unchecked (``description_from_text`` builds none); the field-by-field
-checks and the public spec class word any other line's first fault. Graph
-files are read through the same patterns; the spec classes run every check.
+spec unchecked (``description_from_text`` builds none). Any other line's
+first fault is worded by ``_refuse``: a value its shape's pattern refuses by
+that shape's one template, "<key> must be <says>, got <value>"; descending
+connect targets and unsorted MF values by their own message; and the rest
+(pool channels, a ``Null`` among MF values) by the public spec class. Graph
+files are read through the same patterns, and a record they refuse is worded
+as it always has been, by the graph-file reader and the spec class.
 """
 
 from __future__ import annotations
@@ -33,23 +37,24 @@ from .errors import (
     DuplicateIdError,
     EmptyInputError,
     InvalidSpecError,
+    MalformedLineError,
     MultipleSinksError,
     NonCanonicalSinkError,
     NonContiguousIdsError,
     UnclassifiableLineError,
 )
-from .model import ArchGraph, NodeSpec, build_graph
+from .model import ArchGraph, NodeSpec, _check_int, build_graph
 from .unitformat import (
+    _COUNT,
     _POS,
     KIND_CONV,
     KIND_FULL,
     KIND_MF,
     KIND_POOL,
     UNIT_FIELDS,
-    _check_int,
-    _fail,
     _kind_pattern,
     _read_ints,
+    _Shape,
     basic_fields,
     basic_string,
     join_multi,
@@ -93,16 +98,14 @@ class Description:
 
 
 def render_unit(spec: NodeSpec, id: int, connect_to) -> UnitLine:
-    if not isinstance(id, int) or isinstance(id, bool) or id < 1:
-        raise InvalidSpecError(f"id must be a positive integer, got {id!r}")
+    _check_int(id, "id", 1)
     targets: tuple[int, ...] | None
     if connect_to is None:
         targets = None
     else:
         targets = tuple(connect_to)
         for t in targets:
-            if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-                raise InvalidSpecError(f"connect_to entries must be positive integers, got {t!r}")
+            _check_int(t, "connect_to entry", 1)
         if any(a >= b for a, b in zip(targets, targets[1:])):
             raise InvalidSpecError(f"connect_to must be strictly ascending, got {targets}")
         if not targets:
@@ -151,17 +154,13 @@ _KIND_KEYS = {
     for kind, (_, fields) in UNIT_FIELDS.items()
 }
 _FULL_KEYS = set(_KIND_KEYS[KIND_FULL][0])
-# the order the field checks have always run in: conv reads padding first
-_CHECK_ORDER = {
-    kind: sorted(fields, key=lambda f: kind == KIND_CONV and f.key != "padding")
-    for kind, (_, fields) in UNIT_FIELDS.items()
-}
+_CONNECT = _Shape(f"Null|{_POS}(?:-{_POS})*", _read_ints, "'Null' or integers >= 1 joined by '-'")
 
 
 _LINE_RE = re.compile(
-    f"id:({_POS})(?:"
+    f"id:({_COUNT.pattern})(?:"
     + "|".join(_kind_pattern(fields) for _, fields in UNIT_FIELDS.values())
-    + f");connect_to:(Null|{_POS}(?:-{_POS})*)"
+    + f");connect_to:({_CONNECT.pattern})"
 )
 
 
@@ -218,12 +217,16 @@ def classify_line(line: str) -> str:
     return _classify(parts, [key for key, _, _ in parts], line)
 
 
-def _parse_stepwise(line: str, lineno: int) -> tuple[int, NodeSpec, tuple[int, ...] | None]:
-    """Parse a line field by field, in the order the checks have always run.
+def _fail(lineno: int, msg: str):
+    raise MalformedLineError(f"line {lineno}: {msg}", subject=lineno)
 
-    This accepts exactly the lines the grammar and the value comparisons
-    accept; ``parse_line`` calls it only for a line they refuse, so that the
-    first fault is worded as it always has been.
+
+def _refuse(line: str, lineno: int):
+    """Raise the error that words the first fault of a line the grammar refuses.
+
+    After the key sequence, each value is matched alone against its shape's
+    pattern; then come the comparisons no pattern or spec class words, and
+    the public spec class words the rest.
     """
     parts = _split(line)
     keys = tuple(key for key, _, _ in parts)
@@ -238,38 +241,24 @@ def _parse_stepwise(line: str, lineno: int) -> tuple[int, NodeSpec, tuple[int, .
     # safe after the key-sequence check: schemas repeat no key
     values = {key: value for key, _, value in parts}
 
-    _check_int(values["id"], lineno, "id")
-    uid = int(values["id"])
-    if uid < 1:
-        _fail(lineno, "id must be >= 1")
-    connect = None
+    cls, fields = UNIT_FIELDS[kind]
+    shapes = [("id", _COUNT), *[(f.key, f.shape) for f in fields], ("connect_to", _CONNECT)]
+    for key, shape in shapes:
+        value = values.get(key)  # None: an optional field the line leaves out
+        if value is not None and not re.fullmatch(shape.pattern, value):
+            _fail(lineno, f"{key} must be {shape.says}, got {value!r}")
     if values["connect_to"] != "Null":
-        for token in values["connect_to"].split("-"):
-            _check_int(token, lineno, "connect_to")
         connect = _read_ints(values["connect_to"])
-        if 0 in connect:
-            _fail(lineno, "connect_to ids must be >= 1")
         if any(a >= b for a, b in zip(connect, connect[1:])):
             _fail(lineno, f"connect_to must be strictly ascending, got {connect}")
-
-    cls, fields = UNIT_FIELDS[kind]
-    args = {}
+    # code-point order is UTF-8 byte order, so no token needs encoding
+    if kind == KIND_MF and (tokens := values["value"].split("-")) != sorted(tokens):
+        _fail(lineno, f"parameter values must be sorted ascending, got {tokens}")
     try:
-        for f in _CHECK_ORDER[kind]:
-            value = values.get(f.key)
-            if value is not None:
-                f.shape.check(value, lineno, f.key)
-            args[f.key] = f.shape.read(value)
-        spec = cls(*[args[f.key] for f in fields])
+        cls(*[f.shape.read(values.get(f.key)) for f in fields])
     except InvalidSpecError as exc:
         _fail(lineno, str(exc))
-    return uid, spec, connect
-
-
-def _refuse(line: str, lineno: int):
-    """Raise the error the field checks and the spec classes give for ``line``."""
-    _parse_stepwise(line, lineno)
-    _fail(lineno, "line matches the field checks but not the grammar")
+    _fail(lineno, "line passes every field's pattern but not the grammar")
 
 
 _SPEC, _UNIT, _BOTH = 1, 2, 3  # what parse_line builds for the description readers

@@ -8,12 +8,16 @@ only the basic fields so that ordering does not feed back into itself.
 The fields are declared once, in ``UNIT_FIELDS``: for each unit kind, its
 spec class and its basic fields in line order, each with its text key, spec
 attribute and value shape. A shape says how a value is spelled (a pattern),
-written (spec value -> text), read back (text -> spec value) and worded when
-misspelled, and how a graph file's JSON value becomes its spec value and its
-text in one step (``spell``), which the pattern then proves. ``basic_fields``
-writes a spec's fields from this table; the line grammar in
-:mod:`arctext.codec` and the graph file's record keys and reader in
-:mod:`arctext.graphio` are built from it too.
+written (spec value -> text) and read back (text -> spec value), and how a
+graph file's JSON value becomes its spec value and its text in one step
+(``spell``), which the pattern then proves. It also puts what its pattern
+accepts into words (``says``): a text value the pattern refuses is worded by
+that one template, and the spec class words the faults no single value shows
+(pool channels, a ``Null`` among MF values). ``basic_fields`` writes a
+spec's fields from this table; the line grammar in :mod:`arctext.codec` and
+the graph file's record keys and reader in :mod:`arctext.graphio` are built
+from it too. A graph-file record the patterns refuse is worded as before, by
+that reader and the spec class.
 
 Each spec's basic fields and basic string are computed on first use and
 kept in the spec's instance ``__dict__``, the way ``functools.cached_property``
@@ -22,11 +26,9 @@ keeps its value; specs are frozen, so the kept value cannot go stale.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .errors import MalformedLineError
 from .model import _MAX_DIGITS, POOL_TYPES, ConvSpec, FullSpec, MFSpec, NodeSpec, PoolSpec
 
 KIND_CONV = "conv"
@@ -36,9 +38,9 @@ KIND_MF = "mf"
 
 _POS = "[1-9][0-9]" + (f"{{0,{_MAX_DIGITS - 1}}}" if _MAX_DIGITS else "*")  # >= 1, int()-able
 _INT = f"(?:0|{_POS})"
-_INT_RE = re.compile("0|[1-9][0-9]*")  # the spelling, whatever its length
 # a token as the renderer writes it: no separator, no LF, no lone surrogate
 _TOKEN = "[^-:;\n\ud800-\udfff]+"
+_NOT_IN_TOKEN = "':', ';', newline or lone surrogate"  # nor "-", which joins tokens
 
 
 def join_multi(values) -> str:
@@ -46,53 +48,6 @@ def join_multi(values) -> str:
 
 
 # --- value shapes ---------------------------------------------------------------
-
-def _fail(lineno: int, msg: str):
-    raise MalformedLineError(f"line {lineno}: {msg}", subject=lineno)
-
-
-def _check_int(token: str, lineno: int, what: str) -> None:
-    if not _INT_RE.fullmatch(token):
-        _fail(lineno, f"{what} must be a non-negative integer, got {token!r}")
-    if len(token) > _MAX_DIGITS > 0:
-        _fail(lineno, f"{what} has more than {_MAX_DIGITS} digits")
-
-
-def _ints_check(arity: int):
-    def check(value: str, lineno: int, what: str) -> None:
-        tokens = value.split("-")
-        if len(tokens) != arity:
-            _fail(lineno, f"{what} needs {arity} values, got {len(tokens)}")
-        for token in tokens:
-            _check_int(token, lineno, what)
-    return check
-
-
-def _check_shape(value: str, lineno: int, what: str) -> None:
-    arity = value.count("-") + 1
-    if arity not in (1, 3):
-        _fail(lineno, f"{what} needs 1 or 3 values, got {arity}")
-    for token in value.split("-"):
-        _check_int(token, lineno, what)
-
-
-def _check_flag(value: str, lineno: int, what: str) -> None:
-    if value not in ("Yes", "No"):
-        _fail(lineno, f'{what} must be "Yes" or "No", got {value!r}')
-
-
-def _check_values(value: str, lineno: int, what: str) -> None:
-    tokens = value.split("-")
-    if value != "Null" and "" in tokens:
-        _fail(lineno, "empty parameter value")
-    # code-point order is UTF-8 byte order, so no token needs encoding
-    if tokens != sorted(tokens):
-        _fail(lineno, f"parameter values must be sorted ascending, got {tokens}")
-
-
-def _no_check(value: str, lineno: int, what: str) -> None:
-    pass
-
 
 def _read_ints(value: str) -> tuple[int, ...]:
     return tuple(map(int, value.split("-")))
@@ -107,7 +62,7 @@ def _write_pad_pairs(pairs) -> str:
     return "-".join([str(x) for pair in pairs for x in pair])
 
 
-def _read_token(value: str | None) -> str | None:
+def _read_token(value: str | None) -> str | None:  # a missing optional field reads as None
     return value
 
 
@@ -151,35 +106,46 @@ def _spell_values(value):  # a "-" inside a value, or "Null", is written as anot
 
 
 class _Shape(NamedTuple):
-    """How one field's value is spelled, read, worded, written and taken from a graph file."""
+    """How one field's value is spelled, read, worded, written and taken from a graph file.
+
+    A value its pattern refuses is worded from ``says`` alone, as "<key> must
+    be <says>, got <value>"; a value it accepts can fail only a check across
+    values (their order, pool channels, a ``Null`` among MF values), which
+    the reader or the spec class words.
+    """
 
     pattern: str  # no capturing groups; makes every check on the value alone
     read: Callable[[str], object]  # a matched value -> its spec argument
-    check: Callable[[str, int, str], None]  # words a misspelling (the spec class words the rest)
+    says: str  # what the pattern accepts, in words
     write: Callable[[object], str] = join_multi  # a spec value -> its text
     # a graph file's JSON value -> (its spec value, its text), or None to refuse it;
     # the text need not match the pattern, which the caller then tests
     spell: Callable[[object], tuple[object, str] | None] = _spell_ints
 
 
-def _int_shape(arity: int, atom=_POS, read=_read_ints, write=join_multi) -> _Shape:
-    return _Shape("-".join([atom] * arity), read, _ints_check(arity), write)
+def _int_shape(arity: int, least=1, read=_read_ints, write=join_multi) -> _Shape:
+    atom = _POS if least else _INT
+    return _Shape("-".join([atom] * arity), read,
+                  f"{arity} integers >= {least} joined by '-'", write)
 
 
-_COUNT = _Shape(_POS, int, _check_int, str, _spell_scalar(int))
+_COUNT = _Shape(_POS, int, "an integer >= 1", str, _spell_scalar(int))
 _PAIR = _int_shape(2)
 _SIZE = _int_shape(3)
-_PADS = _int_shape(4, _INT)
-_PAD_PAIRS = _int_shape(8, _INT, _read_pad_pairs, _write_pad_pairs)._replace(
+_PADS = _int_shape(4, 0)
+_PAD_PAIRS = _int_shape(8, 0, _read_pad_pairs, _write_pad_pairs)._replace(
     spell=_spell_pad_pairs)
-_EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, _check_shape, join_multi,
-                 _spell_extent)
-_POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, _no_check, str, _spell_scalar(str))
-_FLAG = _Shape("Yes|No", "Yes".__eq__, _check_flag, ("No", "Yes").__getitem__,
+_EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, "1 or 3 integers >= 1 joined by '-'",
+                 join_multi, _spell_extent)
+_POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, " or ".join(map(repr, POOL_TYPES)), str,
+                    _spell_scalar(str))
+_FLAG = _Shape("Yes|No", "Yes".__eq__, "'Yes' or 'No'", ("No", "Yes").__getitem__,
                _spell_scalar(bool, ("No", "Yes").__getitem__))
-_WORD = _Shape(_TOKEN, _read_token, _no_check, str, _spell_scalar(str))
-_VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values, _check_values, _write_values,
-                 _spell_values)
+_WORD = _Shape(_TOKEN, _read_token, f"a non-empty token with no '-', {_NOT_IN_TOKEN}", str,
+               _spell_scalar(str))
+_VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values,
+                 f"'Null' or non-empty tokens joined by '-', with no {_NOT_IN_TOKEN}",
+                 _write_values, _spell_values)
 
 
 class UnitField(NamedTuple):

@@ -48,6 +48,8 @@ from arctext.unitformat import UNIT_FIELDS, basic_fields, basic_string
 import gen
 from conftest import FIXTURES
 
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
 MF_A = "id:1;name:A;in_size:4;out_size:4;value:Null;connect_to:2"
 MF_SINK = "id:2;name:B;in_size:4;out_size:4;value:Null;connect_to:Null"
 
@@ -60,14 +62,14 @@ CONV_BAD_SPELLING = (
     "id:1;in_size:01-8-3;out_size:8-8-3;kernel:1-1;stride:1-1;"
     "padding:0-0-0-0-0-0-0-0;dilation:1;groups:1;bias_used:No;connect_to:2"
 )
-# wording of the errors that the multi-value integer checks fall back to
+# a misspelled value is worded by its shape's one template
 MALFORMED_MESSAGES = {
-    CONV_BAD_ARITY: "line 1: kernel needs 2 values, got 3",
-    CONV_BAD_SPELLING: "line 1: in_size must be a non-negative integer, got '01'",
+    CONV_BAD_ARITY: "line 1: kernel must be 2 integers >= 1 joined by '-', got '1-1-1'",
+    CONV_BAD_SPELLING: "line 1: in_size must be 3 integers >= 1 joined by '-', got '01-8-3'",
     "id:1;name:A;in_size:4-4;out_size:4-4;value:Null;connect_to:2":
-        "line 1: in_size needs 1 or 3 values, got 2",
+        "line 1: in_size must be 1 or 3 integers >= 1 joined by '-', got '4-4'",
     "id:01;name:A;in_size:4;out_size:4;value:Null;connect_to:2":
-        "line 1: id must be a non-negative integer, got '01'",
+        "line 1: id must be an integer >= 1, got '01'",
 }
 
 
@@ -119,6 +121,12 @@ class TestRenderUnit:
             render_unit(spec, 1, [2, 2])
         with pytest.raises(InvalidSpecError):
             render_unit(spec, 1, [0])
+        if _MAX_DIGITS:  # an integer too long for str() is refused, not written
+            with pytest.raises(InvalidSpecError, match=f"^id has more than {_MAX_DIGITS} digits$"):
+                render_unit(spec, 10 ** _MAX_DIGITS, None)
+            with pytest.raises(InvalidSpecError,
+                               match=f"^connect_to entry has more than {_MAX_DIGITS} digits$"):
+                render_unit(spec, 1, [10 ** _MAX_DIGITS])
 
 
 class TestClassifyLine:
@@ -477,7 +485,7 @@ def test_accepted_lines_are_already_rendered(spec, uid, connect, rng):
         assert line.text == expected.text == mutant
 
 
-# --- the compiled grammar against the field-by-field checks --------------------
+# --- the compiled grammar and the wording of what it refuses -------------------
 
 _RESPELLINGS = ("01", "+1", "1.0", "00", "-1", "0", "", "Null", "a", "\u00e9")
 
@@ -511,34 +519,44 @@ def _field_mutant(line: str, rng) -> str:
     return ";".join(parts)
 
 
-def _outcome(parse, line):
-    try:
-        return parse(line)
-    except ArcTextError as exc:
-        return type(exc), str(exc), exc.subject
+def _public_spec(line: str):
+    """The spec the public spec class builds from the values ``line`` matched."""
+    groups = codec._LINE_RE.fullmatch(line).groups()
+    for kind, _, readers, _, start, stop, _ in codec._BRANCHES:
+        if groups[start] is not None:
+            cls = UNIT_FIELDS[kind][0]
+            return cls(*[read(value) for read, value in zip(readers, groups[start:stop])])
 
 
 @settings(max_examples=300, deadline=None)
 @given(spec=_any_spec, uid=st.integers(1, 9), connect=_connects,
        rng=st.randoms(use_true_random=False))
 def test_grammar_agrees_with_the_field_checks(spec, uid, connect, rng):
-    # parse_line words a line the grammar rejects with the field-by-field
-    # checks; both must accept the same lines, with the same result, and
-    # fail the others with the same error
+    # parse_line accepts a line only through the grammar, whose values the
+    # public spec class also accepts; it words any other line's first fault
+    # with a typed error naming the line, and never from the last resort
     rendered = render_unit(spec, uid, connect).text
     for mutant in [rendered] + [
         _field_mutant(rendered, rng) if rng.random() < 0.8 else _mutate(rendered, rng)
         for _ in range(30)
     ]:
-        assert _outcome(parse_line, mutant) == _outcome(
-            lambda line: codec._parse_stepwise(line, 1), mutant)
+        try:
+            _, parsed, _ = parse_line(mutant)
+        except MalformedLineError as exc:
+            assert exc.subject == 1
+            assert str(exc).startswith("line 1: ")
+            assert "but not the grammar" not in str(exc)
+        except UnclassifiableLineError as exc:
+            assert exc.subject == mutant
+        else:
+            assert parsed == _public_spec(mutant)
 
 
 def test_valid_lines_never_reach_the_field_checks(monkeypatch, resnet4_text, branching25_text):
     def unexpected(line, lineno):
         raise AssertionError(f"line {lineno} missed the grammar: {line!r}")
 
-    monkeypatch.setattr(codec, "_parse_stepwise", unexpected)
+    monkeypatch.setattr(codec, "_refuse", unexpected)
     rng = random.Random(1003)  # the C03 corpus
     texts = [resnet4_text, branching25_text] + [
         render_description(gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)).text
@@ -547,6 +565,58 @@ def test_valid_lines_never_reach_the_field_checks(monkeypatch, resnet4_text, bra
     for text in texts:
         assert render_description(parse_description(text)[0]).text == text
         assert description_from_text(text).text == text
+
+
+_WELL_FORMED = {
+    "conv": "id:1;in_size:8-8-3;out_size:8-8-3;kernel:1-1;stride:1-1;"
+            "padding:0-0-0-0-0-0-0-0;dilation:1;groups:1;bias_used:No;connect_to:Null",
+    "pool": "id:1;type:Max;in_size:8-8-3;out_size:4-4-3;kernel:2-2;stride:2-2;"
+            "padding:0-0-0-0;dilation:1;bias_used:No;connect_to:Null",
+    "full": "id:1;in_size:64;out_size:10;act_fun:ReLU;connect_to:Null",
+    "mf": "id:1;name:BN;in_size:4;out_size:4;value:a-b;connect_to:Null",
+}
+_TOKEN_SAYS = "a non-empty token with no '-', ':', ';', newline or lone surrogate"
+_BAD_SIZE = ("8-8-3-3", "3 integers >= 1 joined by '-'")
+_BAD_PAIR = ("1-1-1", "2 integers >= 1 joined by '-'")
+_BAD_COUNT = ("01", "an integer >= 1")
+_BAD_EXTENT = ("4-4", "1 or 3 integers >= 1 joined by '-'")
+_BAD_FLAG = ("Maybe", "'Yes' or 'No'")
+# per kind and key: a value that key's pattern refuses, and what its shape says
+_MISSPELLED = {
+    "conv": {"in_size": _BAD_SIZE, "out_size": _BAD_SIZE, "kernel": _BAD_PAIR,
+             "stride": _BAD_PAIR,
+             "padding": ("0-0-0-0-0-0-0-0-0", "8 integers >= 0 joined by '-'"),
+             "dilation": _BAD_COUNT, "groups": _BAD_COUNT, "bias_used": _BAD_FLAG},
+    "pool": {"type": ("Med", "'Max' or 'Avg'"), "in_size": _BAD_SIZE, "out_size": _BAD_SIZE,
+             "kernel": _BAD_PAIR, "stride": _BAD_PAIR,
+             "padding": ("0-0-0-0-0", "4 integers >= 0 joined by '-'"),
+             "dilation": _BAD_COUNT, "bias_used": _BAD_FLAG},
+    "full": {"in_size": _BAD_COUNT, "out_size": _BAD_COUNT, "act_fun": ("a:b", _TOKEN_SAYS)},
+    "mf": {"name": ("a:b", _TOKEN_SAYS), "in_size": _BAD_EXTENT, "out_size": _BAD_EXTENT,
+           "value": ("a:b", "'Null' or non-empty tokens joined by '-', "
+                            "with no ':', ';', newline or lone surrogate")},
+}
+_BAD_EDGE = {"id": _BAD_COUNT, "connect_to": ("01", "'Null' or integers >= 1 joined by '-'")}
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key)
+    for kind, (_, fields) in UNIT_FIELDS.items()
+    for key in ("id", *[f.key for f in fields], "connect_to")
+])
+def test_each_misspelled_value_is_worded_by_its_shape(kind, key):
+    value, says = {**_MISSPELLED[kind], **_BAD_EDGE}[key]
+    line = ";".join(
+        f"{key}:{value}" if part.partition(":")[0] == key else part
+        for part in _WELL_FORMED[kind].split(";")
+    )
+    parse_description(_WELL_FORMED[kind])  # the line is well formed but for this value
+    for read in (parse_line, parse_description, description_from_text):
+        with pytest.raises(ArcTextError) as err:
+            read(line)
+        assert type(err.value) is MalformedLineError
+        assert str(err.value) == f"line 1: {key} must be {says}, got {value!r}"
+        assert err.value.subject == 1
 
 
 def test_parsed_units_keep_their_source_line(resnet4_text, branching25_text):
@@ -627,20 +697,28 @@ def test_a_full_unit_without_act_fun_leaves_the_field_out():
     assert basic_fields(FullSpec(256, 10)) == (("in_size", "256"), ("out_size", "10"))
 
 
-@pytest.mark.parametrize("line", [
-    "id:1;name:BN;in_size:3;out_size:3;value:a-\ud800;connect_to:Null",
-    "id:1;name:\ud800;in_size:3;out_size:3;value:Null;connect_to:Null",
-    "id:1;in_size:3;out_size:3;act_fun:Re\udc80LU;connect_to:Null",
-])
+_SURROGATE_MESSAGES = {
+    "id:1;name:BN;in_size:3;out_size:3;value:a-\ud800;connect_to:Null":
+        "line 1: value must be 'Null' or non-empty tokens joined by '-', "
+        "with no ':', ';', newline or lone surrogate, got 'a-\\ud800'",
+    "id:1;name:\ud800;in_size:3;out_size:3;value:Null;connect_to:Null":
+        "line 1: name must be a non-empty token with no '-', ':', ';', newline or lone surrogate, "
+        "got '\\ud800'",
+    "id:1;in_size:3;out_size:3;act_fun:Re\udc80LU;connect_to:Null":
+        "line 1: act_fun must be a non-empty token with no '-', ':', ';', newline or "
+        "lone surrogate, got 'Re\\udc80LU'",
+}
+
+
+@pytest.mark.parametrize("line", list(_SURROGATE_MESSAGES))
 def test_lone_surrogate_is_a_malformed_line(line):
     for read in (parse_line, parse_description, description_from_text):
         with pytest.raises(MalformedLineError) as err:
             read(line)
         assert err.value.subject == 1
-        assert "lone surrogate" in str(err.value)
+        assert str(err.value) == _SURROGATE_MESSAGES[line]
 
 
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
 _LONG = "1" * (_MAX_DIGITS + 1)  # more digits than int() converts
 _MF_LINE = "id:{};name:BN;in_size:{};out_size:3;value:Null;connect_to:{}"
 _TOO_LONG = pytest.mark.skipif(not _MAX_DIGITS, reason="int() converts any number of digits")
@@ -692,12 +770,12 @@ def c03_descriptions():
 
 def test_checked_specs_equal_public_specs(resnet4_text, branching25_text, c03_descriptions):
     # parse_line builds a matched line's spec without the spec class's checks;
-    # _parse_stepwise builds it from the same values through the public class
+    # the public class builds it here from the same matched values
     texts = [resnet4_text, branching25_text] + [d.text for d in c03_descriptions]
     for text in texts:
         for lineno, line in enumerate(text.split("\n"), start=1):
             _, spec, _ = parse_line(line, lineno)
-            _, public, _ = codec._parse_stepwise(line, lineno)
+            public = _public_spec(line)
             assert type(spec) is type(public)
             assert spec == public
             assert hash(spec) == hash(public)
@@ -731,23 +809,28 @@ _CONV = ("id:1;in_size:8-8-3;out_size:8-8-3;kernel:{};stride:1-1;"
          "padding:0-0-0-0-0-0-0-0;dilation:1;groups:{};bias_used:No;connect_to:Null")
 
 
-# each line passes every spelling check and fails one value comparison or
-# one minimum; the wording is the one these lines have always had
+# each line is spelled right but for one minimum or pool type, which the
+# value's shape words, or fails one value comparison, which the reader or
+# the public spec class words
 @pytest.mark.parametrize("line, message", [
     (_POOL.format("Max", 3, 6, 1), "pooling cannot change the channel count (3 -> 6)"),
-    (_POOL.format("Med", 3, 3, 1), "pool_type must be one of ('Max', 'Avg'), got 'Med'"),
-    (_POOL.format("Max", 3, 3, 0), "dilation must be >= 1, got 0"),
+    (_POOL.format("Med", 3, 3, 1), "type must be 'Max' or 'Avg', got 'Med'"),
+    (_POOL.format("Max", 3, 3, 0), "dilation must be an integer >= 1, got '0'"),
     (_MF.format(1, 4, "Null-a", "Null"), '"Null" is reserved and cannot be a parameter value'),
     (_MF.format(1, 4, "b-a", "Null"), "parameter values must be sorted ascending, got ['b', 'a']"),
-    (_MF.format(1, 0, "Null", "Null"), "in_size element must be >= 1, got 0"),
-    (_MF.format(1, "4-0-4", "Null", "Null"), "in_size element must be >= 1, got 0"),
-    (_MF.format(0, 4, "Null", "Null"), "id must be >= 1"),
-    (_MF.format(1, 4, "Null", "0"), "connect_to ids must be >= 1"),
+    (_MF.format(1, 0, "Null", "Null"),
+     "in_size must be 1 or 3 integers >= 1 joined by '-', got '0'"),
+    (_MF.format(1, "4-0-4", "Null", "Null"),
+     "in_size must be 1 or 3 integers >= 1 joined by '-', got '4-0-4'"),
+    (_MF.format(0, 4, "Null", "Null"), "id must be an integer >= 1, got '0'"),
+    (_MF.format(1, 4, "Null", "0"),
+     "connect_to must be 'Null' or integers >= 1 joined by '-', got '0'"),
     (_MF.format(1, 4, "Null", "3-2"), "connect_to must be strictly ascending, got (3, 2)"),
     (_MF.format(1, 4, "Null", "2-2"), "connect_to must be strictly ascending, got (2, 2)"),
-    (_CONV.format("0-1", 1), "kernel element must be >= 1, got 0"),
-    (_CONV.format("1-1", 0), "groups must be >= 1, got 0"),
-    ("id:1;in_size:0;out_size:10;act_fun:ReLU;connect_to:Null", "in_size must be >= 1, got 0"),
+    (_CONV.format("0-1", 1), "kernel must be 2 integers >= 1 joined by '-', got '0-1'"),
+    (_CONV.format("1-1", 0), "groups must be an integer >= 1, got '0'"),
+    ("id:1;in_size:0;out_size:10;act_fun:ReLU;connect_to:Null",
+     "in_size must be an integer >= 1, got '0'"),
 ])
 def test_faults_past_the_spelling_keep_their_wording(line, message):
     for read in (parse_line, parse_description, description_from_text):
