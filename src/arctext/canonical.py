@@ -2,14 +2,13 @@
 
 Positions are assigned 1..n: the source gets 1, the sink gets n, and the
 remaining nodes are numbered by repeatedly taking the longest source-to-sink
-path that still contains an unnumbered node and walking it in order. Tied
-longest paths are ranked by the SHA-224 digest of their nodes' basic
-property strings (largest digest wins); paths whose digests are also equal
-are resolved by a fixed positional rule so the whole procedure is
-deterministic. That rule ends in node insertion order, so when tied paths
-also have equal positions so far, the order nodes were inserted in can
-change the ordering (ROADMAP item 1); renaming nodes or reordering edges
-never does.
+path that still contains an unnumbered node and walking it in order. Among
+tied longest paths the rule is: largest digest (SHA-224 of the nodes' basic
+property strings); among equal digests, smallest tie key (each node's
+position so far, then its insertion index). The tie key ends in insertion
+order, so when tied paths also have equal positions so far, the order nodes
+were inserted in can change the ordering (ROADMAP item 1); renaming nodes or
+reordering edges never does.
 """
 
 from __future__ import annotations
@@ -50,6 +49,8 @@ class CanonicalOrder:
         return self.positions[name]
 
     def name_at(self, position: int) -> str:
+        if not 1 <= position <= self.n:
+            raise IndexError(f"position {position} is outside 1..{self.n}")
         return self.by_position[position - 1]
 
     @cached_property
@@ -91,10 +92,16 @@ def path_digest(path, g: ArchGraph) -> PathCandidate:
 
     Identifiers and connection lists never enter the digest: they are what
     the ordering produces, so they cannot exist yet when paths are ranked.
-    A given path's edges are checked first; the ordering enumerates its
-    paths along edges and builds the same candidates without the check.
+    A given path's nodes and edges are checked first; the ordering
+    enumerates its paths along edges and builds the same candidates
+    without the check.
     """
     seq = tuple(path)
+    if not seq:
+        raise BrokenPathError("the given path is empty", subject=())
+    for name in seq:
+        if name not in g.nodes:
+            raise BrokenPathError(f"no node {name!r} in the graph", subject=name)
     for a, b in zip(seq, seq[1:]):
         if b not in g.successors(a):
             raise BrokenPathError(
@@ -133,14 +140,9 @@ def _suffix_length_masks(g, sink, positions):
     # exact[v] bit L: some v->sink path has exactly L nodes.
     # exact_u[v] bit L: additionally, the path contains an unnumbered node.
     succ = g._succ
-    exact = {}
-    exact_u = {}
+    exact, exact_u = {}, {}
     for v in reversed(g.topological_order()):
-        if v == sink:
-            exact[v] = 0b10  # the 1-node path
-            exact_u[v] = 0b10 if v not in positions else 0
-            continue
-        succ_any = 0
+        succ_any = int(v == sink)  # the sink's own 1-node path
         succ_un = 0
         for w in succ[v]:
             succ_any |= exact[w]
@@ -154,21 +156,20 @@ def _enumerate_paths(g, source, positions, exact, exact_u, target_len, max_paths
     succ = g._succ
     found: list[tuple[str, ...]] = []
     path = [source]
-    # at depth d (= len(path)) a successor w must extend to the sink in
-    # exactly target_len - d more nodes
-    stack = [iter(succ[source])]
-    have_un = [source not in positions]
+    # at depth d (= len(path)) a successor must extend to the sink in
+    # exactly target_len - d more nodes; each frame holds the successors
+    # left to try and whether the path so far holds an unnumbered node
+    stack = [(iter(succ[source]), source not in positions)]
     while stack:
-        depth = len(path)
-        step = next(stack[-1], None)
+        successors, has_un = stack[-1]
+        step = next(successors, None)
         if step is None:
             stack.pop()
             path.pop()
-            have_un.pop()
             continue
-        rem = target_len - depth
-        mask = exact[step] if have_un[-1] else exact_u[step]
-        if rem < 1 or not (mask >> rem) & 1:
+        rem = target_len - len(path)
+        mask = exact[step] if has_un else exact_u[step]
+        if not (mask >> rem) & 1:
             continue
         if rem == 1:
             if len(found) >= max_paths:
@@ -180,8 +181,7 @@ def _enumerate_paths(g, source, positions, exact, exact_u, target_len, max_paths
             found.append(tuple(path) + (step,))
             continue
         path.append(step)
-        have_un.append(have_un[-1] or step not in positions)
-        stack.append(iter(succ[step]))
+        stack.append((iter(succ[step]), has_un or step not in positions))
     return found
 
 
@@ -190,43 +190,32 @@ def assign_positions(
 ) -> CanonicalOrder:
     """Number every node: source=1, sink=n, the rest by path extraction.
 
-    Each round takes the longest path still containing an unnumbered node;
-    among several, the largest digest wins (bytes compared as one big-endian
-    unsigned integer). Digest ties are broken by preferring the path whose
-    node sequence is smallest under (assigned position, else past-the-end;
-    then node insertion index) compared element-wise. The counter advances
-    only when a node actually receives a number, so positions come out
-    consecutive.
+    Each round takes the longest paths still containing an unnumbered node.
+    Among them: largest digest (bytes compared as one big-endian unsigned
+    integer); among equal digests, smallest tie key, which compares the
+    nodes element-wise by (assigned position, else past-the-end; then
+    insertion index). The counter advances only when a node actually
+    receives a number, so positions come out consecutive.
     """
     source, sink = detect_terminals(g)
     n = len(g)
-    positions: dict[str, int] = {source: 1}
-    if sink != source:
-        positions[sink] = n
+    positions: dict[str, int] = {source: 1, sink: n}  # one entry when n == 1
     next_free = 2
 
     infinity = n + 1  # beyond any assignable position
     index = g._index  # insertion order
 
+    def tie_key(c: PathCandidate):
+        return [(positions.get(name, infinity), index[name]) for name in c.node_sequence]
+
     while len(positions) < n:  # once every node has one, no path holds an unnumbered node
         candidates = longest_unnumbered_paths(g, positions, max_paths=max_paths)
         if not candidates:
             break
-
-        def tie_key(c: PathCandidate):
-            return [(positions.get(name, infinity), index[name]) for name in c.node_sequence]
-
-        best, best_key = candidates[0], None  # the key is made once a tie needs it
-        for c in candidates[1:]:
-            if c.digest > best.digest:
-                best, best_key = c, None
-            elif c.digest == best.digest:
-                key = tie_key(c)
-                if best_key is None:
-                    best_key = tie_key(best)
-                if key < best_key:
-                    best, best_key = c, key
-
+        best = candidates[0]
+        if len(candidates) > 1:  # a tie key is made only when paths compete
+            top = max(c.digest for c in candidates)
+            best = min([c for c in candidates if c.digest == top], key=tie_key)
         for name in best.node_sequence:
             if name not in positions:
                 positions[name] = next_free

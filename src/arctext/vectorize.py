@@ -222,13 +222,13 @@ VECTOR_SLOTS = (
 _KIND_SLOT = {"conv": 0, "pool": 1, "full": 2, "mf": 3}
 
 
-def _floats(text: str) -> list[float]:
-    return [float(p) for p in text.split("-")]
-
-
-def _shape3(text: str) -> list[float]:
-    parts = _floats(text)
-    return parts + [0.0] * (3 - len(parts))
+# text key -> the slots its values fill, left to right; a value with fewer
+# values than slots (a 1-value size) leaves the rest 0
+_SLOTS = {
+    "in_size": slice(5, 8), "out_size": slice(8, 11), "kernel": slice(11, 13),
+    "stride": slice(13, 15), "padding": slice(15, 19), "dilation": slice(19, 20),
+    "groups": slice(20, 21),
+}
 
 
 def _unit_row(line: UnitLine) -> list[float]:
@@ -236,33 +236,25 @@ def _unit_row(line: UnitLine) -> list[float]:
     row = [0.0] * len(VECTOR_SLOTS)
     row[_KIND_SLOT[line.unit_kind]] = 1.0
     row[4] = float(line.id)
-    fields = dict(line.fields)
-    if "in_size" in fields:
-        row[5:8] = _shape3(fields["in_size"])
-    if "out_size" in fields:
-        row[8:11] = _shape3(fields["out_size"])
-    if "kernel" in fields:
-        row[11:13] = _floats(fields["kernel"])
-    if "stride" in fields:
-        row[13:15] = _floats(fields["stride"])
-    if "padding" in fields:
-        pads = _floats(fields["padding"])
-        if line.unit_kind == "conv":
-            pads = pads[1::2]  # counts only; pad values do not affect geometry
-        row[15:19] = pads
-    if "dilation" in fields:
-        row[19] = float(fields["dilation"])
-    if "groups" in fields:
-        row[20] = float(fields["groups"])
-    if fields.get("bias_used") == "Yes":
-        row[21] = 1.0
-    if fields.get("type") == "Max":
-        row[22] = 1.0
-    if line.unit_kind == "mf" and fields.get("value", "Null") != "Null":
-        for atom in fields["value"].split("-"):
-            if _numeric(atom) is not None:
-                row[23] = float(atom)  # inf, as in the other slots, past a float's range
-                break
+    for key, text in line.fields:
+        slots = _SLOTS.get(key)
+        if slots is not None:
+            values = list(map(float, text.split("-")))
+            if key == "padding" and line.unit_kind == "conv":
+                values = values[1::2]  # counts only; pad values do not affect geometry
+            width = slots.stop - slots.start
+            if len(values) < width:  # more values than slots grow the row, and fail below
+                values += [0.0] * (width - len(values))
+            row[slots] = values
+        elif key == "bias_used":
+            row[21] = float(text == "Yes")
+        elif key == "type":
+            row[22] = float(text == "Max")
+        elif key == "value" and line.unit_kind == "mf":
+            for atom in text.split("-"):  # a "Null" value holds no number
+                if _numeric(atom) is not None:
+                    row[23] = float(atom)  # inf, as in the other slots, past a float's range
+                    break
     if len(row) != len(VECTOR_SLOTS):
         raise ValueError(f"unit {line.id} has a field of the wrong arity")
     return row

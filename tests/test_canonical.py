@@ -21,6 +21,7 @@ from arctext import (
     load_graph_file,
     longest_unnumbered_paths,
     path_digest,
+    render_description,
 )
 from arctext import canonical
 from arctext.unitformat import basic_fields
@@ -171,6 +172,17 @@ class TestPathDigest:
         d2 = path_digest(("n2", "n3"), g)
         assert d1.digest == d2.digest
 
+    @pytest.mark.parametrize("path, subject", [
+        (["zz"], "zz"),
+        (["zz", "n0"], "zz"),
+        (["n0", "zz"], "zz"),
+        ([], ()),
+    ])
+    def test_unknown_node_or_empty_path(self, path, subject):
+        with pytest.raises(BrokenPathError) as info:
+            path_digest(path, mf_chain("A", "B"))
+        assert info.value.subject == subject
+
 
 class TestLongestPaths:
     def test_branching25_first_round_has_two(self, branching25):
@@ -225,6 +237,12 @@ class TestAssignPositions:
     def test_chain(self):
         order = assign_positions(mf_chain("A", "B", "C", "D"))
         assert [order.position_of(f"n{i}") for i in range(4)] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("position", [0, -1, -4, 5, 6])
+    def test_name_at_outside_one_to_n(self, position):
+        order = assign_positions(mf_chain("A", "B", "C", "D"))
+        with pytest.raises(IndexError):
+            order.name_at(position)
 
     def test_single_node(self):
         g = build_graph([("only", MFSpec("X", (4,), (4,)))], [])
@@ -283,6 +301,24 @@ class TestAssignPositions:
                 s1 = g1.spec(p1.name_at(pos))
                 s2 = g2.spec(p2.name_at(pos))
                 assert basic_string(s1) == basic_string(s2)
+
+
+# Sizes the oracle tests do not reach. In the ResNeXt shapes a round's longest
+# paths all share one digest, so the tie key decides the round; in the braids
+# the digest alone picks one of up to 256 candidates a round.
+TIED_SHAPE_TEXT_SHA224 = {
+    (gen.resnext_graph, 2, 8): "31145646ad2e9c7b0bb27f8ae524769d98b5ac582760a80962e6535d",
+    (gen.resnext_graph, 3, 4): "9ca73bb8db5b086805d9d413f22ca36de79c8a28b93f8295fabc2015",
+    (gen.resnext_graph, 1, 32): "636eca754c1966c6acecc53b6de6e250ea20a8c0b3950a84e99b6876",
+    (gen.braid_graph, 8, 2): "0756cd39abf8fb8622f8d02361d35a24f4a5bd89f008446492449f10",
+    (gen.braid_graph, 4, 3): "771f8eaecbe8f11d87e99c161db28557ca1ca06d6aebc4d1fbb10972",
+}
+
+
+def test_tied_shapes_keep_their_bytes():
+    for (make, *args), expected in TIED_SHAPE_TEXT_SHA224.items():
+        text = render_description(make(*args)).text
+        assert hashlib.sha224(text.encode("utf-8")).hexdigest() == expected, (make, args)
 
 
 def test_ordering_stops_once_every_node_has_a_number(monkeypatch, resnet4, branching25):

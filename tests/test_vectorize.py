@@ -24,7 +24,7 @@ from arctext import (
 )
 from arctext.unitformat import UNIT_FIELDS
 from arctext.vectorize import (
-    NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _numeric,
+    NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _SLOTS, _numeric,
 )
 
 import gen
@@ -305,6 +305,15 @@ class TestUnitVector:
         assert row == ",".join(
             ["0", "0", "0", "1", "1", "100000000000000000000", "0", "0",
              "9007199254740992", "3", "4"] + ["0"] * 12 + ["7"])
+
+    def test_slot_keys_are_field_keys(self):
+        keys = {f.key for _, fields in UNIT_FIELDS.values() for f in fields}
+        assert set(_SLOTS) <= keys
+
+    def test_a_value_wider_than_its_slots_is_refused(self):
+        line = UnitLine("conv", 1, (("kernel", "3-3-3"),), None)
+        with pytest.raises(ValueError, match="wrong arity"):
+            unit_vector(line)
 
     def test_csv_shape(self, branching25_text):
         d = description_from_text(branching25_text)
