@@ -24,7 +24,6 @@ from .errors import (
     BrokenPathError,
     NoNodesError,
     PathExplosionError,
-    UnreachableNodeError,
 )
 from .model import ArchGraph, validate_graph
 from .unitformat import basic_string
@@ -208,10 +207,11 @@ def assign_positions(
     def tie_key(c: PathCandidate):
         return [(positions.get(name, infinity), index[name]) for name in c.node_sequence]
 
-    while len(positions) < n:  # once every node has one, no path holds an unnumbered node
+    # acyclic with one source and one sink: walking back from any node ends
+    # at the source and forward at the sink, so every node lies on a
+    # source->sink path and a round always has a candidate
+    while len(positions) < n:
         candidates = longest_unnumbered_paths(g, positions, max_paths=max_paths)
-        if not candidates:
-            break
         best = candidates[0]
         if len(candidates) > 1:  # a tie key is made only when paths compete
             top = max(c.digest for c in candidates)
@@ -220,11 +220,4 @@ def assign_positions(
             if name not in positions:
                 positions[name] = next_free
                 next_free += 1
-
-    if len(positions) != n:
-        stranded = sorted(set(g.names()) - positions.keys(), key=g.node_index)
-        raise UnreachableNodeError(
-            f"{len(stranded)} node(s) lie on no source->sink path: {stranded}",
-            subject=tuple(stranded),
-        )
     return CanonicalOrder(positions, n)

@@ -49,30 +49,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_, *, input_=None, output=False):
+    def cmd(name, handler, help_, *, input_=None, output=False):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         if input_:
             p.add_argument("-i", "--input", required=True, metavar="FILE", help=input_)
         if output:
             p.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
         return p
 
-    cmd("canonicalize", "graph file -> canonical description text",
+    cmd("canonicalize", _cmd_canonicalize, "graph file -> canonical description text",
         input_="graph file (JSON)", output=True)
-    cmd("parse", "description text -> graph file",
+    cmd("parse", _cmd_parse, "description text -> graph file",
         input_="description text file", output=True)
-    cmd("validate", "check a graph file or description text",
+    cmd("validate", _cmd_validate, "check a graph file or description text",
         input_="graph file or description text (auto-detected)")
-    cmd("lint", "shape-consistency warnings for a graph file",
+    cmd("lint", _cmd_lint, "shape-consistency warnings for a graph file",
         input_="graph file (JSON)")
-    cmd("digest", "SHA-224 of a description's canonical bytes",
+    cmd("digest", _cmd_digest, "SHA-224 of a description's canonical bytes",
         input_="description text file")
-    p = sub.add_parser("diff", help="compare two description texts by id")
+    p = cmd("diff", _cmd_diff, "compare two description texts by id")
     p.add_argument("left", metavar="A.txt")
     p.add_argument("right", metavar="B.txt")
-    cmd("dot", "graph file -> DOT digraph",
+    cmd("dot", _cmd_dot, "graph file -> DOT digraph",
         input_="graph file (JSON)", output=True)
-    p = cmd("vectorize", "description text -> per-unit vector CSV",
+    p = cmd("vectorize", _cmd_vectorize, "description text -> per-unit vector CSV",
             input_="description text file", output=True)
     p.add_argument("--vocab", metavar="FILE",
                    help="vocabulary file to tokenize against; created or "
@@ -204,22 +205,10 @@ def _cmd_vectorize(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "canonicalize": _cmd_canonicalize,
-    "parse": _cmd_parse,
-    "validate": _cmd_validate,
-    "lint": _cmd_lint,
-    "digest": _cmd_digest,
-    "diff": _cmd_diff,
-    "dot": _cmd_dot,
-    "vectorize": _cmd_vectorize,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -235,7 +224,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[Io]: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

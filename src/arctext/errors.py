@@ -72,6 +72,7 @@ class PathExplosionError(ArcTextError):
 
 
 class UnreachableNodeError(ArcTextError):
+    # the ordering never raises it: every node of a 1-source, 1-sink DAG is on a path
     code = "UnreachableNode"
 
 

@@ -428,38 +428,24 @@ def _topological_order(
             if indeg[w] == 0:
                 queue.append(w)
     if len(order) != len(node_map):
-        cycle = _find_cycle(
-            {name for name in node_map if indeg[name] > 0}, succ, pred
-        )
+        cycle = _find_cycle({name for name in node_map if indeg[name] > 0}, pred)
         raise CycleDetectedError(
             "graph contains a cycle: " + " -> ".join(cycle), subject=tuple(cycle)
         )
     return tuple(order)
 
 
-def _find_cycle(
-    remaining: set[str], succ: dict[str, list[str]], pred: dict[str, list[str]]
-) -> list[str]:
-    # nodes downstream of a cycle remain too: drop them, from the far end
-    outdeg = {v: sum(w in remaining for w in succ[v]) for v in remaining}
-    dead = [v for v in remaining if not outdeg[v]]
-    for v in dead:  # grows as nodes lose their last remaining successor
-        for u in pred[v]:
-            if u in outdeg:
-                outdeg[u] -= 1
-                if not outdeg[u]:
-                    dead.append(u)
-    remaining = remaining.difference(dead)
-    # now every remaining node lies on or leads into a cycle; walk until a repeat
-    start = next(iter(sorted(remaining)))
+def _find_cycle(remaining: set[str], pred: dict[str, list[str]]) -> list[str]:
+    # Kahn's sort leaves every remaining node a remaining predecessor, so a
+    # walk back along them must repeat a node; the repeat closes a cycle
     seen_at: dict[str, int] = {}
-    walk: list[str] = []
-    v = start
+    v = min(remaining)
     while v not in seen_at:
-        seen_at[v] = len(walk)
-        walk.append(v)
-        v = next(w for w in succ[v] if w in remaining)
-    cycle = walk[seen_at[v]:]
+        seen_at[v] = len(seen_at)
+        v = next(u for u in pred[v] if u in remaining)
+    cycle = list(seen_at)[seen_at[v]:][::-1]  # forward order
+    first = cycle.index(min(cycle))
+    cycle = cycle[first:] + cycle[:first]
     return cycle + [cycle[0]]
 
 
@@ -527,6 +513,4 @@ def validate_graph(g: ArchGraph) -> Diagnostics:
                     f"node {name!r} has no edges",
                 )
             )
-
-    findings.sort(key=lambda f: 0 if f.severity == SEVERITY_ERROR else 1)
     return Diagnostics(tuple(findings))

@@ -157,27 +157,33 @@ def _numeric(atom: str) -> int | float | None:
 
 def tokenize(d: Description, v: Vocabulary) -> TokenStream:
     # tokens are immutable, so each distinct key or atom is looked up and
-    # built once per call; first occurrences still meet the vocabulary in
-    # text order, which fixes the ids an open vocabulary assigns
+    # built once per call; every lexeme, separators included, first meets
+    # the vocabulary at its first occurrence in the text, which fixes the
+    # ids an open vocabulary assigns and asks a closed one only for what
+    # the text holds
     keys: dict[str, Token] = {}
     atoms: dict[str, Token] = {}
     units = []
-    sep = Token(v.token_id(";"))
-    colon = Token(v.token_id(":"))
-    dash = Token(v.token_id("-"))
+    sep = colon = dash = None
     for line in d.lines:
         tokens: list[Token] = []
         for part in line.text.split(";"):
             if tokens:
+                if sep is None:
+                    sep = Token(v.token_id(";"))
                 tokens.append(sep)
             key, _, value = part.partition(":")
             token = keys.get(key)
             if token is None:
                 token = keys[key] = Token(v.token_id(key))
             tokens.append(token)
+            if colon is None:
+                colon = Token(v.token_id(":"))
             tokens.append(colon)
             for i, atom in enumerate(value.split("-")):
                 if i:
+                    if dash is None:
+                        dash = Token(v.token_id("-"))
                     tokens.append(dash)
                 token = atoms.get(atom)
                 if token is None:
@@ -190,7 +196,7 @@ def tokenize(d: Description, v: Vocabulary) -> TokenStream:
 
 
 def detokenize(stream: TokenStream, v: Vocabulary) -> str:
-    num_id = v.token_id(NUM_TOKEN)
+    num_id = v._ids.get(NUM_TOKEN)  # a reader: never adds <num> to the vocabulary
     lines = []
     for unit in stream.units:
         pieces = []

@@ -23,6 +23,7 @@ from arctext import (
     path_digest,
     render_description,
 )
+import arctext
 from arctext import canonical
 from arctext.unitformat import basic_fields
 
@@ -319,6 +320,13 @@ def test_tied_shapes_keep_their_bytes():
     for (make, *args), expected in TIED_SHAPE_TEXT_SHA224.items():
         text = render_description(make(*args)).text
         assert hashlib.sha224(text.encode("utf-8")).hexdigest() == expected, (make, args)
+
+
+def test_unreachable_node_error_stays_public():
+    # the ordering never raises it, but callers may still name it
+    from arctext import UnreachableNodeError
+    assert "UnreachableNodeError" in arctext.__all__
+    assert UnreachableNodeError.code == "UnreachableNode"
 
 
 def test_ordering_stops_once_every_node_has_a_number(monkeypatch, resnet4, branching25):

@@ -151,6 +151,12 @@ class TestDigest:
         main(["digest", "-i", str(b)])
         assert capsys.readouterr().out == first
 
+    def test_invalid_utf8_is_an_encoding_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"id:1;name:\xff")
+        assert main(["digest", "-i", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error[Encoding]: ")
+
 
 class TestDiff:
     def test_equal(self, capsys, resnet_text_file):
@@ -165,6 +171,22 @@ class TestDiff:
         )
         assert main(["diff", resnet_text_file, str(other)]) == 1
         assert "~ id 13 out_size: 1000 -> 1001" in capsys.readouterr().out
+
+    def test_ids_on_one_side_and_a_kind_change(self, capsys, tmp_path):
+        mf = "name:A;in_size:4;out_size:4;value:Null"
+        short = tmp_path / "short.txt"
+        short.write_text(f"id:1;{mf};connect_to:2\nid:2;{mf};connect_to:Null", encoding="utf-8")
+        long = tmp_path / "long.txt"
+        long.write_text(f"id:1;{mf};connect_to:2\nid:2;in_size:4;out_size:4;connect_to:3\n"
+                        f"id:3;{mf};connect_to:Null", encoding="utf-8")
+        assert main(["diff", str(short), str(long)]) == 1
+        assert capsys.readouterr().out == (
+            f"+ id 3 only in {long}\n~ id 2 kind: mf -> full\n"
+        )
+        assert main(["diff", str(long), str(short)]) == 1
+        assert capsys.readouterr().out == (
+            f"- id 3 only in {long}\n~ id 2 kind: full -> mf\n"
+        )
 
 
 class TestSingleParse:
@@ -217,6 +239,10 @@ class TestVectorize:
         assert main(["vectorize", "-i", resnet_text_file,
                      "--vocab", str(vocab_path)]) == 1
         assert "error[UnknownToken]" in capsys.readouterr().err
+
+    def test_vocab_directory_is_an_io_error(self, capsys, tmp_path, resnet_text_file):
+        assert main(["vectorize", "-i", resnet_text_file, "--vocab", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error[Io]: ")
 
     def test_vocab_flag_is_optional(self, capsys, resnet_text_file):
         assert main(["vectorize", "-i", resnet_text_file]) == 0

@@ -98,6 +98,9 @@ class TestRenderUnit:
             "id:11;in_size:2560;out_size:512;connect_to:25"
         )
 
+    def test_empty_targets_are_the_sink(self):
+        assert render_unit(FullSpec(1, 1), 1, []).text == "id:1;in_size:1;out_size:1;connect_to:Null"
+
     def test_mf_sink_line(self):
         spec = MFSpec("Dropout", (512,), (512,), ("0.5",))
         assert render_unit(spec, 25, None).text == (

@@ -124,6 +124,10 @@ class TestGraphFileErrors:
         with pytest.raises(SchemaError):
             parse_graph_json(json.dumps(doc))
 
+    def test_node_record_must_be_an_object(self):
+        with pytest.raises(SchemaError, match="^node record #0 must be an object$"):
+            parse_graph_json('{"nodes": [1], "edges": []}')
+
     def test_unknown_kind(self):
         doc = {"nodes": [{"name": "a", "kind": "dense"}], "edges": []}
         with pytest.raises(SchemaError) as err:

@@ -5,6 +5,7 @@ from hypothesis import assume, given, strategies as st
 
 from arctext import (
     ConvSpec,
+    FullSpec,
     InvalidSpecError,
     MFSpec,
     NonPositiveOutputError,
@@ -184,6 +185,18 @@ class TestLintRules:
         assert entry.node == "b"
         assert entry.expected is None
         assert "does not fit" in entry.note
+
+    def test_addition_of_a_full_and_a_conv_output_warns(self):
+        nodes = [
+            ("s", MFSpec("X", (4, 4, 3), (4, 4, 3))),
+            ("f", FullSpec(48, 16)),
+            ("c", ConvSpec((4, 4, 3), (1, 1, 16), (4, 4), (1, 1))),
+            ("m", MFSpec("Addition", (1, 1, 16), (1, 1, 16))),
+        ]
+        g = build_graph(nodes, [("s", "f"), ("s", "c"), ("f", "m"), ("c", "m")])
+        assert lint_shapes(g).addition_warnings == (
+            "addition node 'm' merges unequal shapes: 1-1-16, 16",
+        )
 
     def test_addition_with_agreeing_inputs_is_quiet(self):
         nodes = [

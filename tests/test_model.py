@@ -2,6 +2,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arctext import (
     ArchGraph,
@@ -51,6 +52,10 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             ConvSpec((8, 8, 3), (8, 8, 3), (3, 3), (1, 1),
                      padding=((0, -1), (0, 0), (0, 0), (0, 0)))
+
+    def test_mf_values_must_not_be_a_string(self):
+        with pytest.raises(InvalidSpecError, match="not a string"):
+            MFSpec("a", 1, 1, "ab")
 
     def test_conv_rejects_bool_and_zero(self):
         with pytest.raises(InvalidSpecError):
@@ -151,6 +156,26 @@ class TestBuildGraph:
         cycle = info.value.subject
         assert cycle[0] == cycle[-1] and set(cycle) == {"b", "c"}
 
+    def test_cycle_with_a_two_deep_tail(self):
+        # c and d only lie downstream of the cycle a <-> b
+        with pytest.raises(CycleDetectedError) as info:
+            build_graph(
+                [("s", mf()), ("a", mf()), ("b", mf()), ("c", mf()), ("d", mf())],
+                [("s", "a"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")],
+            )
+        assert info.value.subject == ("a", "b", "a")
+        assert str(info.value) == "graph contains a cycle: a -> b -> a"
+
+    def test_unsupported_spec_type(self):
+        with pytest.raises(InvalidSpecError) as info:
+            build_graph([("a", object())], [])
+        assert info.value.subject == "a"
+
+    def test_equality_with_a_non_graph_and_the_edge_set(self):
+        g = chain(mf(), mf("BN"), mf())
+        assert (g == 1) is False
+        assert g.edge_set() == frozenset(g.edges)
+
     def test_two_node_cycle(self):
         with pytest.raises(CycleDetectedError):
             build_graph([("a", mf()), ("b", mf())], [("a", "b"), ("b", "a")])
@@ -225,6 +250,37 @@ class TestValidateGraph:
         assert not diag.has_errors
         codes = {f.code for f in diag.warnings()}
         assert codes == {"SourceOutdegreeNotOne", "SinkIndegreeNotOne"}
+
+    def test_errors_come_before_warnings(self):
+        # two sources and two sinks, one of each the isolated node x
+        g = build_graph([("a", mf()), ("b", mf()), ("x", mf())], [("a", "b")])
+        findings = validate_graph(g).findings
+        assert [f.code for f in findings] == ["AmbiguousSource", "AmbiguousSink", "IsolatedNode"]
+        assert [f.severity for f in findings] == ["error", "error", "warning"]
+
+
+@st.composite
+def digraphs(draw):
+    """Random digraphs of 2-9 nodes: shuffled node and edge order, no self-loops."""
+    names = draw(st.permutations([f"v{i}" for i in range(draw(st.integers(2, 9)))]))
+    pairs = [(a, b) for a in sorted(names) for b in sorted(names) if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return names, draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_a_cycle_report_is_a_closed_cycle_of_the_graph(graph):
+    names, edges = graph
+    try:
+        build_graph([(name, mf()) for name in names], edges)
+    except CycleDetectedError as exc:
+        cycle = exc.subject
+        assert isinstance(cycle, tuple) and cycle[0] == cycle[-1]
+        assert len(set(cycle[:-1])) == len(cycle) - 1 >= 2
+        assert set(zip(cycle, cycle[1:])) <= set(edges)
+        assert cycle[0] == min(cycle)
+        assert str(exc) == "graph contains a cycle: " + " -> ".join(cycle)
 
 
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit

@@ -7,6 +7,7 @@ import pytest
 
 from arctext import (
     Description,
+    IoError,
     MFSpec,
     SchemaError,
     Token,
@@ -101,6 +102,10 @@ class TestVocabulary:
         assert v.token_id("b") == 3
         assert v.lexeme(8) == "c" and v.lexeme(9) == "d"
 
+    def test_save_to_a_directory_is_an_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            Vocabulary.default().save(tmp_path)
+
     def test_reserved_slots_enforced(self):
         with pytest.raises(SchemaError):
             Vocabulary({PAD_TOKEN: 0})
@@ -166,6 +171,40 @@ class TestTokenRoundTrip:
     def test_tokens_are_values(self):
         assert Token(5, 3) == Token(5, 3)
         assert Token(5, 3) != Token(5, 4)
+
+
+MF_LINE = "id:1;name:ReLU;in_size:4;out_size:4;value:Null;connect_to:Null"
+
+
+def bare_vocabulary(closed=False, words=()):
+    tokens = {PAD_TOKEN: PAD_ID, UNK_TOKEN: UNK_ID}
+    tokens.update({w: i for i, w in enumerate(words, start=2)})
+    return Vocabulary(tokens, closed=closed)
+
+
+class TestVocabularyReads:
+    def test_open_vocabulary_meets_lexemes_in_text_order(self):
+        v = bare_vocabulary()
+        tokenize(description_from_text(MF_LINE), v)
+        assert [v.lexeme(i) for i in range(2, 7)] == ["id", ":", NUM_TOKEN, ";", "name"]
+
+    def test_closed_vocabulary_without_a_dash_reads_dash_free_text(self):
+        learned = bare_vocabulary()
+        d = description_from_text(MF_LINE)
+        tokenize(d, learned)
+        assert "-" not in learned
+        closed = closed_copy(learned)
+        stream = tokenize(d, closed)
+        assert detokenize(stream, closed) == MF_LINE
+
+    def test_detokenize_never_adds_to_an_open_vocabulary(self):
+        v = bare_vocabulary()
+        assert detokenize(TokenStream(()), v) == ""
+        assert len(v) == 2 and NUM_TOKEN not in v
+
+    def test_detokenize_without_a_num_token_reads_words(self):
+        v = bare_vocabulary(closed=True, words=("a",))
+        assert detokenize(TokenStream(((Token(2),),)), v) == "a"
 
 
 def reference_tokenize(d, v):
