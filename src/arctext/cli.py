@@ -15,7 +15,7 @@ import sys
 
 from .canonical import DEFAULT_MAX_PATHS, assign_positions
 from .codec import _parse_text, parse_description, render_description
-from .errors import ArcTextError
+from .errors import ArcTextError, IoError
 from .graphio import (
     diff_descriptions,
     export_dot,
@@ -98,17 +98,23 @@ def _max_paths(args) -> int:
     return value
 
 
-def _read(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _read(path) -> str:  # bytes that do not decode are worded by main
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_out(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _say(args, line: str) -> None:
@@ -215,12 +221,6 @@ def main(argv=None) -> int:
     except ArcTextError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error[FileNotFound]: {exc}", file=sys.stderr)
-        return 1
     except UnicodeDecodeError as exc:
         print(f"error[Encoding]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error[Io]: {exc}", file=sys.stderr)
         return 1

@@ -10,15 +10,16 @@ The line grammar is built from the field table ``UNIT_FIELDS`` in
 :mod:`arctext.unitformat`, which also writes the fields: for each unit kind,
 its fields between ``id`` and ``connect_to`` in line order, each with its
 spec attribute and value shape. From that table one compiled pattern per
-kind is built, and the four are joined into a single alternation, so reading
-a line is one ``fullmatch`` that yields the id, every field's string and
-the connect list. The patterns make every check on one value (spelling,
-arity, minimum, pool type); after the match run only the three that compare
-values: connect targets strictly ascending, MF values sorted by UTF-8 bytes
-with no ``Null`` token, pool channels equal. A line that passes builds its
-spec unchecked (``description_from_text`` builds none). Any other line's
-first fault is worded by ``_refuse``: a value its shape's pattern refuses by
-that shape's one template, "<key> must be <says>, got <value>"; descending
+kind is built, spelling a whole line; a line is tried against them in table
+order, and the first ``fullmatch`` yields the kind, the id, every field's
+string and the connect list. The patterns make every check on one value
+(spelling, arity, minimum, pool type); after the match run only the three
+that compare values: connect targets strictly ascending (on a line with two
+or more), MF values sorted by UTF-8 bytes with no ``Null`` token, pool
+channels equal. A line that passes builds its spec unchecked
+(``description_from_text`` builds none). Any other line's first fault is
+worded by ``_refuse``: a value its shape's pattern refuses by that shape's
+one template, "<key> must be <says>, got <value>"; descending
 connect targets and unsorted MF values by their own message; and the rest
 (pool channels, a ``Null`` among MF values) by the public spec class. Graph
 files are read through the same patterns, and a record they refuse is worded
@@ -157,13 +158,6 @@ _FULL_KEYS = set(_KIND_KEYS[KIND_FULL][0])
 _CONNECT = _Shape(f"Null|{_POS}(?:-{_POS})*", _read_ints, "'Null' or integers >= 1 joined by '-'")
 
 
-_LINE_RE = re.compile(
-    f"id:({_COUNT.pattern})(?:"
-    + "|".join(_kind_pattern(fields) for _, fields in UNIT_FIELDS.values())
-    + f");connect_to:({_CONNECT.pattern})"
-)
-
-
 # The value comparisons no pattern makes, on a kind's matched strings in table
 # order; spellings are canonical, so equal text is an equal value.
 def _pool_channels_agree(values) -> bool:  # type, in_size, out_size, ...
@@ -178,18 +172,16 @@ def _mf_values_agree(values) -> bool:  # name, in_size, out_size, value
 _AGREE = {KIND_POOL: _pool_channels_agree, KIND_MF: _mf_values_agree}
 
 
-def _branches():
-    # (kind, unchecked constructor, readers, keys, first group, end group,
-    # value comparison) per kind; a group index counts in match.groups()
-    start = 1
-    for kind, (cls, fields) in UNIT_FIELDS.items():
-        stop = start + len(fields)
-        yield (kind, cls._checked, tuple(f.shape.read for f in fields),
-               tuple(f.key for f in fields), start, stop, _AGREE.get(kind))
-        start = stop
-
-
-_BRANCHES = tuple(_branches())
+# per kind, in table order: its line's compiled fullmatch, unchecked spec
+# constructor, readers, keys and value comparison; groups are the id, the
+# kind's field strings and the connect list
+_KINDS = tuple(
+    (kind, re.compile(f"id:({_COUNT.pattern}){_kind_pattern(fields)}"
+                      f";connect_to:({_CONNECT.pattern})").fullmatch,
+     cls._checked, tuple(f.shape.read for f in fields), tuple(f.key for f in fields),
+     _AGREE.get(kind))
+    for kind, (cls, fields) in UNIT_FIELDS.items()
+)
 
 
 def _split(line: str) -> list[tuple[str, str, str]]:
@@ -271,27 +263,25 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
     line's ``UnitLine`` comes fourth, its fields the matched strings and its
     ``text`` the line itself; with ``_UNIT`` no spec is built (None).
     """
-    match = _LINE_RE.fullmatch(line)
-    if match is None:
-        _refuse(line, lineno)
-    groups = match.groups()
-    for kind, checked, readers, keys, start, stop, agree in _BRANCHES:
-        if groups[start] is not None:
+    for kind, fullmatch, checked, readers, keys, agree in _KINDS:
+        if match := fullmatch(line):
             break
-    values = groups[start:stop]
-    connect = None if groups[-1] == "Null" else _read_ints(groups[-1])
-    if connect and any(a >= b for a, b in zip(connect, connect[1:])) or (
-            agree and not agree(values)):
+    else:
         _refuse(line, lineno)
-    uid = int(groups[0])
+    uid, *values, targets = match.groups()
+    connect = None if targets == "Null" else _read_ints(targets)
+    if ("-" in targets and any(a >= b for a, b in zip(connect, connect[1:]))
+            or agree and not agree(values)):
+        _refuse(line, lineno)
+    uid = int(uid)
     spec = None if _want == _UNIT else checked(*[read(v) for read, v in zip(readers, values)])
     if _want == _SPEC:
         return uid, spec, connect
     fields = tuple(zip(keys, values))
     if None in values:  # an optional field the line leaves out
         fields = tuple([field for field in fields if field[1] is not None])
-    unit = UnitLine(kind, uid, fields, connect)
-    unit.__dict__["text"] = line  # a matched line is already in rendered form
+    unit = object.__new__(UnitLine)  # a matched line is already in rendered form
+    unit.__dict__.update(unit_kind=kind, id=uid, fields=fields, connect_to=connect, text=line)
     return uid, spec, connect, unit
 
 

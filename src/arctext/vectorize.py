@@ -20,6 +20,7 @@ import numpy as np
 
 from .codec import Description, UnitLine
 from .errors import IoError, SchemaError, UnknownTokenError
+from .graphio import _read_file
 from .unitformat import _INT
 
 _NUMBER_RE = re.compile(_INT)  # an integer's spelling that int() converts
@@ -60,6 +61,10 @@ class Vocabulary:
         self._lexemes = lexemes
         self._next_id = max(lexemes) + 1  # new words go above every id, gaps stay
         self.closed = closed
+        # the Token given to each key or separator, and to each value atom;
+        # ids are never reassigned, so a kept token cannot go stale. Never saved.
+        self._words: dict[str, Token] = {}
+        self._atoms: dict[str, Token] = {}
 
     @classmethod
     def default(cls, closed: bool = False) -> "Vocabulary":
@@ -86,6 +91,15 @@ class Vocabulary:
         self._ids[lexeme] = tid
         self._lexemes[tid] = lexeme
         return tid
+
+    def _word(self, lexeme: str) -> "Token":
+        token = self._words[lexeme] = Token(self.token_id(lexeme))
+        return token
+
+    def _atom(self, atom: str) -> "Token":
+        num = _numeric(atom)
+        token = self._atoms[atom] = Token(self.token_id(atom if num is None else NUM_TOKEN), num)
+        return token
 
     def lexeme(self, token_id: int) -> str:
         try:
@@ -125,8 +139,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(_read_file(path, SchemaError))
 
 
 @dataclass(frozen=True)
@@ -156,41 +169,29 @@ def _numeric(atom: str) -> int | float | None:
 
 
 def tokenize(d: Description, v: Vocabulary) -> TokenStream:
-    # tokens are immutable, so each distinct key or atom is looked up and
-    # built once per call; every lexeme, separators included, first meets
-    # the vocabulary at its first occurrence in the text, which fixes the
-    # ids an open vocabulary assigns and asks a closed one only for what
-    # the text holds
-    keys: dict[str, Token] = {}
-    atoms: dict[str, Token] = {}
+    # the vocabulary keeps the token it gives each lexeme, keys and separators
+    # as words and value atoms by their number check, so a lexeme costs one
+    # lookup after the first; a lexeme it does not keep yet meets it at its
+    # first occurrence in the text, which fixes the ids an open vocabulary
+    # assigns and asks a closed one only for what the text holds
+    words, atoms = v._words, v._atoms
+    sep, colon, dash = words.get(";"), words.get(":"), words.get("-")
     units = []
-    sep = colon = dash = None
     for line in d.lines:
         tokens: list[Token] = []
         for part in line.text.split(";"):
             if tokens:
-                if sep is None:
-                    sep = Token(v.token_id(";"))
-                tokens.append(sep)
+                tokens.append(sep or (sep := v._word(";")))
             key, _, value = part.partition(":")
-            token = keys.get(key)
-            if token is None:
-                token = keys[key] = Token(v.token_id(key))
-            tokens.append(token)
-            if colon is None:
-                colon = Token(v.token_id(":"))
-            tokens.append(colon)
+            tokens.append(words.get(key) or v._word(key))
+            tokens.append(colon or (colon := v._word(":")))
+            if "-" not in value:  # most values are one atom
+                tokens.append(atoms.get(value) or v._atom(value))
+                continue
             for i, atom in enumerate(value.split("-")):
                 if i:
-                    if dash is None:
-                        dash = Token(v.token_id("-"))
-                    tokens.append(dash)
-                token = atoms.get(atom)
-                if token is None:
-                    num = _numeric(atom)
-                    token = atoms[atom] = (Token(v.token_id(atom)) if num is None
-                                           else Token(v.token_id(NUM_TOKEN), num))
-                tokens.append(token)
+                    tokens.append(dash or (dash := v._word("-")))
+                tokens.append(atoms.get(atom) or v._atom(atom))
         units.append(tuple(tokens))
     return TokenStream(tuple(units))
 

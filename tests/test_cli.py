@@ -37,7 +37,11 @@ class TestCanonicalize:
 
     def test_missing_input(self, capsys, tmp_path):
         assert main(["canonicalize", "-i", str(tmp_path / "nope.json")]) == 1
-        assert "error[FileNotFound]" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error[IoError]: cannot read ")
+
+    def test_output_to_a_directory_is_an_io_error(self, capsys, tmp_path):
+        assert main(["canonicalize", "-i", RESNET_JSON, "-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error[IoError]: cannot write ")
 
     def test_console_script(self, resnet4_text):
         exe = shutil.which("arctext")
@@ -242,7 +246,7 @@ class TestVectorize:
 
     def test_vocab_directory_is_an_io_error(self, capsys, tmp_path, resnet_text_file):
         assert main(["vectorize", "-i", resnet_text_file, "--vocab", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("error[Io]: ")
+        assert capsys.readouterr().err.startswith("error[IoError]: cannot read ")
 
     def test_vocab_flag_is_optional(self, capsys, resnet_text_file):
         assert main(["vectorize", "-i", resnet_text_file]) == 0

@@ -43,7 +43,7 @@ from arctext import (
 )
 from arctext import canonical, codec
 from arctext.cli import main
-from arctext.unitformat import UNIT_FIELDS, basic_fields, basic_string
+from arctext.unitformat import _COUNT, UNIT_FIELDS, _kind_pattern, basic_fields, basic_string
 
 import gen
 from conftest import FIXTURES
@@ -524,11 +524,10 @@ def _field_mutant(line: str, rng) -> str:
 
 def _public_spec(line: str):
     """The spec the public spec class builds from the values ``line`` matched."""
-    groups = codec._LINE_RE.fullmatch(line).groups()
-    for kind, _, readers, _, start, stop, _ in codec._BRANCHES:
-        if groups[start] is not None:
+    for kind, fullmatch, _, readers, _, _ in codec._KINDS:
+        if match := fullmatch(line):
             cls = UNIT_FIELDS[kind][0]
-            return cls(*[read(value) for read, value in zip(readers, groups[start:stop])])
+            return cls(*[read(value) for read, value in zip(readers, match.groups()[1:-1])])
 
 
 @settings(max_examples=300, deadline=None)
@@ -799,8 +798,8 @@ def test_matched_lines_run_no_spec_checks(monkeypatch, resnet4_text, branching25
         monkeypatch.setattr(cls, "__post_init__", checked)
     for text in (resnet4_text, branching25_text):
         assert render_description(parse_description(text)[0]).text == text
-    monkeypatch.setattr(codec, "_BRANCHES", tuple(
-        branch[:1] + (built,) + branch[2:] for branch in codec._BRANCHES))
+    monkeypatch.setattr(codec, "_KINDS", tuple(
+        kind[:2] + (built,) + kind[3:] for kind in codec._KINDS))
     for text in (resnet4_text, branching25_text):
         assert description_from_text(text).text == text
 
@@ -850,3 +849,76 @@ def test_rendered_line_text_is_its_fields_joined(resnet4, branching25, c03_descr
         for line in d.lines:
             assert "text" in vars(line)
             assert line.text == dataclasses.replace(line).text
+
+
+# --- the single-alternation reader the per-kind patterns replaced ------------------
+
+_ALTERNATION = re.compile(
+    f"id:({_COUNT.pattern})(?:"
+    + "|".join(_kind_pattern(fields) for _, fields in UNIT_FIELDS.values())
+    + f");connect_to:({codec._CONNECT.pattern})"
+)
+
+
+def _alternation_branches():
+    # (kind, constructor, readers, keys, first group, end group, comparison)
+    start = 1
+    for kind, (cls, fields) in UNIT_FIELDS.items():
+        stop = start + len(fields)
+        yield (kind, cls._checked, tuple(f.shape.read for f in fields),
+               tuple(f.key for f in fields), start, stop, codec._AGREE.get(kind))
+        start = stop
+
+
+_ALTERNATION_BRANCHES = tuple(_alternation_branches())
+
+
+def reference_parse_line(line: str, lineno: int = 1, *, _want: int = codec._SPEC):
+    """One fullmatch against every kind at once, then a search for the kind's groups."""
+    match = _ALTERNATION.fullmatch(line)
+    if match is None:
+        codec._refuse(line, lineno)
+    groups = match.groups()
+    for kind, checked, readers, keys, start, stop, agree in _ALTERNATION_BRANCHES:
+        if groups[start] is not None:
+            break
+    values = groups[start:stop]
+    connect = None if groups[-1] == "Null" else tuple(map(int, groups[-1].split("-")))
+    if connect and any(a >= b for a, b in zip(connect, connect[1:])) or (
+            agree and not agree(values)):
+        codec._refuse(line, lineno)
+    uid = int(groups[0])
+    spec = None if _want == codec._UNIT else checked(
+        *[read(v) for read, v in zip(readers, values)])
+    if _want == codec._SPEC:
+        return uid, spec, connect
+    fields = tuple(field for field in zip(keys, values) if field[1] is not None)
+    unit = UnitLine(kind, uid, fields, connect)
+    unit.__dict__["text"] = line
+    return uid, spec, connect, unit
+
+
+def _read_outcome(reader, line: str, want: int):
+    """What a line reader gives, in a form two readers' results compare by."""
+    try:
+        uid, spec, connect, *unit = reader(line, 7, _want=want)
+    except ArcTextError as exc:
+        return type(exc), str(exc), exc.subject
+    return (uid, type(spec), spec, spec and basic_string(spec), connect,
+            [(type(u), vars(u)) for u in unit])
+
+
+def test_per_kind_patterns_read_as_the_alternation_did(resnet4_text, branching25_text):
+    rng = random.Random(47)
+    texts = [render_description(gen.random_graph(rng)).text for _ in range(300)]
+    lines = [line for text in texts + [resnet4_text, branching25_text]
+             for line in text.split("\n")]
+    lines += [_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng)
+              for line in rng.sample(lines, 2000)]
+    refused = 0
+    for line in lines:
+        for want in (codec._SPEC, codec._UNIT, codec._BOTH):
+            outcome = _read_outcome(parse_line, line, want)
+            assert outcome == _read_outcome(reference_parse_line, line, want), line
+        refused += isinstance(outcome[0], type)
+    assert refused > 1000  # of the 2,000 mutants

@@ -253,6 +253,20 @@ class TestGraphFileErrors:
         with pytest.raises(IoError):
             save_graph_file(resnet4, tmp_path)
 
+    @pytest.mark.parametrize("name, data, error", [
+        ("missing.json", None, IoError),
+        ("", None, IoError),  # the directory itself
+        ("utf16.json", b"\xff\xfe{\x00}\x00", GraphFileSyntaxError),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_read_failures_are_typed(self, tmp_path, name, data, error):
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        with pytest.raises(error) as err:
+            load_graph_file(path)
+        assert type(err.value) is error
+        assert str(err.value).startswith(f"cannot read {path}: ")
+
 
 class TestExportDot:
     def test_two_node_chain_exact(self):

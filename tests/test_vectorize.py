@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from arctext import (
     Vocabulary,
     description_from_text,
     detokenize,
+    parse_graph_json,
     render_description,
     render_unit,
     tokenize,
@@ -29,6 +32,7 @@ from arctext.vectorize import (
 )
 
 import gen
+from conftest import FIXTURES
 
 
 class TestVocabulary:
@@ -105,6 +109,20 @@ class TestVocabulary:
     def test_save_to_a_directory_is_an_io_error(self, tmp_path):
         with pytest.raises(IoError):
             Vocabulary.default().save(tmp_path)
+
+    @pytest.mark.parametrize("name, data, error", [
+        ("missing.json", None, IoError),
+        ("", None, IoError),  # the directory itself
+        ("utf16.json", b"\xff\xfe{\x00}\x00", SchemaError),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_load_failures_are_typed(self, tmp_path, name, data, error):
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        with pytest.raises(error) as err:
+            Vocabulary.load(path)
+        assert type(err.value) is error
+        assert str(err.value).startswith(f"cannot read {path}: ")
 
     def test_reserved_slots_enforced(self):
         with pytest.raises(SchemaError):
@@ -236,6 +254,19 @@ def closed_copy(v):
     return Vocabulary.from_json(json.dumps(doc))
 
 
+def seed_0_corpus_texts():
+    """The 1,002 texts the benchmark's seed-0 ``corpus_ingest`` workload reads."""
+    path = Path(__file__).parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    perfbench_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perfbench_gen)
+    rng = random.Random(0)
+    texts = [render_description(parse_graph_json(json.dumps(perfbench_gen.random_graph(rng)))).text
+             for _ in range(1000)]
+    return texts + [(FIXTURES / f"{name}.arctext").read_text(encoding="utf-8")
+                    for name in ("resnet4", "branching25")]
+
+
 class TestTokenizeMatchesReference:
     @pytest.fixture
     def descriptions(self, resnet4_text, branching25_text):
@@ -265,6 +296,49 @@ class TestTokenizeMatchesReference:
                 assert outcomes[0] == outcomes[1]
                 raised += isinstance(outcomes[0], tuple)
         assert raised > 0
+
+    def test_one_open_vocabulary_over_the_seed_0_corpus(self):
+        kept, twin = Vocabulary.default(), Vocabulary.default()
+        for text in seed_0_corpus_texts():
+            d = description_from_text(text)
+            assert tokenize(d, kept) == reference_tokenize(d, twin)
+        assert kept.to_json() == twin.to_json()
+
+    @pytest.mark.parametrize("fields", [
+        (("5", "5"), ("out_size", "7")),
+        (("in_size", "5"), ("5", "5")),
+    ])
+    def test_a_numeric_key_stays_a_word(self, fields):
+        line = UnitLine("full", 1, fields, None)
+        d = Description((line,), line.text)
+        kept, twin = Vocabulary.default(), Vocabulary.default()
+        for _ in range(2):
+            stream = tokenize(d, kept)
+            assert stream == reference_tokenize(d, twin)
+            assert Token(kept.token_id("5")) in stream.units[0]
+            assert Token(kept.token_id(NUM_TOKEN), 5) in stream.units[0]
+
+    def test_a_refusal_leaves_a_closed_vocabulary_reading(self, resnet4_text, branching25_text):
+        learned = Vocabulary.default()
+        known = description_from_text(resnet4_text)
+        tokenize(known, learned)
+        closed, twin = closed_copy(learned), closed_copy(learned)
+        with pytest.raises(UnknownTokenError):
+            tokenize(description_from_text(branching25_text), closed)
+        assert tokenize(known, closed) == reference_tokenize(known, twin)
+        assert closed.to_json() == twin.to_json()
+
+    def test_a_reloaded_vocabulary_gives_equal_streams(self, resnet4_text, branching25_text):
+        rng = random.Random(53)
+        texts = [render_description(gen.random_graph(rng)).text for _ in range(20)]
+        descriptions = [description_from_text(t) for t in texts + [resnet4_text, branching25_text]]
+        kept = Vocabulary.default()
+        for d in descriptions[:10]:
+            tokenize(d, kept)
+        reloaded = Vocabulary.from_json(kept.to_json())
+        for d in descriptions:
+            assert tokenize(d, kept) == tokenize(d, reloaded)
+        assert kept.to_json() == reloaded.to_json()
 
 
 class TestUnitVector:
