@@ -15,7 +15,7 @@ import sys
 
 from .canonical import DEFAULT_MAX_PATHS, assign_positions
 from .codec import _parse_text, parse_description, render_description
-from .errors import ArcTextError, IoError
+from .errors import ArcTextError, read_text
 from .graphio import (
     diff_descriptions,
     export_dot,
@@ -31,6 +31,10 @@ from .vectorize import Vocabulary, tokenize, vectors_csv
 
 class _UsageError(Exception):
     pass
+
+
+class _EncodingError(ArcTextError):  # an input that is not UTF-8
+    code = "Encoding"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,23 +102,16 @@ def _max_paths(args) -> int:
     return value
 
 
-def _read(path) -> str:  # bytes that do not decode are worded by main
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+def _read(path) -> str:
+    return read_text(path, _EncodingError)
 
 
 def _write_out(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
-        return
-    try:
+    else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _say(args, line: str) -> None:
@@ -221,6 +218,6 @@ def main(argv=None) -> int:
     except ArcTextError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
-    except UnicodeDecodeError as exc:
-        print(f"error[Encoding]: {exc}", file=sys.stderr)
+    except OSError as exc:  # a failed write to stdout or to -o
+        print(f"error[IoError]: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,8 @@
 Every error carries a stable ``code`` string so callers (and the CLI) can
 match failures without parsing messages. Codes mirror the diagnostic codes
 emitted by graph validation, so a graph rejected during canonicalization
-fails with the same code that validation reports.
+fails with the same code that validation reports. ``read_text`` is the one
+place a failed file read is worded.
 """
 
 from __future__ import annotations
@@ -133,6 +134,17 @@ class SchemaError(ArcTextError):
 
 class IoError(ArcTextError):
     code = "IoError"
+
+
+def read_text(path, undecodable: type[ArcTextError]) -> str:
+    """A file's UTF-8 text; bytes that do not decode raise ``undecodable``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise undecodable(f"cannot read {path}: {exc}") from exc
 
 
 # --- vectorizer -------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .canonical import CanonicalOrder
 from .codec import _AGREE, Description, _connect_text
-from .errors import ArcTextError, GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError
+from .errors import GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError, read_text
 from .model import (
     ArchGraph,
     ConvSpec,
@@ -129,19 +129,8 @@ def parse_graph_json(text: str) -> ArchGraph:
     return build_graph(nodes, edges)
 
 
-def _read_file(path, undecodable: type[ArcTextError]) -> str:
-    """A file's UTF-8 text; bytes that do not decode raise ``undecodable``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise undecodable(f"cannot read {path}: {exc}") from exc
-
-
 def load_graph_file(path) -> ArchGraph:
-    return parse_graph_json(_read_file(path, GraphFileSyntaxError))
+    return parse_graph_json(read_text(path, GraphFileSyntaxError))
 
 
 def _json_value(value):

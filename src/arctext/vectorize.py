@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Description, UnitLine
-from .errors import IoError, SchemaError, UnknownTokenError
-from .graphio import _read_file
+from .errors import IoError, SchemaError, UnknownTokenError, read_text
 from .unitformat import _INT
 
 _NUMBER_RE = re.compile(_INT)  # an integer's spelling that int() converts
@@ -62,7 +61,8 @@ class Vocabulary:
         self._next_id = max(lexemes) + 1  # new words go above every id, gaps stay
         self.closed = closed
         # the Token given to each key or separator, and to each value atom;
-        # ids are never reassigned, so a kept token cannot go stale. Never saved.
+        # ids are never reassigned, so a kept token cannot go stale. Never saved;
+        # grows with the distinct lexemes read, numbers too, even when closed.
         self._words: dict[str, Token] = {}
         self._atoms: dict[str, Token] = {}
 
@@ -139,7 +139,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        return cls.from_json(_read_file(path, SchemaError))
+        return cls.from_json(read_text(path, SchemaError))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,17 @@ class TestCanonicalize:
 
     def test_output_to_a_directory_is_an_io_error(self, capsys, tmp_path):
         assert main(["canonicalize", "-i", RESNET_JSON, "-o", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("error[IoError]: cannot write ")
+        err = capsys.readouterr().err
+        assert err.startswith("error[IoError]: ") and str(tmp_path) in err
+
+    def test_failed_stdout_write_is_an_io_error(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["canonicalize", "-i", RESNET_JSON]) == 1
+        assert capsys.readouterr().err == "error[IoError]: [Errno 32] Broken pipe\n"
 
     def test_console_script(self, resnet4_text):
         exe = shutil.which("arctext")
@@ -159,7 +169,7 @@ class TestDigest:
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"id:1;name:\xff")
         assert main(["digest", "-i", str(bad)]) == 1
-        assert capsys.readouterr().err.startswith("error[Encoding]: ")
+        assert capsys.readouterr().err.startswith(f"error[Encoding]: cannot read {bad}: ")
 
 
 class TestDiff:

@@ -328,6 +328,16 @@ class TestTokenizeMatchesReference:
         assert tokenize(known, closed) == reference_tokenize(known, twin)
         assert closed.to_json() == twin.to_json()
 
+    def test_a_closed_vocabulary_keeps_a_token_per_distinct_number(self):
+        # documented growth: the ids and the JSON stay fixed, the kept tokens do not
+        closed = Vocabulary.default(closed=True)
+        frozen = closed.to_json()
+        for n in range(100, 150):
+            line = UnitLine("full", 1, (("in_size", str(n)),), None)
+            tokenize(Description((line,), line.text), closed)
+        assert closed.to_json() == frozen
+        assert set(closed._atoms) == {"1", "Null"} | {str(n) for n in range(100, 150)}
+
     def test_a_reloaded_vocabulary_gives_equal_streams(self, resnet4_text, branching25_text):
         rng = random.Random(53)
         texts = [render_description(gen.random_graph(rng)).text for _ in range(20)]
