@@ -123,64 +123,57 @@ def longest_unnumbered_paths(
     fast instead of exhausting memory. Each candidate is what ``path_digest``
     gives for its sequence.
     """
-    source, sink = detect_terminals(g)
-    exact, exact_u = _suffix_length_masks(g, sink, positions)
-    best = exact_u[source].bit_length() - 1
-    if best < 1:
-        return []
-    if best == 1:  # single-node graph; the DFS below assumes >= 1 edge
-        return [_candidate((source,), g)]
-
-    sequences = _enumerate_paths(g, source, positions, exact, exact_u, best, max_paths)
+    source, _ = detect_terminals(g)
+    longest, longest_u = _longest_suffixes(g, positions)
+    sequences = _enumerate_paths(g, source, positions, longest, longest_u, max_paths)
     return [_candidate(seq, g) for seq in sequences]
 
 
-def _suffix_length_masks(g, sink, positions):
-    # exact[v] bit L: some v->sink path has exactly L nodes.
-    # exact_u[v] bit L: additionally, the path contains an unnumbered node.
+def _longest_suffixes(g, positions):
+    # longest[v]: the nodes on the longest v->sink path; longest_u[v]: the
+    # same over paths that hold an unnumbered node, 0 when there is none
     succ = g._succ
-    exact, exact_u = {}, {}
+    longest, longest_u = {}, {}
     for v in reversed(g.topological_order()):
-        succ_any = int(v == sink)  # the sink's own 1-node path
-        succ_un = 0
+        top = top_u = 0
         for w in succ[v]:
-            succ_any |= exact[w]
-            succ_un |= exact_u[w]
-        exact[v] = succ_any << 1
-        exact_u[v] = (exact[v] if v not in positions else succ_un << 1)
-    return exact, exact_u
+            if longest[w] > top:
+                top = longest[w]
+            if longest_u[w] > top_u:
+                top_u = longest_u[w]
+        longest[v] = top + 1
+        longest_u[v] = longest[v] if v not in positions else (top_u + 1 if top_u else 0)
+    return longest, longest_u
 
 
-def _enumerate_paths(g, source, positions, exact, exact_u, target_len, max_paths):
+# Each frame holds the successors left to try, the nodes still needed after
+# its node and whether the path so far holds an unnumbered node. No candidate
+# is longer than longest_u[source], so a successor ends a candidate in exactly
+# the nodes still needed only if its longest suffix has exactly that many
+# (counted over suffixes holding an unnumbered node until the path holds one).
+def _enumerate_paths(g, source, positions, longest, longest_u, max_paths):
     succ = g._succ
     found: list[tuple[str, ...]] = []
     path = [source]
-    # at depth d (= len(path)) a successor must extend to the sink in
-    # exactly target_len - d more nodes; each frame holds the successors
-    # left to try and whether the path so far holds an unnumbered node
-    stack = [(iter(succ[source]), source not in positions)]
+    stack = [(iter(succ[source]), longest_u[source] - 1, source not in positions)]
     while stack:
-        successors, has_un = stack[-1]
+        successors, need, has_un = stack[-1]
         step = next(successors, None)
         if step is None:
+            if not need:  # the sink: the path is a candidate
+                if len(found) >= max_paths:
+                    raise PathExplosionError(
+                        f"more than {max_paths} tied longest paths; "
+                        "raise the limit only if the graph is trusted",
+                        subject=max_paths,
+                    )
+                found.append(tuple(path))
             stack.pop()
             path.pop()
             continue
-        rem = target_len - len(path)
-        mask = exact[step] if has_un else exact_u[step]
-        if not (mask >> rem) & 1:
-            continue
-        if rem == 1:
-            if len(found) >= max_paths:
-                raise PathExplosionError(
-                    f"more than {max_paths} tied longest paths; "
-                    "raise the limit only if the graph is trusted",
-                    subject=max_paths,
-                )
-            found.append(tuple(path) + (step,))
-            continue
-        path.append(step)
-        stack.append((iter(succ[step]), has_un or step not in positions))
+        if (longest if has_un else longest_u)[step] == need:
+            path.append(step)
+            stack.append((iter(succ[step]), need - 1, has_un or step not in positions))
     return found
 
 

@@ -20,7 +20,6 @@ from .graphio import (
     diff_descriptions,
     export_dot,
     graph_to_json,
-    load_graph_file,
     parse_graph_json,
 )
 from .lint import lint_shapes
@@ -120,7 +119,7 @@ def _say(args, line: str) -> None:
 
 
 def _cmd_canonicalize(args) -> int:
-    graph = load_graph_file(args.input)
+    graph = parse_graph_json(_read(args.input))
     desc = render_description(graph, max_paths=_max_paths(args))
     _write_out(desc.text, args.output)
     return 0
@@ -148,7 +147,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    graph = load_graph_file(args.input)
+    graph = parse_graph_json(_read(args.input))
     report = lint_shapes(graph)
     for entry in report.entries:
         if entry.status == "mismatch":
@@ -188,7 +187,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    graph = load_graph_file(args.input)
+    graph = parse_graph_json(_read(args.input))
     order = assign_positions(graph, max_paths=_max_paths(args))
     _write_out(export_dot(graph, order), args.output)
     return 0
@@ -196,14 +195,13 @@ def _cmd_dot(args) -> int:
 
 def _cmd_vectorize(args) -> int:
     _, _, desc = _parse_text(_read(args.input))
-    if args.vocab and os.path.exists(args.vocab):
-        vocab = Vocabulary.load(args.vocab)
-    else:
-        vocab = Vocabulary.default()
-    size_before = len(vocab)
-    tokenize(desc, vocab)
-    if args.vocab and (not os.path.exists(args.vocab) or len(vocab) > size_before):
-        vocab.save(args.vocab)
+    if args.vocab:  # the vectors do not depend on a vocabulary
+        exists = os.path.exists(args.vocab)
+        vocab = Vocabulary.load(args.vocab) if exists else Vocabulary.default()
+        size_before = len(vocab)
+        tokenize(desc, vocab)
+        if not exists or len(vocab) > size_before:
+            vocab.save(args.vocab)
     _write_out(vectors_csv(desc), args.output)
     return 0
 

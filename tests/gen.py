@@ -153,8 +153,13 @@ def small_dag(rng: random.Random, max_nodes: int = 10) -> ArchGraph:
     return build_graph(nodes, sorted(edges))
 
 
-def oracle_longest_paths(g: ArchGraph) -> tuple[int, set[tuple[str, ...]]]:
-    """Exhaustive DFS over all source->sink paths; returns (max_len, maximal set)."""
+def oracle_longest_paths(
+    g: ArchGraph, numbered=frozenset()
+) -> tuple[int, set[tuple[str, ...]]]:
+    """Exhaustive DFS over all source->sink paths; returns (max_len, maximal set).
+
+    Only paths holding a node outside ``numbered`` count; (0, set()) if none.
+    """
     source = next(n for n in g.names() if g.in_degree(n) == 0)
     sink = next(n for n in g.names() if g.out_degree(n) == 0)
     best_len = 0
@@ -163,6 +168,8 @@ def oracle_longest_paths(g: ArchGraph) -> tuple[int, set[tuple[str, ...]]]:
     while stack:
         node, path = stack.pop()
         if node == sink:
+            if set(path) <= set(numbered):
+                continue
             if len(path) > best_len:
                 best_len = len(path)
                 best = {path}

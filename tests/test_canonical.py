@@ -214,6 +214,9 @@ class TestLongestPaths:
         with pytest.raises(PathExplosionError):
             longest_unnumbered_paths(g, {}, max_paths=63)
         assert len(longest_unnumbered_paths(g, {}, max_paths=64)) == 64
+        single = build_graph([("only", MFSpec("X", (4,), (4,)))], [])
+        with pytest.raises(PathExplosionError):  # one path is more than 0
+            longest_unnumbered_paths(single, {}, max_paths=0)
 
 
 def assert_position_table(order, expected):
@@ -281,13 +284,25 @@ class TestAssignPositions:
         assert [order.position_of(n) for n in interior] == list(range(4, 10))
 
     def test_oracle_equivalence_small_dags(self):
-        rng = random.Random(23)
+        # numbered subsets the ordering never reaches too: empty, full, random
+        rng, pick = random.Random(23), random.Random(29)
         for _ in range(60):
             g = gen.small_dag(rng)
-            max_len, oracle_set = gen.oracle_longest_paths(g)
-            candidates = longest_unnumbered_paths(g, {})
-            assert {c.node_sequence for c in candidates} == oracle_set
-            assert all(len(c.node_sequence) == max_len for c in candidates)
+            names = list(g.names())
+            subsets = [[], names] + [
+                pick.sample(names, pick.randint(1, len(names) - 1)) for _ in range(3)
+            ]
+            for numbered in subsets:
+                max_len, oracle_set = gen.oracle_longest_paths(g, numbered)
+                positions = {name: i for i, name in enumerate(numbered, 1)}
+                cap = len(oracle_set)
+                candidates = longest_unnumbered_paths(g, positions, max_paths=cap)
+                assert {c.node_sequence for c in candidates} == oracle_set
+                assert len(candidates) == cap
+                assert all(len(c.node_sequence) == max_len for c in candidates)
+                if cap:
+                    with pytest.raises(PathExplosionError):
+                        longest_unnumbered_paths(g, positions, max_paths=cap - 1)
 
     def test_symmetric_branches_identical_text(self):
         rng = random.Random(31)

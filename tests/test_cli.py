@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import arctext
-from arctext import Vocabulary, codec
+from arctext import Vocabulary, cli, codec
 from arctext.cli import main
 
 from conftest import FIXTURES
@@ -165,10 +165,13 @@ class TestDigest:
         main(["digest", "-i", str(b)])
         assert capsys.readouterr().out == first
 
-    def test_invalid_utf8_is_an_encoding_error(self, capsys, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_bytes(b"id:1;name:\xff")
-        assert main(["digest", "-i", str(bad)]) == 1
+    @pytest.mark.parametrize(
+        "command", ["canonicalize", "parse", "validate", "lint", "digest", "dot", "vectorize"]
+    )
+    def test_invalid_utf8_is_an_encoding_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main([command, "-i", str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"error[Encoding]: cannot read {bad}: ")
 
 
@@ -258,9 +261,17 @@ class TestVectorize:
         assert main(["vectorize", "-i", resnet_text_file, "--vocab", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error[IoError]: cannot read ")
 
-    def test_vocab_flag_is_optional(self, capsys, resnet_text_file):
+    def test_vocab_flag_is_optional(self, capsys, monkeypatch, tmp_path, resnet_text_file):
+        calls = []
+        monkeypatch.setattr(cli, "tokenize", lambda desc, vocab: calls.append(desc) or [])
         assert main(["vectorize", "-i", resnet_text_file]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 14
+        csv = capsys.readouterr().out
+        assert len(csv.splitlines()) == 14
+        assert calls == []  # nothing to tokenize against
+        vocab_path = tmp_path / "vocab.json"
+        assert main(["vectorize", "-i", resnet_text_file, "--vocab", str(vocab_path)]) == 0
+        assert capsys.readouterr().out == csv
+        assert len(calls) == 1
 
 
 class TestUsageAndLimits:
