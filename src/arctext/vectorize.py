@@ -7,6 +7,14 @@ number is only encoded by value when its lexeme is the canonical spelling of
 that value; oddly spelled numbers ("007", "1e3") stay words so detokenize
 can always reproduce the source bytes. So does an integer of more digits
 than ``int()`` converts.
+
+Each line also becomes a fixed row of ``VECTOR_SLOTS``. Which fields fill
+slots, and how, is read off each kind's declared fields (``UNIT_FIELDS``),
+one reader per value shape, so the row is built from the field strings the
+line holds. A slot's CSV cell is its value as ``float()`` reads it, written
+as an integer when it is integral and by ``repr`` otherwise. An integer of at
+most 15 digits is exact in a float, so its text is its cell; any other atom
+goes through ``float()``. ``unit_vector`` is ``float()`` of the same cells.
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ import numpy as np
 
 from .codec import Description, UnitLine
 from .errors import IoError, SchemaError, UnknownTokenError, read_text
-from .unitformat import _INT
+from .unitformat import (
+    _FLAG, _INT, _PAD_PAIRS, _POOL_TYPE, _VALUES, UNIT_FIELDS, UnitField, _read_values,
+)
 
 _NUMBER_RE = re.compile(_INT)  # an integer's spelling that int() converts
 
@@ -226,9 +236,6 @@ VECTOR_SLOTS = (
     "dilation", "groups", "bias", "pool_max", "mf_value",
 )
 
-_KIND_SLOT = {"conv": 0, "pool": 1, "full": 2, "mf": 3}
-
-
 # text key -> the slots its values fill, left to right; a value with fewer
 # values than slots (a 1-value size) leaves the rest 0
 _SLOTS = {
@@ -237,31 +244,86 @@ _SLOTS = {
     "groups": slice(20, 21),
 }
 
+# a canonical integer of at most 15 digits: every integer below 10**15 is exact
+# in a float, so _cell would give its text back
+_SHORT_INT = "(?:0|[1-9][0-9]{0,14})"
+_short_ints = re.compile(f"{_SHORT_INT}(?:-{_SHORT_INT})*").fullmatch
+_EXACT = 10**15
 
-def _unit_row(line: UnitLine) -> list[float]:
-    """The 24 slots of one line as floats; absent fields stay 0."""
-    row = [0.0] * len(VECTOR_SLOTS)
-    row[_KIND_SLOT[line.unit_kind]] = 1.0
-    row[4] = float(line.id)
+
+def _cell(value) -> str:
+    """The CSV cell of ``float(value)``: an integral value without its ".0"."""
+    x = float(value)
+    return str(int(x)) if x.is_integer() else repr(x)
+
+
+def _int_cells(text: str) -> list[str]:
+    atoms = text.split("-")
+    return atoms if _short_ints(text) else [_cell(a) for a in atoms]
+
+
+def _pad_counts(text: str) -> list[str]:
+    return _int_cells(text)[1::2]  # counts only; pad values do not affect geometry
+
+
+def _first_number(text: str) -> list[str]:
+    for atom in _read_values(text):  # "Null" holds no number
+        if _numeric(atom) is not None:
+            return [_cell(atom)]  # inf, as in the other slots, past a float's range
+    return ["0"]
+
+
+def _one_if(word: str):
+    return lambda text: ["1" if text == word else "0"]
+
+
+def _slot(name: str) -> slice:
+    i = VECTOR_SLOTS.index(name)
+    return slice(i, i + 1)
+
+
+def _step(field: UnitField):
+    """The slots one field fills and the reader of its cells, by its shape; or None."""
+    if field.key in _SLOTS:
+        slots = _SLOTS[field.key]
+        read = _pad_counts if field.shape is _PAD_PAIRS else _int_cells
+    elif field.shape is _FLAG:
+        slots, read = _slot("bias"), _one_if("Yes")
+    elif field.shape is _POOL_TYPE:
+        slots, read = _slot("pool_max"), _one_if("Max")
+    elif field.shape is _VALUES:
+        slots, read = _slot("mf_value"), _first_number
+    else:
+        return None  # a word (an MF name, an activation) fills no slot
+    return slots, slots.stop - slots.start, read
+
+
+# each kind's row before its fields (its kind slot 1, the rest 0), and the
+# (slots, width, reader) of each of its fields that fills a slot, by text key;
+# a key its kind does not declare fills none
+_PLANS = {
+    kind: (
+        ["1" if name == f"kind_{kind}" else "0" for name in VECTOR_SLOTS],
+        {f.key: step for f in fields if (step := _step(f)) is not None},
+    )
+    for kind, (_, fields) in UNIT_FIELDS.items()
+}
+
+
+def _unit_cells(line: UnitLine) -> list[str]:
+    """The 24 slots of one line as CSV cells; absent fields stay 0."""
+    blank, steps = _PLANS[line.unit_kind]
+    row = blank.copy()
+    uid = line.id
+    row[4] = str(uid) if type(uid) is int and -_EXACT < uid < _EXACT else _cell(uid)
     for key, text in line.fields:
-        slots = _SLOTS.get(key)
-        if slots is not None:
-            values = list(map(float, text.split("-")))
-            if key == "padding" and line.unit_kind == "conv":
-                values = values[1::2]  # counts only; pad values do not affect geometry
-            width = slots.stop - slots.start
-            if len(values) < width:  # more values than slots grow the row, and fail below
-                values += [0.0] * (width - len(values))
-            row[slots] = values
-        elif key == "bias_used":
-            row[21] = float(text == "Yes")
-        elif key == "type":
-            row[22] = float(text == "Max")
-        elif key == "value" and line.unit_kind == "mf":
-            for atom in text.split("-"):  # a "Null" value holds no number
-                if _numeric(atom) is not None:
-                    row[23] = float(atom)  # inf, as in the other slots, past a float's range
-                    break
+        step = steps.get(key)
+        if step is not None:
+            slots, width, read = step
+            cells = read(text)
+            if len(cells) < width:  # more values than slots grow the row, and fail below
+                cells += ["0"] * (width - len(cells))
+            row[slots] = cells
     if len(row) != len(VECTOR_SLOTS):
         raise ValueError(f"unit {line.id} has a field of the wrong arity")
     return row
@@ -269,21 +331,11 @@ def _unit_row(line: UnitLine) -> list[float]:
 
 def unit_vector(line: UnitLine) -> np.ndarray:
     """A 24-slot numeric summary of one line; absent fields stay 0."""
-    return np.array(_unit_row(line))
-
-
-def _format_number(x: float) -> str:
-    return str(int(x)) if x.is_integer() else repr(x)
+    return np.array([float(cell) for cell in _unit_cells(line)])
 
 
 def vectors_csv(d: Description) -> str:
     """One unit per row, comma-separated, with a slot-name header."""
     rows = [",".join(VECTOR_SLOTS)]
-    spelled: dict[float, str] = {}  # most slots repeat a few values
-    for line in d.lines:
-        row = _unit_row(line)
-        for x in row:
-            if x not in spelled:
-                spelled[x] = _format_number(x)
-        rows.append(",".join(map(spelled.__getitem__, row)))
+    rows += [",".join(_unit_cells(line)) for line in d.lines]
     return "\n".join(rows) + "\n"

@@ -471,3 +471,105 @@ def test_a_number_too_long_to_convert_stays_a_word(value, slot):
         assert (atom in v) == (_numeric(atom) is None)  # a word, else a number
     row = vectors_csv(d).splitlines()[1].split(",")
     assert row[VECTOR_SLOTS.index("mf_value")] == slot
+
+
+def reference_row(line: UnitLine) -> list[float]:
+    """The slots of a parsed line as floats, read field by field by key."""
+    row = [0.0] * len(VECTOR_SLOTS)
+    row[VECTOR_SLOTS.index(f"kind_{line.unit_kind}")] = 1.0
+    row[4] = float(line.id)
+    for key, text in line.fields:
+        if key in _SLOTS:
+            values = [float(atom) for atom in text.split("-")]
+            if key == "padding" and line.unit_kind == "conv":
+                values = values[1::2]
+            slots = _SLOTS[key]
+            row[slots] = values + [0.0] * (slots.stop - slots.start - len(values))
+        elif key == "bias_used":
+            row[VECTOR_SLOTS.index("bias")] = float(text == "Yes")
+        elif key == "type":
+            row[VECTOR_SLOTS.index("pool_max")] = float(text == "Max")
+        elif key == "value":
+            numbers = [atom for atom in text.split("-") if _numeric(atom) is not None]
+            row[VECTOR_SLOTS.index("mf_value")] = float(numbers[0]) if numbers else 0.0
+    return row
+
+
+def reference_cell(x: float) -> str:
+    return str(int(x)) if x.is_integer() else repr(x)
+
+
+def csv_cells(line: UnitLine) -> list[str]:
+    return vectors_csv(Description((line,), line.text)).splitlines()[1].split(",")
+
+
+class TestCellSpelling:
+    def test_cells_are_the_reference_spelling(self, resnet4_text, branching25_text):
+        rng = random.Random(61)
+        texts = [render_description(gen.random_graph(rng)).text for _ in range(1000)]
+        for text in texts + [resnet4_text, branching25_text]:
+            d = description_from_text(text)
+            rows = vectors_csv(d).splitlines()[1:]
+            assert len(rows) == len(d.lines)
+            for line, row in zip(d.lines, rows):
+                cells = row.split(",")
+                assert cells == [reference_cell(x) for x in reference_row(line)]
+                assert unit_vector(line).tolist() == [float(c) for c in cells]
+
+    @pytest.mark.parametrize("size, cells", [
+        ("999999999999999", ["999999999999999"]),
+        ("9999999999999999", ["10000000000000000"]),
+        (f"{2**53 + 1}-3-4", ["9007199254740992", "3", "4"]),
+        ("9" * 400, ["inf"]),
+        ("007-08-0", ["7", "8", "0"]),
+        ("007-1e3-5", ["7", "1000", "5"]),
+    ], ids=["15-digits", "16-digits", "2**53+1", "400-digits", "leading-zeros", "not-an-int"])
+    def test_a_size_cell_is_its_text_only_for_a_short_int(self, size, cells):
+        line = UnitLine("full", 1, (("in_size", size), ("out_size", "7")), None)
+        row = csv_cells(line)
+        assert row[5:8] == cells + ["0"] * (3 - len(cells))
+        assert row[8] == "7"
+        assert unit_vector(line).tolist() == [float(c) for c in row]
+
+    @pytest.mark.parametrize("uid, cell", [
+        (10**15 - 1, "999999999999999"),
+        (10**16 - 1, "10000000000000000"),
+        (2**53 + 1, "9007199254740992"),
+        (True, "1"),
+    ], ids=["15-digits", "16-digits", "2**53+1", "True"])
+    def test_an_id_cell_is_its_text_only_for_a_short_int(self, uid, cell):
+        line = UnitLine("full", uid, (("in_size", "4"),), None)
+        row = csv_cells(line)
+        assert row[4] == cell
+        assert unit_vector(line)[4] == float(cell)
+
+    @pytest.mark.parametrize("value, cell", [
+        ("1.0", "1"), ("0.1", "0.1"), ("1e3", "0"), ("1e3-0.25", "0.25"),
+    ])
+    def test_mf_values(self, value, cell):
+        line = UnitLine("mf", 1, (("name", "X"), ("in_size", "4"), ("value", value)), None)
+        assert csv_cells(line)[VECTOR_SLOTS.index("mf_value")] == cell
+
+    @pytest.mark.parametrize("padding, counts", [
+        ("1-2-3", ["2", "0", "0", "0"]),
+        ("1-2-3-4-5", ["2", "4", "0", "0"]),
+    ])
+    def test_conv_padding_with_odd_counts(self, padding, counts):
+        line = UnitLine("conv", 1, (("padding", padding),), None)
+        assert csv_cells(line)[15:19] == counts
+
+    def test_conv_padding_wider_than_its_slots_is_refused(self):
+        line = UnitLine("conv", 1, (("padding", "-".join("1" * 10)),), None)
+        with pytest.raises(ValueError, match="wrong arity"):
+            vectors_csv(Description((line,), line.text))
+
+    @pytest.mark.parametrize("kind, field", [
+        ("full", ("kernel", "3-3")),
+        ("full", ("kernel", "3-3-3")),
+        ("conv", ("type", "Max")),
+        ("mf", ("bias_used", "Yes")),
+        ("full", ("value", "2")),
+    ])
+    def test_a_key_its_kind_does_not_declare_fills_no_slot(self, kind, field):
+        line = UnitLine(kind, 1, (field,), None)
+        assert csv_cells(line)[5:] == ["0"] * 19
