@@ -9,6 +9,12 @@ position so far, then its insertion index). The tie key ends in insertion
 order, so when tied paths also have equal positions so far, the order nodes
 were inserted in can change the ordering (ROADMAP item 1); renaming nodes or
 reordering edges never does.
+
+One ordering builds one round state: the source and sink, the topological
+order and each node's longest suffix, none of which depends on the positions.
+Each round reads it and returns node sequences; a digest is made only when a
+round has more than one. When the longest path holds every node, it is the
+topological order, the one candidate of the only round, and no search runs.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     AmbiguousSinkError,
@@ -123,27 +129,74 @@ def longest_unnumbered_paths(
     fast instead of exhausting memory. Each candidate is what ``path_digest``
     gives for its sequence.
     """
-    source, _ = detect_terminals(g)
-    longest, longest_u = _longest_suffixes(g, positions)
-    sequences = _enumerate_paths(g, source, positions, longest, longest_u, max_paths)
-    return [_candidate(seq, g) for seq in sequences]
+    return [_candidate(seq, g) for seq in _round(_Ordering.of(g), positions, max_paths)]
 
 
-def _longest_suffixes(g, positions):
-    # longest[v]: the nodes on the longest v->sink path; longest_u[v]: the
-    # same over paths that hold an unnumbered node, 0 when there is none
-    succ = g._succ
-    longest, longest_u = {}, {}
-    for v in reversed(g.topological_order()):
-        top = top_u = 0
+class _Ordering(NamedTuple):
+    """What every round of one ordering reads: nothing here depends on positions."""
+
+    g: ArchGraph
+    source: str
+    sink: str
+    order: tuple[str, ...]  # topological
+    longest: dict[str, int]  # v -> the nodes on the longest v->sink path
+
+    @classmethod
+    def of(cls, g: ArchGraph) -> "_Ordering":
+        source, sink = detect_terminals(g)
+        order, succ = g.topological_order(), g._succ
+        longest: dict[str, int] = {}
+        for v in reversed(order):
+            top = 0
+            for w in succ[v]:
+                if longest[w] > top:
+                    top = longest[w]
+            longest[v] = top + 1
+        return cls(g, source, sink, order, longest)
+
+
+def _too_many(max_paths: int) -> PathExplosionError:
+    return PathExplosionError(
+        f"more than {max_paths} tied longest paths; "
+        "raise the limit only if the graph is trusted",
+        subject=max_paths,
+    )
+
+
+def _round(state: _Ordering, positions, max_paths: int) -> list[tuple[str, ...]]:
+    """The node sequences of the longest source->sink paths holding an unnumbered node.
+
+    A path through every node is the only path of its length, and in a DAG
+    it is the topological order: while any node is unnumbered, it is the one
+    candidate, and no search runs.
+    """
+    g, source, _, order, longest = state
+    if longest[source] == len(order):
+        if all(map(positions.__contains__, order)):
+            return []
+        if max_paths < 1:
+            raise _too_many(max_paths)
+        return [order]
+    return _enumerate_paths(g, source, positions, longest,
+                            _longest_unnumbered(state, positions), max_paths)
+
+
+def _longest_unnumbered(state: _Ordering, positions) -> dict[str, int]:
+    # longest_u[v]: the nodes on the longest v->sink path holding an
+    # unnumbered node, 0 when there is none; an unnumbered v makes every
+    # suffix hold one
+    succ, longest = state.g._succ, state.longest
+    longest_u: dict[str, int] = {}
+    for v in reversed(state.order):
+        if v not in positions:
+            longest_u[v] = longest[v]
+            continue
+        top = 0
         for w in succ[v]:
-            if longest[w] > top:
-                top = longest[w]
-            if longest_u[w] > top_u:
-                top_u = longest_u[w]
-        longest[v] = top + 1
-        longest_u[v] = longest[v] if v not in positions else (top_u + 1 if top_u else 0)
-    return longest, longest_u
+            if longest_u[w] > top:
+                top = longest_u[w]
+        longest_u[v] = top + 1 if top else 0
+    return longest_u
 
 
 # Each frame holds the successors left to try, the nodes still needed after
@@ -162,11 +215,7 @@ def _enumerate_paths(g, source, positions, longest, longest_u, max_paths):
         if step is None:
             if not need:  # the sink: the path is a candidate
                 if len(found) >= max_paths:
-                    raise PathExplosionError(
-                        f"more than {max_paths} tied longest paths; "
-                        "raise the limit only if the graph is trusted",
-                        subject=max_paths,
-                    )
+                    raise _too_many(max_paths)
                 found.append(tuple(path))
             stack.pop()
             path.pop()
@@ -189,9 +238,9 @@ def assign_positions(
     insertion index). The counter advances only when a node actually
     receives a number, so positions come out consecutive.
     """
-    source, sink = detect_terminals(g)
+    state = _Ordering.of(g)
     n = len(g)
-    positions: dict[str, int] = {source: 1, sink: n}  # one entry when n == 1
+    positions: dict[str, int] = {state.source: 1, state.sink: n}  # one entry when n == 1
     next_free = 2
 
     infinity = n + 1  # beyond any assignable position
@@ -204,12 +253,13 @@ def assign_positions(
     # at the source and forward at the sink, so every node lies on a
     # source->sink path and a round always has a candidate
     while len(positions) < n:
-        candidates = longest_unnumbered_paths(g, positions, max_paths=max_paths)
-        best = candidates[0]
-        if len(candidates) > 1:  # a tie key is made only when paths compete
+        sequences = _round(state, positions, max_paths)
+        best = sequences[0]
+        if len(sequences) > 1:  # a digest is made only when paths compete
+            candidates = [_candidate(seq, g) for seq in sequences]
             top = max(c.digest for c in candidates)
-            best = min([c for c in candidates if c.digest == top], key=tie_key)
-        for name in best.node_sequence:
+            best = min([c for c in candidates if c.digest == top], key=tie_key).node_sequence
+        for name in best:
             if name not in positions:
                 positions[name] = next_free
                 next_free += 1

@@ -5,10 +5,12 @@ The graph file is strict JSON: top-level "nodes" (ordered records) and
 fields of its kind, named after the NodeSpec dataclass fields; unknown or missing
 keys are errors. Strictness keeps fixtures stable and makes the format
 auto-detectable from ArcText by the first byte ("{" vs "i"). A record with
-exactly its kind's keys is spelled by the field table, each field's JSON
-value becoming its spec value and its text in one step; if the joined text
-matches the line grammar, its spec is built unchecked. Any other record goes
-to the spec class.
+exactly its kind's keys is spelled in one pass: its values are taken in line
+order, each field's speller gives its spec value and its text, and the texts
+are joined under their keys. If the kind's line pattern and value comparison
+accept the joined text, it is the spec's basic string, and the spec is built
+unchecked, its ``__dict__`` filled in one update. Any other record, and any
+record whose text they refuse, goes to the spec class, which words the error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .canonical import CanonicalOrder
 from .codec import _AGREE, Description, _connect_text
@@ -28,43 +31,57 @@ from .model import (
     PoolSpec,
     build_graph,
 )
-from .unitformat import KIND_MF, KIND_POOL, UNIT_FIELDS, _kind_pattern, kind_of
+from .unitformat import KIND_MF, UNIT_FIELDS, _kind_pattern, kind_of
 
 # a record's keys: name, kind and the spec attributes of its kind's text fields
 _ALLOWED = {kind: {"name", "kind"} | {f.attr for f in fields}
             for kind, (_, fields) in UNIT_FIELDS.items()}
 _REQUIRED = {kind: {"name", "kind"} | {f.attr for f in fields if not f.optional}
              for kind, (_, fields) in UNIT_FIELDS.items()}
-# per kind: (key, attr, spell) per field, pattern, constructor, pool comparison
-_SPELLING = {
-    kind: (tuple((f.key, f.attr, f.shape.spell) for f in fields),
-           re.compile(_kind_pattern(fields)), cls._checked,
-           _AGREE[kind] if kind == KIND_POOL else None)
-    for kind, (cls, fields) in UNIT_FIELDS.items()
-}
+
+
+def _plan(kind: str, record_keys: set[str]):
+    """How a record with exactly ``record_keys`` is spelled and proved."""
+    cls, fields = UNIT_FIELDS[kind]
+    kept = [f for f in fields if f.attr in record_keys]
+    left_out = [f.attr for f in fields if f.attr not in record_keys]
+    return (record_keys,
+            itemgetter(*[f.attr for f in kept]),  # two or more: always a tuple
+            tuple(f.shape.spell for f in kept),
+            "".join([f";{f.key}:%s" for f in kept]),
+            re.compile(_kind_pattern(kept)).fullmatch,
+            tuple(f.key for f in kept),
+            cls, tuple(f.attr for f in kept) + tuple(left_out), (None,) * len(left_out),
+            _AGREE.get(kind))
+
+
+# per kind, by the number of keys in a record: every field, or the required ones
+_PLANS = {kind: {len(keys): _plan(kind, keys) for keys in (_ALLOWED[kind], _REQUIRED[kind])}
+          for kind in UNIT_FIELDS}
 
 
 def _loaded_spec(record: dict, kind: str) -> NodeSpec | None:
-    """The spec of a record the line grammar proves, or None to leave it to the class."""
-    if record.keys() != _ALLOWED[kind] and record.keys() != _REQUIRED[kind]:
+    """The spec of a record the line grammar proves, or None to leave it to the class.
+
+    Every field is spelled in one pass and the joined text is proved by the
+    kind's line pattern and value comparison. No field pattern takes a ";",
+    so each field's text is what its group matched: the texts are the spec's
+    basic fields, and the proved text is its basic string.
+    """
+    plan = _PLANS[kind].get(len(record))
+    if plan is None or record.keys() != plan[0]:
         return None
-    rows, pattern, checked, agree = _SPELLING[kind]
-    values, fields = [], []
-    for key, attr, spell in rows:
-        if attr in record:
-            spelled = spell(record[attr])
-            if spelled is None:
-                return None
-            values.append(spelled[0])
-            fields.append((key, spelled[1]))
-        else:  # an optional field left out
-            values.append(None)
-    text = "".join([f";{key}:{value}" for key, value in fields])
-    match = pattern.fullmatch(text)
-    if match is None or agree and not agree(match.groups()):
+    _, get, spells, template, proves, keys, cls, attrs, absent, agree = plan
+    try:
+        values, texts = zip(*[spell(value) for spell, value in zip(spells, get(record))])
+    except (TypeError, ValueError):  # a sequence of the wrong length, or a bad element
         return None
-    spec = checked(*values)
-    spec.__dict__.update(_basic_fields=tuple(fields), _basic_string=text[1:])
+    text = template % texts
+    if proves(text) is None or agree and not agree(texts):
+        return None
+    spec = object.__new__(cls)
+    spec.__dict__.update(zip(attrs, values + absent), _basic_fields=tuple(zip(keys, texts)),
+                         _basic_string=text[1:])
     return spec
 
 

@@ -10,7 +10,10 @@ spec class and its basic fields in line order, each with its text key, spec
 attribute and value shape. A shape says how a value is spelled (a pattern),
 written (spec value -> text) and read back (text -> spec value), and how a
 graph file's JSON value becomes its spec value and its text in one step
-(``spell``), which the pattern then proves. It also puts what its pattern
+(``spell``). A speller checks no value: it formats each element with ``%r``,
+so that anything but an int shows a character no integer pattern takes, and
+the graph-file reader proves a whole record's texts at once, joined under
+their keys, with the kind's line pattern. It also puts what its pattern
 accepts into words (``says``): a text value the pattern refuses is worded by
 that one template, and the spec class words the faults no single value shows
 (pool channels, a ``Null`` among MF values). ``basic_fields`` writes a
@@ -74,35 +77,54 @@ def _write_values(values) -> str:
     return join_multi(values) if values else "Null"
 
 
-def _spell_scalar(cls: type, write=str):
-    return lambda value: (value, write(value)) if type(value) is cls else None
+# Each speller takes a graph file's JSON value, as ``json.loads`` gives it, to
+# (its spec value, its text). It proves nothing: the caller matches the text
+# against the field's pattern. Only an int's repr is all digits, so "%r" writes
+# any other element with a dot, quote, letter, bracket or a doubled "-", which
+# the pattern refuses. A sequence of the wrong length raises TypeError or
+# ValueError, and a value of the wrong type gets the empty text, which no
+# pattern accepts.
+
+def _spell_typed(cls: type, write=str):
+    return lambda value: (value, write(value) if type(value) is cls else "")
 
 
-def _spell_ints(value):
-    # any element but an int reprs with a dot, quote, letter or bracket, and a
-    # negative one with a leading or doubled "-": the pattern refuses them all
-    if type(value) is not list:
-        return None
-    return tuple(value), repr(value)[1:-1].replace(", ", "-")
+def _spell_count(value):
+    return value, "%r" % (value,)
+
+
+def _spell_ints(arity: int):
+    fmt = "-".join(["%r"] * arity)  # takes exactly arity values
+
+    def spell(value):
+        items = tuple(value)
+        return items, fmt % items
+    return spell
 
 
 def _spell_pad_pairs(value):  # written flat, so each pair must hold two values
-    if type(value) is not list or {*map(type, value)} != {list} or {*map(len, value)} != {2}:
-        return None
-    flat = [x for pair in value for x in pair]
-    return tuple(map(tuple, value)), repr(flat)[1:-1].replace(", ", "-")
+    (a, b), (c, d), (e, f), (g, h) = value
+    return ((a, b), (c, d), (e, f), (g, h)), "%r-%r-%r-%r-%r-%r-%r-%r" % (a, b, c, d, e, f, g, h)
 
 
-def _spell_extent(value):
-    return ((value,), str(value)) if type(value) is int else _spell_ints(value)
+_EXTENT_FORMATS = {1: "%r", 3: "%r-%r-%r"}  # any other length: "" raises, or is empty
 
 
-def _spell_values(value):  # a "-" inside a value, or "Null", is written as another list
-    ok = type(value) is list and {*map(type, value)} <= {str} and "Null" not in value
-    if not ok or "-" in "".join(value):
-        return None
-    values = tuple(sorted(value))
-    return values, _write_values(values)
+def _spell_extent(value):  # a bare integer is a 1-tuple
+    items = (value,) if type(value) is int else tuple(value)
+    return items, _EXTENT_FORMATS.get(len(items), "") % items
+
+
+def _spell_values(value):
+    # their order and a "Null" among them are left to the line's value
+    # comparison; a "-" inside a value, or the one value "Null", would read
+    # back as another list
+    if type(value) is not list:
+        return value, ""
+    if not value:
+        return (), "Null"
+    text = "-".join(value)  # TypeError for a non-string
+    return tuple(value), text if text != "Null" and text.count("-") < len(value) else ""
 
 
 class _Shape(NamedTuple):
@@ -118,18 +140,18 @@ class _Shape(NamedTuple):
     read: Callable[[str], object]  # a matched value -> its spec argument
     says: str  # what the pattern accepts, in words
     write: Callable[[object], str] = join_multi  # a spec value -> its text
-    # a graph file's JSON value -> (its spec value, its text), or None to refuse it;
-    # the text need not match the pattern, which the caller then tests
-    spell: Callable[[object], tuple[object, str] | None] = _spell_ints
+    # a graph file's JSON value -> (its spec value, its text), which the
+    # caller proves; None for a shape no graph file holds
+    spell: Callable[[object], tuple[object, str]] | None = None
 
 
 def _int_shape(arity: int, least=1, read=_read_ints, write=join_multi) -> _Shape:
     atom = _POS if least else _INT
     return _Shape("-".join([atom] * arity), read,
-                  f"{arity} integers >= {least} joined by '-'", write)
+                  f"{arity} integers >= {least} joined by '-'", write, _spell_ints(arity))
 
 
-_COUNT = _Shape(_POS, int, "an integer >= 1", str, _spell_scalar(int))
+_COUNT = _Shape(_POS, int, "an integer >= 1", str, _spell_count)
 _PAIR = _int_shape(2)
 _SIZE = _int_shape(3)
 _PADS = _int_shape(4, 0)
@@ -138,11 +160,11 @@ _PAD_PAIRS = _int_shape(8, 0, _read_pad_pairs, _write_pad_pairs)._replace(
 _EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, "1 or 3 integers >= 1 joined by '-'",
                  join_multi, _spell_extent)
 _POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, " or ".join(map(repr, POOL_TYPES)), str,
-                    _spell_scalar(str))
+                    _spell_typed(str))
 _FLAG = _Shape("Yes|No", "Yes".__eq__, "'Yes' or 'No'", ("No", "Yes").__getitem__,
-               _spell_scalar(bool, ("No", "Yes").__getitem__))
+               _spell_typed(bool, ("No", "Yes").__getitem__))
 _WORD = _Shape(_TOKEN, _read_token, f"a non-empty token with no '-', {_NOT_IN_TOKEN}", str,
-               _spell_scalar(str))
+               _spell_typed(str))
 _VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values,
                  f"'Null' or non-empty tokens joined by '-', with no {_NOT_IN_TOKEN}",
                  _write_values, _spell_values)

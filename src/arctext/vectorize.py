@@ -268,8 +268,9 @@ def _pad_counts(text: str) -> list[str]:
 
 def _first_number(text: str) -> list[str]:
     for atom in _read_values(text):  # "Null" holds no number
-        if _numeric(atom) is not None:
-            return [_cell(atom)]  # inf, as in the other slots, past a float's range
+        num = _numeric(atom)
+        if num is not None:  # an int by its text: inf, as in the other slots, past a float's range
+            return [_cell(atom if type(num) is int else num)]
     return ["0"]
 
 
@@ -312,7 +313,10 @@ _PLANS = {
 
 def _unit_cells(line: UnitLine) -> list[str]:
     """The 24 slots of one line as CSV cells; absent fields stay 0."""
-    blank, steps = _PLANS[line.unit_kind]
+    plan = _PLANS.get(line.unit_kind)
+    if plan is None:
+        raise ValueError(f"unit {line.id} has an undeclared kind {line.unit_kind!r}")
+    blank, steps = plan
     row = blank.copy()
     uid = line.id
     row[4] = str(uid) if type(uid) is int and -_EXACT < uid < _EXACT else _cell(uid)

@@ -29,6 +29,7 @@ from arctext.unitformat import basic_fields
 
 import gen
 from conftest import FIXTURES
+from test_oracle import oracle_positions
 
 RESNET4_POSITIONS = {
     "S": 1, "A": 2, "B": 3, "C": 4, "D": 5, "F": 6, "G": 7, "H": 8,
@@ -347,12 +348,13 @@ def test_unreachable_node_error_stays_public():
 def test_ordering_stops_once_every_node_has_a_number(monkeypatch, resnet4, branching25):
     # every round numbers at least one node, so no round comes back empty
     rounds = []
+    run_round = canonical._round
 
     def recorded(*args, **kwargs):
-        rounds.append(longest_unnumbered_paths(*args, **kwargs))
+        rounds.append(run_round(*args, **kwargs))
         return rounds[-1]
 
-    monkeypatch.setattr(canonical, "longest_unnumbered_paths", recorded)
+    monkeypatch.setattr(canonical, "_round", recorded)
     for g, expected in ((gen.chain_graph(1), 0), (gen.chain_graph(2), 0),
                         (gen.chain_graph(5), 1), (resnet4, None), (branching25, None)):
         rounds.clear()
@@ -362,12 +364,14 @@ def test_ordering_stops_once_every_node_has_a_number(monkeypatch, resnet4, branc
 
 
 def test_candidates_equal_their_path_digest(monkeypatch, resnet4, branching25):
-    # each round's candidates are built from the enumerated sequences, whose
-    # edges are not re-checked; each must be what path_digest makes of it
+    # each round's sequences are enumerated along edges, or taken whole from
+    # the topological order, and not re-checked; each candidate the ordering
+    # makes of one must be what path_digest makes of it
     rounds = []
+    run_round = canonical._round
 
-    def recorded(g, positions, **kwargs):
-        rounds.append(longest_unnumbered_paths(g, positions, **kwargs))
+    def recorded(state, positions, max_paths):
+        rounds.append(run_round(state, positions, max_paths))
         return rounds[-1]
 
     rng = random.Random(1003)  # the C03 corpus
@@ -376,13 +380,68 @@ def test_candidates_equal_their_path_digest(monkeypatch, resnet4, branching25):
               gen.resnext_graph(2, 4), gen.resnext_graph(1, 8), gen.braid_graph(layers=6, width=2)]
     graphs += [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)
                for _ in range(1000)]
-    monkeypatch.setattr(canonical, "longest_unnumbered_paths", recorded)
+    monkeypatch.setattr(canonical, "_round", recorded)
     for g in graphs:
         rounds.clear()
         assign_positions(g)
         assert rounds and all(rounds)
-        for candidates in rounds:
-            for c in candidates:
-                assert c == path_digest(c.node_sequence, g)
+        for sequences in rounds:
+            for seq in sequences:
+                assert canonical._candidate(seq, g) == path_digest(seq, g)
     single = gen.chain_graph(1)
     assert longest_unnumbered_paths(single, {}) == [path_digest(single.names(), single)]
+
+
+def _searched(monkeypatch):
+    """Count the rounds that enumerate paths rather than take the topological order."""
+    searches = []
+    enumerate_paths = canonical._enumerate_paths
+
+    def counted(*args):
+        searches.append(1)
+        return enumerate_paths(*args)
+
+    monkeypatch.setattr(canonical, "_enumerate_paths", counted)
+    return searches
+
+
+CHAIN_SIZES = (1, 2, 3, 4, 5, 17, 100, 1000, 4000)
+
+
+def test_a_path_through_every_node_is_taken_without_a_search(monkeypatch):
+    # the C03 corpus graphs are spines with skip edges: the spine holds every
+    # node, so the one round takes the topological order whole
+    searches = _searched(monkeypatch)
+    rng = random.Random(1003)  # the C03 corpus
+    graphs = [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)
+              for _ in range(1000)]
+    graphs += [gen.chain_graph(n) for n in CHAIN_SIZES]
+    for g in graphs:
+        assert dict(assign_positions(g).positions) == oracle_positions(g)
+    assert not searches
+
+
+def test_a_node_off_the_longest_path_still_goes_through_the_search(monkeypatch):
+    searches = _searched(monkeypatch)
+    for n in (3, 5, 40):
+        chain = gen.chain_graph(n)
+        names = chain.names()
+        g = build_graph([(v, chain.spec(v)) for v in names] + [("off", MFSpec("X", (4,), (4,)))],
+                        list(chain.edges) + [(names[0], "off"), ("off", names[-1])])
+        searches.clear()
+        assert dict(assign_positions(g).positions) == oracle_positions(g)
+        assert len(searches) == 2  # the chain, then the node off it
+
+
+def test_no_paths_allowed_fails_every_graph_that_needs_a_round():
+    rng = random.Random(1003)  # the C03 corpus
+    graphs = [gen.chain_graph(n) for n in CHAIN_SIZES]
+    graphs += [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3) for _ in range(50)]
+    graphs += [gen.resnext_graph(1, 4), gen.braid_graph(layers=3, width=2),
+               load_graph_file(FIXTURES / "resnet4.json")]
+    for g in graphs:
+        if len(g) < 3:  # source and sink are numbered without a round
+            assert assign_positions(g, max_paths=0).n == len(g)
+            continue
+        with pytest.raises(PathExplosionError):
+            assign_positions(g, max_paths=0)

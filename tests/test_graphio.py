@@ -29,7 +29,7 @@ from arctext import (
     validate_graph,
 )
 from arctext import graphio
-from arctext.unitformat import basic_fields, basic_string
+from arctext.unitformat import UNIT_FIELDS, basic_fields, basic_string
 
 import gen
 from conftest import FIXTURES, branching25_graph, resnet4_graph
@@ -476,3 +476,66 @@ def test_values_spelled_like_others_are_refused(kind, field, value):
     assert graphio._loaded_spec(record, kind) is None
     with pytest.raises(SchemaError):
         graphio._record_to_spec(record, 0)
+
+
+# values the one-pass spelling could take for others: each record must come
+# out exactly as the spec class alone makes it, the same spec or the same error
+_TOKENS = ("a b", "a,b", "it's", 'say"hi"', "back\\slash", "True", "bell\x07", "tab\t", "\x00")
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    *[("mf", "op_name", token) for token in _TOKENS],
+    *[("full", "act_fun", token) for token in _TOKENS],
+    *[("mf", "values", [token]) for token in _TOKENS],
+    ("mf", "values", ["a", "True", "it's"]),
+    ("conv", "dilation", True),
+    ("conv", "dilation", 1.0),
+    ("conv", "dilation", "1"),
+    ("conv", "in_size", [8, True, 3]),
+    ("conv", "in_size", [8, 8.0, 3]),
+    ("conv", "in_size", [8, "8", 3]),
+    ("full", "in_size", True),
+    ("full", "in_size", 64.0),
+    ("full", "in_size", "64"),
+    ("pool", "padding", [0, 0.0, 0, 0]),
+    ("pool", "padding", [0, False, 0, 0]),
+    ("mf", "in_size", True),
+    ("mf", "in_size", 5.0),
+    ("mf", "in_size", "5"),
+    ("conv", "padding", [[0, 1], [0, 1], [0, 1], [0]]),
+    ("conv", "padding", [[0, 1], [0, 1], [0, 1], [0, 1, 2]]),
+    ("conv", "padding", [[0, 1], [0, 1], [0, 1], [[0], 1]]),
+    ("conv", "padding", [[0, 1], [0, 1], [0, 1], [0, [1]]]),
+    ("conv", "padding", [[0, 1, 0], [1, 0, 1], [0, 1]]),
+    ("conv", "padding", [[0, 1]] * 3),
+    ("conv", "padding", [[0, 1]] * 5),
+    ("conv", "padding", [[0, 1, 0, 1]] * 2),
+    ("mf", "values", ["b", "a"]),
+    ("mf", "values", ["0.5", "0.1"]),
+    ("mf", "values", ["Null"]),
+    ("mf", "values", ["a", "Null"]),
+    ("mf", "values", ["Null", "a"]),
+    *[("mf", side, extent) for side in ("in_size", "out_size")
+      for extent in (5, [5], [1, 2, 3], [1, 2], [])],
+])
+def test_loader_traps_give_what_the_spec_class_gives(kind, field, value):
+    record = dict(RECORDS[kind], **{field: value})
+    outcome = _record_outcome(record)
+    with mock.patch.object(graphio, "_loaded_spec", lambda record, kind: None):
+        assert _record_outcome(record) == outcome
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("mf", "op_name", "a b"),
+    ("full", "act_fun", "it's"),
+    ("mf", "values", ["b", "back\\slash"]),
+    ("mf", "values", []),
+    *[("mf", "in_size", extent) for extent in (5, [5], [1, 2, 3])],
+])
+def test_loader_spells_valid_odd_values_itself(kind, field, value):
+    # the one-pass spelling takes these, and they equal the class's spec
+    record = dict(RECORDS[kind], **{field: value})
+    spec = graphio._loaded_spec(json.loads(json.dumps(record)), kind)
+    built = UNIT_FIELDS[kind][0](**{k: v for k, v in record.items() if k not in ("name", "kind")})
+    assert spec == built
+    assert (basic_fields(spec), basic_string(spec)) == (basic_fields(built), basic_string(built))

@@ -550,6 +550,22 @@ class TestCellSpelling:
         line = UnitLine("mf", 1, (("name", "X"), ("in_size", "4"), ("value", value)), None)
         assert csv_cells(line)[VECTOR_SLOTS.index("mf_value")] == cell
 
+    @pytest.mark.parametrize("value, cell", [
+        ("0.5", "0.5"), ("0.1-0.9", "0.1"), ("2", "2"), ("alpha", "0"), ("Null", "0"),
+        ("9" * 400, "inf"),
+    ], ids=["0.5", "0.1-0.9", "2", "alpha", "Null", "400-digits"])
+    def test_mf_value_cells_of_the_corpus_values(self, value, cell):
+        line = UnitLine("mf", 1, (("name", "X"), ("in_size", "4"), ("value", value)), None)
+        assert csv_cells(line)[VECTOR_SLOTS.index("mf_value")] == cell
+        assert unit_vector(line)[VECTOR_SLOTS.index("mf_value")] == float(cell)
+
+    @pytest.mark.parametrize("kind", ["unit", "Conv", "", "mf "])
+    def test_an_undeclared_kind_is_refused_by_id_and_kind(self, kind):
+        line = UnitLine(kind, 7, (("in_size", "4"),), None)
+        for vectorize in (unit_vector, lambda line: vectors_csv(Description((line,), ""))):
+            with pytest.raises(ValueError, match=f"^unit 7 has an undeclared kind {kind!r}$"):
+                vectorize(line)
+
     @pytest.mark.parametrize("padding, counts", [
         ("1-2-3", ["2", "0", "0", "0"]),
         ("1-2-3-4-5", ["2", "4", "0", "0"]),
