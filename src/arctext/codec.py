@@ -6,24 +6,19 @@ rigid -- fixed field order per kind, canonical integer spelling, sorted
 multi-values, ascending connect_to -- so each architecture has exactly one
 spelling and byte equality coincides with architectural equality.
 
-The line grammar is built from the field table ``UNIT_FIELDS`` in
-:mod:`arctext.unitformat`, which also writes the fields: for each unit kind,
-its fields between ``id`` and ``connect_to`` in line order, each with its
-spec attribute and value shape. From that table one compiled pattern per
-kind is built, spelling a whole line; a line is tried against them in table
-order, and the first ``fullmatch`` yields the kind, the id, every field's
-string and the connect list. The patterns make every check on one value
-(spelling, arity, minimum, pool type); after the match run only the three
-that compare values: connect targets strictly ascending (on a line with two
-or more), MF values sorted by UTF-8 bytes with no ``Null`` token, pool
-channels equal. A line that passes builds its spec unchecked
-(``description_from_text`` builds none). Any other line's first fault is
-worded by ``_refuse``: a value its shape's pattern refuses by that shape's
-one template, "<key> must be <says>, got <value>"; descending
-connect targets and unsorted MF values by their own message; and the rest
-(pool channels, a ``Null`` among MF values) by the public spec class. Graph
-files are read through the same patterns, and a record they refuse is worded
-as it always has been, by the graph-file reader and the spec class.
+The line grammar is one compiled pattern per kind, built from the rules in
+:mod:`arctext.unitformat`: its field table and connect list. A line is tried
+against them in table order, and the first ``fullmatch`` yields the kind,
+the id, every field's string and the connect list. The patterns make every
+check on one value; after the match run only the checks that compare values:
+connect targets strictly ascending (on a line with two or more), and the
+kind's value comparison from ``unitformat``. A line that passes builds its
+spec with ``unitformat.proved_spec`` (``description_from_text`` builds
+none). Any other line's first fault is worded by ``_refuse``: a value its
+shape's pattern refuses by that shape's one template, "<key> must be <says>,
+got <value>"; descending connect targets and unsorted MF values by their own
+message; and the rest (pool channels, a ``Null`` among MF values) by the
+public spec class.
 """
 
 from __future__ import annotations
@@ -46,20 +41,21 @@ from .errors import (
 )
 from .model import ArchGraph, NodeSpec, _check_int, build_graph
 from .unitformat import (
+    _AGREE,
+    _CONNECT,
     _COUNT,
-    _POS,
     KIND_CONV,
     KIND_FULL,
     KIND_MF,
     KIND_POOL,
     UNIT_FIELDS,
+    _connect_text,
     _kind_pattern,
     _read_ints,
-    _Shape,
     basic_fields,
     basic_string,
-    join_multi,
     kind_of,
+    proved_spec,
 )
 
 
@@ -81,13 +77,6 @@ class UnitLine:
     def text(self) -> str:
         body = ";".join(f"{k}:{v}" for k, v in self.fields)
         return f"id:{self.id};{body};connect_to:{_connect_text(self.connect_to)}"
-
-
-def _connect_text(connect_to: tuple[int, ...] | None) -> str:
-    return "Null" if connect_to is None else join_multi(connect_to)
-
-
-_KIND_OF_TYPE = {cls: kind for kind, (cls, _) in UNIT_FIELDS.items()}  # kind_of walks subclasses
 
 
 @dataclass(frozen=True)
@@ -119,8 +108,8 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
 
     Node ids are canonical positions; each connect_to lists the positions of
     the node's successors in ascending order. Each line equals what
-    ``render_unit`` gives for its spec, id and successors, and is built the
-    way ``_Spec._checked`` builds specs: its values are already proved.
+    ``render_unit`` gives for its spec, id and successors, and is built
+    without the ``UnitLine`` constructor: its values are already proved.
     """
     order = assign_positions(g, max_paths=max_paths)
     positions = order.positions
@@ -139,7 +128,7 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
         text = f"id:{pos};{basic_string(spec)};connect_to:{connect}"
         line = object.__new__(UnitLine)
         line.__dict__.update(
-            unit_kind=_KIND_OF_TYPE.get(type(spec)) or kind_of(spec), id=pos,
+            unit_kind=kind_of(spec), id=pos,
             fields=basic_fields(spec), connect_to=succ, text=text)
         lines.append(line)
         texts.append(text)
@@ -155,30 +144,15 @@ _KIND_KEYS = {
     for kind, (_, fields) in UNIT_FIELDS.items()
 }
 _FULL_KEYS = set(_KIND_KEYS[KIND_FULL][0])
-_CONNECT = _Shape(f"Null|{_POS}(?:-{_POS})*", _read_ints, "'Null' or integers >= 1 joined by '-'")
 
 
-# The value comparisons no pattern makes, on a kind's matched strings in table
-# order; spellings are canonical, so equal text is an equal value.
-def _pool_channels_agree(values) -> bool:  # type, in_size, out_size, ...
-    return values[1].rpartition("-")[2] == values[2].rpartition("-")[2]
-
-
-def _mf_values_agree(values) -> bool:  # name, in_size, out_size, value
-    tokens = values[3].split("-")
-    return values[3] == "Null" or ("Null" not in tokens and tokens == sorted(tokens))
-
-
-_AGREE = {KIND_POOL: _pool_channels_agree, KIND_MF: _mf_values_agree}
-
-
-# per kind, in table order: its line's compiled fullmatch, unchecked spec
-# constructor, readers, keys and value comparison; groups are the id, the
-# kind's field strings and the connect list
+# per kind, in table order: its line's compiled fullmatch, spec class,
+# readers, keys and value comparison; groups are the id, the kind's field
+# strings and the connect list
 _KINDS = tuple(
     (kind, re.compile(f"id:({_COUNT.pattern}){_kind_pattern(fields)}"
                       f";connect_to:({_CONNECT.pattern})").fullmatch,
-     cls._checked, tuple(f.shape.read for f in fields), tuple(f.key for f in fields),
+     cls, tuple(f.shape.read for f in fields), tuple(f.key for f in fields),
      _AGREE.get(kind))
     for kind, (cls, fields) in UNIT_FIELDS.items()
 )
@@ -263,7 +237,7 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
     line's ``UnitLine`` comes fourth, its fields the matched strings and its
     ``text`` the line itself; with ``_UNIT`` no spec is built (None).
     """
-    for kind, fullmatch, checked, readers, keys, agree in _KINDS:
+    for kind, fullmatch, cls, readers, keys, agree in _KINDS:
         if match := fullmatch(line):
             break
     else:
@@ -274,7 +248,8 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
             or agree and not agree(values)):
         _refuse(line, lineno)
     uid = int(uid)
-    spec = None if _want == _UNIT else checked(*[read(v) for read, v in zip(readers, values)])
+    spec = None if _want == _UNIT else proved_spec(
+        cls, [read(v) for read, v in zip(readers, values)])
     if _want == _SPEC:
         return uid, spec, connect
     fields = tuple(zip(keys, values))

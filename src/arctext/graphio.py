@@ -8,9 +8,10 @@ auto-detectable from ArcText by the first byte ("{" vs "i"). A record with
 exactly its kind's keys is spelled in one pass: its values are taken in line
 order, each field's speller gives its spec value and its text, and the texts
 are joined under their keys. If the kind's line pattern and value comparison
-accept the joined text, it is the spec's basic string, and the spec is built
-unchecked, its ``__dict__`` filled in one update. Any other record, and any
-record whose text they refuse, goes to the spec class, which words the error.
+(both from :mod:`arctext.unitformat`) accept the joined text, it is the
+spec's basic string, and ``unitformat.proved_spec`` builds the spec with its
+basic fields and string kept. Any other record, and any record whose text
+they refuse, goes to the spec class, which words the error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .canonical import CanonicalOrder
-from .codec import _AGREE, Description, _connect_text
+from .codec import Description
 from .errors import GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError, read_text
 from .model import (
     ArchGraph,
@@ -31,7 +32,7 @@ from .model import (
     PoolSpec,
     build_graph,
 )
-from .unitformat import KIND_MF, UNIT_FIELDS, _kind_pattern, kind_of
+from .unitformat import _AGREE, UNIT_FIELDS, _connect_text, _kind_pattern, kind_of, proved_spec
 
 # a record's keys: name, kind and the spec attributes of its kind's text fields
 _ALLOWED = {kind: {"name", "kind"} | {f.attr for f in fields}
@@ -44,14 +45,13 @@ def _plan(kind: str, record_keys: set[str]):
     """How a record with exactly ``record_keys`` is spelled and proved."""
     cls, fields = UNIT_FIELDS[kind]
     kept = [f for f in fields if f.attr in record_keys]
-    left_out = [f.attr for f in fields if f.attr not in record_keys]
     return (record_keys,
             itemgetter(*[f.attr for f in kept]),  # two or more: always a tuple
             tuple(f.shape.spell for f in kept),
             "".join([f";{f.key}:%s" for f in kept]),
             re.compile(_kind_pattern(kept)).fullmatch,
             tuple(f.key for f in kept),
-            cls, tuple(f.attr for f in kept) + tuple(left_out), (None,) * len(left_out),
+            cls, (None,) * (len(fields) - len(kept)),  # left out: optional, so last
             _AGREE.get(kind))
 
 
@@ -71,7 +71,7 @@ def _loaded_spec(record: dict, kind: str) -> NodeSpec | None:
     plan = _PLANS[kind].get(len(record))
     if plan is None or record.keys() != plan[0]:
         return None
-    _, get, spells, template, proves, keys, cls, attrs, absent, agree = plan
+    _, get, spells, template, proves, keys, cls, absent, agree = plan
     try:
         values, texts = zip(*[spell(value) for spell, value in zip(spells, get(record))])
     except (TypeError, ValueError):  # a sequence of the wrong length, or a bad element
@@ -79,10 +79,7 @@ def _loaded_spec(record: dict, kind: str) -> NodeSpec | None:
     text = template % texts
     if proves(text) is None or agree and not agree(texts):
         return None
-    spec = object.__new__(cls)
-    spec.__dict__.update(zip(attrs, values + absent), _basic_fields=tuple(zip(keys, texts)),
-                         _basic_string=text[1:])
-    return spec
+    return proved_spec(cls, values + absent, tuple(zip(keys, texts)), text[1:])
 
 
 def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
@@ -91,7 +88,7 @@ def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
     A record the line grammar proves is built unchecked. For any other, only
     its shape is checked here: the record keys are the spec's attribute
     names, so the values go to the spec class, which checks them and words
-    the error. ``values`` must be an array: an object would pass as its keys.
+    the error.
     """
     if not isinstance(record, dict):
         raise SchemaError(f"node record #{index} must be an object")
@@ -111,9 +108,6 @@ def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
     missing = _REQUIRED[kind] - record.keys()
     if missing:
         raise SchemaError(f"node {name!r}: missing field(s) {sorted(missing)}")
-    if kind == KIND_MF and not isinstance(record["values"], list):
-        raise SchemaError(f"node {name!r}: values must be an array of strings")
-
     fields = {key: value for key, value in record.items() if key not in ("name", "kind")}
     try:
         return name, UNIT_FIELDS[kind][0](**fields)

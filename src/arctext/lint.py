@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSpecError, NonPositiveOutputError
 from .model import ArchGraph, ConvSpec, FullSpec, MFSpec, PoolSpec
-from .unitformat import join_multi
+from .unitformat import basic_fields
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
@@ -116,16 +116,10 @@ def lint_shapes(
     for name in g.names():
         spec = g.spec(name)
         if isinstance(spec, MFSpec) and spec.op_name == "Addition":
-            shapes = {_declared_out(g.spec(p)) for p in g.predecessors(name)}
+            shapes = {dict(basic_fields(g.spec(p)))["out_size"] for p in g.predecessors(name)}
             if len(shapes) > 1:
                 warnings.append(
                     f"addition node {name!r} merges unequal shapes: "
                     + ", ".join(sorted(shapes))
                 )
     return ShapeReport(tuple(entries), tuple(warnings))
-
-
-def _declared_out(spec) -> str:
-    if isinstance(spec, FullSpec):
-        return str(spec.out_size)
-    return join_multi(spec.out_size)

@@ -17,7 +17,7 @@ convenient to build and debug but never appear in rendered text.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -49,13 +49,12 @@ def _check_token(value: object, what: str) -> str:
         raise InvalidSpecError(
             f"{what} {value!r} contains reserved character(s) {sorted(bad)!r}"
         )
-    if not value.isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise InvalidSpecError(
-                f"{what} {value!r} contains a lone surrogate, which UTF-8 cannot encode"
-            ) from None
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidSpecError(
+            f"{what} {value!r} contains a lone surrogate, which UTF-8 cannot encode"
+        ) from None
     return value
 
 
@@ -70,16 +69,12 @@ def _check_int(value: object, what: str, minimum: int) -> int:
 
 
 def _is_sequence(value: object) -> bool:
-    # tuples and lists first: the ABC check is the slow path
-    return isinstance(value, (tuple, list)) or (
-        isinstance(value, Sequence) and not isinstance(value, (str, bytes))
-    )
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
 def _check_ints(items: tuple, what: str, minimum: int) -> tuple[int, ...]:
     for v in items:
-        if type(v) is not int or v < minimum or v >= _TOO_LONG:
-            _check_int(v, f"{what} element", minimum)  # int subclasses pass
+        _check_int(v, f"{what} element", minimum)
     return items
 
 
@@ -95,21 +90,14 @@ def _int_tuple(values: object, what: str, arity: int, minimum: int) -> tuple[int
 class _Spec:
     """Base of the four spec kinds.
 
-    :mod:`arctext.unitformat` keeps a spec's rendered basic fields in its
-    instance ``__dict__``; specs are frozen, so they cannot go stale. Only
-    the dataclass fields are pickled, so rendering never changes a spec's
-    pickle.
+    :mod:`arctext.unitformat` builds the specs its readers have proved and
+    keeps a spec's rendered basic fields in its instance ``__dict__``; specs
+    are frozen, so nothing kept can go stale. Only the dataclass fields are
+    pickled, so rendering never changes a spec's pickle.
     """
 
     def __getstate__(self):
         return {name: self.__dict__[name] for name in self.__dataclass_fields__}
-
-    @classmethod
-    def _checked(cls, *values):
-        """A spec from values the line grammar has proved: no ``__post_init__``."""
-        spec = object.__new__(cls)
-        spec.__dict__.update(zip(cls.__dataclass_fields__, values))
-        return spec
 
 
 @dataclass(frozen=True)
@@ -135,7 +123,7 @@ class ConvSpec(_Spec):
         object.__setattr__(self, "out_size", _int_tuple(self.out_size, "out_size", 3, 1))
         object.__setattr__(self, "kernel", _int_tuple(self.kernel, "kernel", 2, 1))
         object.__setattr__(self, "stride", _int_tuple(self.stride, "stride", 2, 1))
-        if not isinstance(self.padding, (tuple, list, Sequence)) or len(self.padding) != 4:
+        if not isinstance(self.padding, Sequence) or len(self.padding) != 4:
             raise InvalidSpecError("padding must hold 4 (value, count) pairs")
         pads = tuple(
             _int_tuple(p, "padding pair", 2, 0) for p in self.padding
@@ -223,6 +211,9 @@ class MFSpec(_Spec):
         object.__setattr__(self, "out_size", _shape_1_or_3(self.out_size, "out_size"))
         if isinstance(self.values, str):
             raise InvalidSpecError("values must be a sequence of strings, not a string")
+        if isinstance(self.values, Mapping) or not isinstance(self.values, Iterable):
+            raise InvalidSpecError(
+                f"values must be a sequence of strings, got {type(self.values).__name__}")
         vals = tuple(self.values)
         for v in vals:
             _check_token(v, "parameter value")

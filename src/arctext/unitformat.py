@@ -1,4 +1,4 @@
-"""The per-kind field table, and the unit fields written from it.
+"""The unit rules both readers share: the field table, proved specs and kept text.
 
 Every unit renders to an ordered list of ``key:value`` fields. The *basic*
 fields are everything except ``id`` and ``connect_to``, which depend on the
@@ -11,20 +11,20 @@ attribute and value shape. A shape says how a value is spelled (a pattern),
 written (spec value -> text) and read back (text -> spec value), and how a
 graph file's JSON value becomes its spec value and its text in one step
 (``spell``). A speller checks no value: it formats each element with ``%r``,
-so that anything but an int shows a character no integer pattern takes, and
-the graph-file reader proves a whole record's texts at once, joined under
-their keys, with the kind's line pattern. It also puts what its pattern
-accepts into words (``says``): a text value the pattern refuses is worded by
-that one template, and the spec class words the faults no single value shows
-(pool channels, a ``Null`` among MF values). ``basic_fields`` writes a
-spec's fields from this table; the line grammar in :mod:`arctext.codec` and
-the graph file's record keys and reader in :mod:`arctext.graphio` are built
-from it too. A graph-file record the patterns refuse is worded as before, by
-that reader and the spec class.
+so that anything but an int shows a character no integer pattern takes. A
+shape also puts what its pattern accepts into words (``says``), the one
+template for a text value the pattern refuses. Next to the table sit the
+rules no single value's pattern makes: the connect list (``_CONNECT``), the
+value comparisons across fields (``_AGREE``: pool channels, MF values sorted
+with no ``Null``), and each spec class's kind (``kind_of``).
 
-Each spec's basic fields and basic string are computed on first use and
-kept in the spec's instance ``__dict__``, the way ``functools.cached_property``
-keeps its value; specs are frozen, so the kept value cannot go stale.
+The line grammar in :mod:`arctext.codec` and the graph-file reader in
+:mod:`arctext.graphio` are built from these rules, and both build what they
+have proved with ``proved_spec``, which runs no spec-class check. Each
+spec's basic fields and basic string are computed on first use, or handed
+over by the graph-file reader, and kept in the spec's instance ``__dict__``
+the way ``functools.cached_property`` keeps its value; specs are frozen, so
+the kept value cannot go stale. Only this module spells those keys.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class UnitField(NamedTuple):
 
 # Each kind's spec class and its fields between id and connect_to, in line
 # order, which is also the spec class's field order: matched values go to the
-# class positionally.
+# class positionally. Optional fields come last.
 UNIT_FIELDS: dict[str, tuple[type, tuple[UnitField, ...]]] = {
     KIND_CONV: (ConvSpec, (
         UnitField("in_size", "in_size", _SIZE),
@@ -220,21 +220,62 @@ def _kind_pattern(fields) -> str:  # each field led by its ";"
     return "".join(f"(?:{part})?" if optional else part for part, optional in parts)
 
 
+# the connect list after a line's fields: a sink's "Null", or its targets
+_CONNECT = _Shape(f"Null|{_POS}(?:-{_POS})*", _read_ints, "'Null' or integers >= 1 joined by '-'")
+
+
+def _connect_text(connect_to: tuple[int, ...] | None) -> str:
+    return "Null" if connect_to is None else join_multi(connect_to)
+
+
+# The value comparisons no pattern makes, on a kind's field texts in table
+# order; spellings are canonical, so equal text is an equal value.
+def _pool_channels_agree(values) -> bool:  # type, in_size, out_size, ...
+    return values[1].rpartition("-")[2] == values[2].rpartition("-")[2]
+
+
+def _mf_values_agree(values) -> bool:  # name, in_size, out_size, value
+    tokens = values[3].split("-")
+    return values[3] == "Null" or ("Null" not in tokens and tokens == sorted(tokens))
+
+
+_AGREE = {KIND_POOL: _pool_channels_agree, KIND_MF: _mf_values_agree}
+
+
 # each kind's (key, attr, write) per field, in line order
 _ROWS = {
     kind: tuple((f.key, f.attr, f.shape.write) for f in fields)
     for kind, (_, fields) in UNIT_FIELDS.items()
 }
+_KIND_OF_TYPE = {cls: kind for kind, (cls, _) in UNIT_FIELDS.items()}
 
 
-# --- the writer -------------------------------------------------------------------
+# --- the specs ------------------------------------------------------------------
+
+def proved_spec(cls: type, values, fields=None, text=None) -> NodeSpec:
+    """A ``cls`` spec of proved ``values``, in field order; no ``__post_init__`` runs.
+
+    Basic ``fields`` and a basic string ``text`` already joined are kept.
+    """
+    spec = object.__new__(cls)
+    memo = spec.__dict__
+    memo.update(zip(cls.__dataclass_fields__, values))
+    if text is not None:
+        memo["_basic_fields"], memo["_basic_string"] = fields, text
+    return spec
+
 
 def kind_of(spec: NodeSpec) -> str:
-    for kind, (cls, _) in UNIT_FIELDS.items():
+    kind = _KIND_OF_TYPE.get(type(spec))
+    if kind is not None:
+        return kind
+    for kind, (cls, _) in UNIT_FIELDS.items():  # a subclass of a spec class
         if isinstance(spec, cls):
             return kind
     raise TypeError(f"not a node spec: {type(spec).__name__}")
 
+
+# --- the writer -------------------------------------------------------------------
 
 def basic_fields(spec: NodeSpec) -> tuple[tuple[str, str], ...]:
     """Ordered ``(key, value)`` fields of a unit, minus id and connect_to."""

@@ -253,7 +253,10 @@ _EXACT = 10**15
 
 def _cell(value) -> str:
     """The CSV cell of ``float(value)``: an integral value without its ".0"."""
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond a float's range: infinite, as its text reads
+        x = math.inf if value > 0 else -math.inf
     return str(int(x)) if x.is_integer() else repr(x)
 
 

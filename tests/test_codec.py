@@ -43,7 +43,16 @@ from arctext import (
 )
 from arctext import canonical, codec
 from arctext.cli import main
-from arctext.unitformat import _COUNT, UNIT_FIELDS, _kind_pattern, basic_fields, basic_string
+from arctext.unitformat import (
+    _AGREE,
+    _CONNECT,
+    _COUNT,
+    UNIT_FIELDS,
+    _kind_pattern,
+    basic_fields,
+    basic_string,
+    proved_spec,
+)
 
 import gen
 from conftest import FIXTURES
@@ -798,8 +807,7 @@ def test_matched_lines_run_no_spec_checks(monkeypatch, resnet4_text, branching25
         monkeypatch.setattr(cls, "__post_init__", checked)
     for text in (resnet4_text, branching25_text):
         assert render_description(parse_description(text)[0]).text == text
-    monkeypatch.setattr(codec, "_KINDS", tuple(
-        kind[:2] + (built,) + kind[3:] for kind in codec._KINDS))
+    monkeypatch.setattr(codec, "proved_spec", built)
     for text in (resnet4_text, branching25_text):
         assert description_from_text(text).text == text
 
@@ -856,17 +864,17 @@ def test_rendered_line_text_is_its_fields_joined(resnet4, branching25, c03_descr
 _ALTERNATION = re.compile(
     f"id:({_COUNT.pattern})(?:"
     + "|".join(_kind_pattern(fields) for _, fields in UNIT_FIELDS.values())
-    + f");connect_to:({codec._CONNECT.pattern})"
+    + f");connect_to:({_CONNECT.pattern})"
 )
 
 
 def _alternation_branches():
-    # (kind, constructor, readers, keys, first group, end group, comparison)
+    # (kind, spec class, readers, keys, first group, end group, comparison)
     start = 1
     for kind, (cls, fields) in UNIT_FIELDS.items():
         stop = start + len(fields)
-        yield (kind, cls._checked, tuple(f.shape.read for f in fields),
-               tuple(f.key for f in fields), start, stop, codec._AGREE.get(kind))
+        yield (kind, cls, tuple(f.shape.read for f in fields),
+               tuple(f.key for f in fields), start, stop, _AGREE.get(kind))
         start = stop
 
 
@@ -879,7 +887,7 @@ def reference_parse_line(line: str, lineno: int = 1, *, _want: int = codec._SPEC
     if match is None:
         codec._refuse(line, lineno)
     groups = match.groups()
-    for kind, checked, readers, keys, start, stop, agree in _ALTERNATION_BRANCHES:
+    for kind, cls, readers, keys, start, stop, agree in _ALTERNATION_BRANCHES:
         if groups[start] is not None:
             break
     values = groups[start:stop]
@@ -888,8 +896,8 @@ def reference_parse_line(line: str, lineno: int = 1, *, _want: int = codec._SPEC
             agree and not agree(values)):
         codec._refuse(line, lineno)
     uid = int(groups[0])
-    spec = None if _want == codec._UNIT else checked(
-        *[read(v) for read, v in zip(readers, values)])
+    spec = None if _want == codec._UNIT else proved_spec(
+        cls, [read(v) for read, v in zip(readers, values)])
     if _want == codec._SPEC:
         return uid, spec, connect
     fields = tuple(field for field in zip(keys, values) if field[1] is not None)

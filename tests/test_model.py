@@ -57,6 +57,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match="not a string"):
             MFSpec("a", 1, 1, "ab")
 
+    @pytest.mark.parametrize("values, got", [
+        (5, "int"), (None, "NoneType"), ({"b": 1}, "dict"), (10**5000, "int"),
+    ], ids=["5", "None", "mapping", "5001-digits"])
+    def test_mf_values_must_be_a_sequence(self, values, got):
+        # a non-iterable is not a bare TypeError, and a mapping is not its keys
+        with pytest.raises(InvalidSpecError) as err:
+            MFSpec("A", 4, 4, values)
+        assert str(err.value) == f"values must be a sequence of strings, got {got}"
+
     def test_conv_rejects_bool_and_zero(self):
         with pytest.raises(InvalidSpecError):
             ConvSpec((8, 8, 3), (8, 8, 3), (3, 3), (1, 1), dilation=0)

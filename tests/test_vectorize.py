@@ -559,6 +559,15 @@ class TestCellSpelling:
         assert csv_cells(line)[VECTOR_SLOTS.index("mf_value")] == cell
         assert unit_vector(line)[VECTOR_SLOTS.index("mf_value")] == float(cell)
 
+    @pytest.mark.parametrize("uid, cell", [(10**400, "inf"), (-10**400, "-inf")])
+    def test_an_id_beyond_a_float_is_infinite(self, uid, cell):
+        # as the same number spelled in a size is
+        line = UnitLine("full", uid, (("in_size", "1"), ("out_size", "1")), None)
+        assert csv_cells(line)[VECTOR_SLOTS.index("id")] == cell
+        assert unit_vector(line)[VECTOR_SLOTS.index("id")] == float(cell)
+        size = UnitLine("full", 1, (("in_size", str(abs(uid))), ("out_size", "1")), None)
+        assert csv_cells(size)[VECTOR_SLOTS.index("in_w")] == "inf"
+
     @pytest.mark.parametrize("kind", ["unit", "Conv", "", "mf "])
     def test_an_undeclared_kind_is_refused_by_id_and_kind(self, kind):
         line = UnitLine(kind, 7, (("in_size", "4"),), None)
