@@ -70,19 +70,8 @@ from .lint import (
     lint_shapes,
     pool_output_extent,
 )
-from .model import (
-    ArchGraph,
-    ConvSpec,
-    Diagnostics,
-    Finding,
-    FullSpec,
-    MFSpec,
-    NodeSpec,
-    PoolSpec,
-    build_graph,
-    validate_graph,
-)
-from .unitformat import basic_string, kind_of
+from .model import ArchGraph, Diagnostics, Finding, build_graph, validate_graph
+from .unitformat import ConvSpec, FullSpec, MFSpec, NodeSpec, PoolSpec, basic_string, kind_of
 from .vectorize import (
     VECTOR_SLOTS,
     Token,

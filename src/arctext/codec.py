@@ -39,7 +39,7 @@ from .errors import (
     NonContiguousIdsError,
     UnclassifiableLineError,
 )
-from .model import ArchGraph, NodeSpec, _check_int, build_graph
+from .model import ArchGraph, build_graph
 from .unitformat import (
     _AGREE,
     _CONNECT,
@@ -49,6 +49,8 @@ from .unitformat import (
     KIND_MF,
     KIND_POOL,
     UNIT_FIELDS,
+    NodeSpec,
+    _check_int,
     _connect_text,
     _kind_pattern,
     _read_ints,
@@ -88,14 +90,14 @@ class Description:
 
 
 def render_unit(spec: NodeSpec, id: int, connect_to) -> UnitLine:
-    _check_int(id, "id", 1)
+    _check_int(id, "id")
     targets: tuple[int, ...] | None
     if connect_to is None:
         targets = None
     else:
         targets = tuple(connect_to)
         for t in targets:
-            _check_int(t, "connect_to entry", 1)
+            _check_int(t, "connect_to entry")
         if any(a >= b for a, b in zip(targets, targets[1:])):
             raise InvalidSpecError(f"connect_to must be strictly ascending, got {targets}")
         if not targets:

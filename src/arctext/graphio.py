@@ -24,15 +24,19 @@ from operator import itemgetter
 from .canonical import CanonicalOrder
 from .codec import Description
 from .errors import GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError, read_text
-from .model import (
-    ArchGraph,
+from .model import ArchGraph, build_graph
+from .unitformat import (
+    _AGREE,
+    UNIT_FIELDS,
     ConvSpec,
     FullSpec,
     NodeSpec,
     PoolSpec,
-    build_graph,
+    _connect_text,
+    _kind_pattern,
+    kind_of,
+    proved_spec,
 )
-from .unitformat import _AGREE, UNIT_FIELDS, _connect_text, _kind_pattern, kind_of, proved_spec
 
 # a record's keys: name, kind and the spec attributes of its kind's text fields
 _ALLOWED = {kind: {"name", "kind"} | {f.attr for f in fields}

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSpecError, NonPositiveOutputError
-from .model import ArchGraph, ConvSpec, FullSpec, MFSpec, PoolSpec
-from .unitformat import basic_fields
+from .model import ArchGraph
+from .unitformat import ConvSpec, FullSpec, MFSpec, PoolSpec, basic_fields
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"

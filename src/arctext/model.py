@@ -1,25 +1,18 @@
-"""Architecture-graph data model.
+"""The architecture graph: construction and structural validation.
 
-A network architecture is a DAG whose nodes are one of four unit kinds:
-
-* :class:`ConvSpec` -- convolutional layers
-* :class:`PoolSpec` -- pooling layers (max or average)
-* :class:`FullSpec` -- fully-connected layers
-* :class:`MFSpec`  -- everything else (activations, batch norm, dropout,
-  addition/concatenation merge points, ...)
-
-Specs hold only the *basic* configuration of a node. Identifiers and
-connection lists are derived later, by canonical ordering, and are never
-stored on a spec. Node names are transport-only handles: they make graphs
-convenient to build and debug but never appear in rendered text.
+A network architecture is a DAG whose nodes carry one of the four spec
+kinds of :mod:`arctext.unitformat` (``ConvSpec``, ``PoolSpec``, ``FullSpec``,
+``MFSpec``), which declares and checks them. Specs hold only the *basic*
+configuration of a node. Identifiers and connection lists are derived
+later, by canonical ordering, and are never stored on a spec. Node names
+are transport-only handles: they make graphs convenient to build and debug
+but never appear in rendered text.
 """
 
 from __future__ import annotations
 
-import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import (
     CycleDetectedError,
@@ -30,211 +23,8 @@ from .errors import (
     SelfLoopError,
     UnknownEdgeEndpointError,
 )
-
-POOL_TYPES = ("Max", "Avg")
-
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # str()'s limit; 0: none
-# the least integer whose decimal form is longer than str() writes
-_TOO_LONG = 10 ** _MAX_DIGITS if _MAX_DIGITS else float("inf")
-
-# characters that would collide with the text grammar's separators
-_FORBIDDEN_TOKEN_CHARS = set(";:-\n")
-
-
-def _check_token(value: object, what: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise InvalidSpecError(f"{what} must be a non-empty string, got {value!r}")
-    bad = _FORBIDDEN_TOKEN_CHARS.intersection(value)
-    if bad:
-        raise InvalidSpecError(
-            f"{what} {value!r} contains reserved character(s) {sorted(bad)!r}"
-        )
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise InvalidSpecError(
-            f"{what} {value!r} contains a lone surrogate, which UTF-8 cannot encode"
-        ) from None
-    return value
-
-
-def _check_int(value: object, what: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidSpecError(f"{what} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidSpecError(f"{what} must be >= {minimum}, got {value}")
-    if value >= _TOO_LONG:
-        raise InvalidSpecError(f"{what} has more than {_MAX_DIGITS} digits")
-    return value
-
-
-def _is_sequence(value: object) -> bool:
-    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
-
-
-def _check_ints(items: tuple, what: str, minimum: int) -> tuple[int, ...]:
-    for v in items:
-        _check_int(v, f"{what} element", minimum)
-    return items
-
-
-def _int_tuple(values: object, what: str, arity: int, minimum: int) -> tuple[int, ...]:
-    if not _is_sequence(values):
-        raise InvalidSpecError(f"{what} must be a sequence of {arity} integers")
-    items = tuple(values)
-    if len(items) != arity:
-        raise InvalidSpecError(f"{what} must have {arity} elements, got {len(items)}")
-    return _check_ints(items, what, minimum)
-
-
-class _Spec:
-    """Base of the four spec kinds.
-
-    :mod:`arctext.unitformat` builds the specs its readers have proved and
-    keeps a spec's rendered basic fields in its instance ``__dict__``; specs
-    are frozen, so nothing kept can go stale. Only the dataclass fields are
-    pickled, so rendering never changes a spec's pickle.
-    """
-
-    def __getstate__(self):
-        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
-
-
-@dataclass(frozen=True)
-class ConvSpec(_Spec):
-    """Configuration of a convolutional layer.
-
-    Shapes are (width, height, channels). ``stride`` is (vertical,
-    horizontal). ``padding`` holds one (value, count) pair per direction in
-    the order up, down, left, right.
-    """
-
-    in_size: tuple[int, int, int]
-    out_size: tuple[int, int, int]
-    kernel: tuple[int, int]
-    stride: tuple[int, int]
-    padding: tuple[tuple[int, int], ...] = ((0, 0), (0, 0), (0, 0), (0, 0))
-    dilation: int = 1
-    groups: int = 1
-    bias_used: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "in_size", _int_tuple(self.in_size, "in_size", 3, 1))
-        object.__setattr__(self, "out_size", _int_tuple(self.out_size, "out_size", 3, 1))
-        object.__setattr__(self, "kernel", _int_tuple(self.kernel, "kernel", 2, 1))
-        object.__setattr__(self, "stride", _int_tuple(self.stride, "stride", 2, 1))
-        if not isinstance(self.padding, Sequence) or len(self.padding) != 4:
-            raise InvalidSpecError("padding must hold 4 (value, count) pairs")
-        pads = tuple(
-            _int_tuple(p, "padding pair", 2, 0) for p in self.padding
-        )
-        object.__setattr__(self, "padding", pads)
-        _check_int(self.dilation, "dilation", 1)
-        _check_int(self.groups, "groups", 1)
-        if not isinstance(self.bias_used, bool):
-            raise InvalidSpecError("bias_used must be a bool")
-
-
-@dataclass(frozen=True)
-class PoolSpec(_Spec):
-    """Configuration of a pooling layer.
-
-    ``padding`` is four pad counts in the order up, down, left, right
-    (pooling always pads with zeros, so no pad value is stored). Input and
-    output channel counts must agree.
-    """
-
-    pool_type: str
-    in_size: tuple[int, int, int]
-    out_size: tuple[int, int, int]
-    kernel: tuple[int, int]
-    stride: tuple[int, int]
-    padding: tuple[int, int, int, int] = (0, 0, 0, 0)
-    dilation: int = 1
-    bias_used: bool = False
-
-    def __post_init__(self):
-        if self.pool_type not in POOL_TYPES:
-            raise InvalidSpecError(
-                f"pool_type must be one of {POOL_TYPES}, got {self.pool_type!r}"
-            )
-        object.__setattr__(self, "in_size", _int_tuple(self.in_size, "in_size", 3, 1))
-        object.__setattr__(self, "out_size", _int_tuple(self.out_size, "out_size", 3, 1))
-        object.__setattr__(self, "kernel", _int_tuple(self.kernel, "kernel", 2, 1))
-        object.__setattr__(self, "stride", _int_tuple(self.stride, "stride", 2, 1))
-        object.__setattr__(self, "padding", _int_tuple(self.padding, "padding", 4, 0))
-        _check_int(self.dilation, "dilation", 1)
-        if not isinstance(self.bias_used, bool):
-            raise InvalidSpecError("bias_used must be a bool")
-        if self.in_size[2] != self.out_size[2]:
-            raise InvalidSpecError(
-                "pooling cannot change the channel count "
-                f"({self.in_size[2]} -> {self.out_size[2]})"
-            )
-
-
-@dataclass(frozen=True)
-class FullSpec(_Spec):
-    """Configuration of a fully-connected layer."""
-
-    in_size: int
-    out_size: int
-    act_fun: str | None = None
-
-    def __post_init__(self):
-        _check_int(self.in_size, "in_size", 1)
-        _check_int(self.out_size, "out_size", 1)
-        if self.act_fun is not None:
-            _check_token(self.act_fun, "act_fun")
-
-
-@dataclass(frozen=True)
-class MFSpec(_Spec):
-    """Configuration of a multi-function node (activation, BN, dropout,
-    addition/concatenation merge, interpolation, ...).
-
-    Sizes may be a single extent or a full (width, height, channels) shape;
-    bare integers are accepted and stored as 1-tuples. Parameter strings in
-    ``values`` are stored sorted by their UTF-8 byte order, which is the
-    order they are rendered in. The literal ``"Null"`` is reserved to mean
-    "no parameters" and is rejected as a parameter value.
-    """
-
-    op_name: str
-    in_size: tuple[int, ...]
-    out_size: tuple[int, ...]
-    values: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        _check_token(self.op_name, "op_name")
-        object.__setattr__(self, "in_size", _shape_1_or_3(self.in_size, "in_size"))
-        object.__setattr__(self, "out_size", _shape_1_or_3(self.out_size, "out_size"))
-        if isinstance(self.values, str):
-            raise InvalidSpecError("values must be a sequence of strings, not a string")
-        if isinstance(self.values, Mapping) or not isinstance(self.values, Iterable):
-            raise InvalidSpecError(
-                f"values must be a sequence of strings, got {type(self.values).__name__}")
-        vals = tuple(self.values)
-        for v in vals:
-            _check_token(v, "parameter value")
-            if v == "Null":
-                raise InvalidSpecError('"Null" is reserved and cannot be a parameter value')
-        # code-point order is UTF-8 byte order once lone surrogates are out
-        object.__setattr__(self, "values", tuple(sorted(vals)))
-
-
-def _shape_1_or_3(value: object, what: str) -> tuple[int, ...]:
-    if isinstance(value, int) and not isinstance(value, bool):
-        value = (value,)
-    if not _is_sequence(value):
-        raise InvalidSpecError(f"{what} must be an int or a shape tuple")
-    items = tuple(value)
-    if len(items) not in (1, 3):
-        raise InvalidSpecError(f"{what} must have 1 or 3 elements, got {len(items)}")
-    return _check_ints(items, what, 1)
-
-
-NodeSpec = Union[ConvSpec, PoolSpec, FullSpec, MFSpec]
+# the spec classes stay importable from here: specs pickled as arctext.model.* load
+from .unitformat import ConvSpec, FullSpec, MFSpec, NodeSpec, PoolSpec, _shown
 
 
 # --- diagnostics -------------------------------------------------------------
@@ -357,7 +147,7 @@ def build_graph(
     for name, spec in nodes:
         if not isinstance(name, str) or not name:
             raise InvalidNodeNameError(
-                f"node names must be non-empty strings, got {name!r}", subject=name
+                f"node names must be non-empty strings, got {_shown(name)}", subject=name
             )
         if name in node_map:
             raise DuplicateNodeNameError(f"duplicate node name {name!r}", subject=name)
@@ -376,7 +166,7 @@ def build_graph(
         if src not in node_map or dst not in node_map:
             missing = src if src not in node_map else dst
             raise UnknownEdgeEndpointError(
-                f"edge ({src!r} -> {dst!r}) references unknown node {missing!r}",
+                f"edge ({_shown(src)} -> {_shown(dst)}) references unknown node {_shown(missing)}",
                 subject=(src, dst),
             )
         if src == dst:

@@ -1,4 +1,4 @@
-"""The unit rules both readers share: the field table, proved specs and kept text.
+"""The unit rules: the spec classes, the field table, proved specs and kept text.
 
 Every unit renders to an ordered list of ``key:value`` fields. The *basic*
 fields are everything except ``id`` and ``connect_to``, which depend on the
@@ -8,17 +8,19 @@ only the basic fields so that ordering does not feed back into itself.
 The fields are declared once, in ``UNIT_FIELDS``: for each unit kind, its
 spec class and its basic fields in line order, each with its text key, spec
 attribute and value shape. A shape says how a value is spelled (a pattern),
-written (spec value -> text) and read back (text -> spec value), and how a
-graph file's JSON value becomes its spec value and its text in one step
-(``spell``). A speller checks no value: it formats each element with ``%r``,
-so that anything but an int shows a character no integer pattern takes. A
-shape also puts what its pattern accepts into words (``says``), the one
-template for a text value the pattern refuses. Next to the table sit the
-rules no single value's pattern makes: the connect list (``_CONNECT``), the
-value comparisons across fields (``_AGREE``: pool channels, MF values sorted
-with no ``Null``), and each spec class's kind (``kind_of``).
+written (spec value -> text), read back (text -> spec value) and checked
+(a spec-class argument -> its stored value), and how a graph file's JSON
+value becomes its spec value and its text in one step (``spell``). A
+speller checks no value: it formats each element with ``%r``, so that
+anything but an int shows a character no integer pattern takes. A shape
+also puts what its pattern accepts into words (``says``), the one template
+for a text value the pattern refuses. Next to the table sit the rules no
+single value's pattern makes: the connect list (``_CONNECT``), the value
+comparisons across fields (``_AGREE``: pool channels, MF values sorted with
+no ``Null``), and each spec class's kind (``kind_of``).
 
-The line grammar in :mod:`arctext.codec` and the graph-file reader in
+The spec classes check their arguments with the table's shapes. The line
+grammar in :mod:`arctext.codec` and the graph-file reader in
 :mod:`arctext.graphio` are built from these rules, and both build what they
 have proved with ``proved_spec``, which runs no spec-class check. Each
 spec's basic fields and basic string are computed on first use, or handed
@@ -29,25 +31,119 @@ the kept value cannot go stale. Only this module spells those keys.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from typing import NamedTuple
+import sys
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
-from .model import _MAX_DIGITS, POOL_TYPES, ConvSpec, FullSpec, MFSpec, NodeSpec, PoolSpec
+from .errors import InvalidSpecError
 
 KIND_CONV = "conv"
 KIND_POOL = "pool"
 KIND_FULL = "full"
 KIND_MF = "mf"
 
+POOL_TYPES = ("Max", "Avg")
+
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # str()'s limit; 0: none
+# the least integer whose decimal form is longer than str() writes
+_TOO_LONG = 10 ** _MAX_DIGITS if _MAX_DIGITS else float("inf")
+
 _POS = "[1-9][0-9]" + (f"{{0,{_MAX_DIGITS - 1}}}" if _MAX_DIGITS else "*")  # >= 1, int()-able
 _INT = f"(?:0|{_POS})"
+# the characters no token holds, which the text grammar separates by; "-"
+# comes first, where a character class takes it literally
+_RESERVED = "-:;\n"
 # a token as the renderer writes it: no separator, no LF, no lone surrogate
-_TOKEN = "[^-:;\n\ud800-\udfff]+"
+_TOKEN = f"[^{_RESERVED}\ud800-\udfff]+"
 _NOT_IN_TOKEN = "':', ';', newline or lone surrogate"  # nor "-", which joins tokens
 
 
 def join_multi(values) -> str:
     return "-".join(map(str, values))
+
+
+# --- value checks ---------------------------------------------------------------
+# Each takes a spec-class argument and its attribute, and returns the value to
+# store or raises InvalidSpecError, whose message holds no int str() refuses.
+
+def _shown(value: object) -> str:
+    """``repr(value)``, or its type where that repr holds an int too long to write."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{type(value).__name__} of more than {_MAX_DIGITS} digits"
+
+
+def _check_int(value: object, what: str, minimum: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidSpecError(f"{what} must be an integer, got {_shown(value)}")
+    if not -_TOO_LONG < value < _TOO_LONG:
+        raise InvalidSpecError(f"{what} has more than {_MAX_DIGITS} digits")
+    if value < minimum:
+        raise InvalidSpecError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def _check_token(value: object, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise InvalidSpecError(f"{what} must be a non-empty string, got {_shown(value)}")
+    bad = set(_RESERVED).intersection(value)
+    if bad:
+        raise InvalidSpecError(
+            f"{what} {value!r} contains reserved character(s) {sorted(bad)!r}"
+        )
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidSpecError(
+            f"{what} {value!r} contains a lone surrogate, which UTF-8 cannot encode"
+        ) from None
+    return value
+
+
+def _is_sequence(value: object) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def _check_extent(value, attr):  # a bare integer is a 1-tuple
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = (value,)
+    if not _is_sequence(value):
+        raise InvalidSpecError(f"{attr} must be an int or a shape tuple")
+    items = tuple(value)
+    if len(items) not in (1, 3):
+        raise InvalidSpecError(f"{attr} must have 1 or 3 elements, got {len(items)}")
+    for v in items:
+        _check_int(v, f"{attr} element")
+    return items
+
+
+def _check_pool_type(value, attr):
+    if value not in POOL_TYPES:
+        raise InvalidSpecError(f"{attr} must be one of {POOL_TYPES}, got {_shown(value)}")
+    return value
+
+
+def _check_flag(value, attr):
+    if not isinstance(value, bool):
+        raise InvalidSpecError(f"{attr} must be a bool")
+    return value
+
+
+def _check_values(value, attr):
+    if isinstance(value, str):
+        raise InvalidSpecError(f"{attr} must be a sequence of strings, not a string")
+    if isinstance(value, Mapping) or not isinstance(value, Iterable):
+        raise InvalidSpecError(
+            f"{attr} must be a sequence of strings, got {type(value).__name__}")
+    values = tuple(value)
+    for v in values:
+        _check_token(v, "parameter value")
+        if v == "Null":
+            raise InvalidSpecError('"Null" is reserved and cannot be a parameter value')
+    # code-point order is UTF-8 byte order once lone surrogates are out
+    return tuple(sorted(values))
 
 
 # --- value shapes ---------------------------------------------------------------
@@ -128,7 +224,7 @@ def _spell_values(value):
 
 
 class _Shape(NamedTuple):
-    """How one field's value is spelled, read, worded, written and taken from a graph file.
+    """How one field's value is spelled, read, worded, written, checked and taken from JSON.
 
     A value its pattern refuses is worded from ``says`` alone, as "<key> must
     be <says>, got <value>"; a value it accepts can fail only a check across
@@ -143,31 +239,147 @@ class _Shape(NamedTuple):
     # a graph file's JSON value -> (its spec value, its text), which the
     # caller proves; None for a shape no graph file holds
     spell: Callable[[object], tuple[object, str]] | None = None
+    # a spec-class argument and its attribute -> the value stored, or
+    # InvalidSpecError; None for a shape no spec field has
+    check: Callable[[object, str], object] | None = None
 
 
 def _int_shape(arity: int, least=1, read=_read_ints, write=join_multi) -> _Shape:
+    def check(value, attr):
+        if not _is_sequence(value):
+            raise InvalidSpecError(f"{attr} must be a sequence of {arity} integers")
+        items = tuple(value)
+        if len(items) != arity:
+            raise InvalidSpecError(f"{attr} must have {arity} elements, got {len(items)}")
+        for v in items:
+            _check_int(v, f"{attr} element", least)
+        return items
     atom = _POS if least else _INT
     return _Shape("-".join([atom] * arity), read,
-                  f"{arity} integers >= {least} joined by '-'", write, _spell_ints(arity))
+                  f"{arity} integers >= {least} joined by '-'", write, _spell_ints(arity), check)
 
 
-_COUNT = _Shape(_POS, int, "an integer >= 1", str, _spell_count)
+_check_pad_pair = _int_shape(2, 0).check
+
+
+def _check_pad_pairs(value, attr):
+    if not isinstance(value, Sequence) or len(value) != 4:
+        raise InvalidSpecError(f"{attr} must hold 4 (value, count) pairs")
+    return tuple(_check_pad_pair(p, "padding pair") for p in value)
+
+
+_COUNT = _Shape(_POS, int, "an integer >= 1", str, _spell_count, _check_int)
 _PAIR = _int_shape(2)
 _SIZE = _int_shape(3)
 _PADS = _int_shape(4, 0)
 _PAD_PAIRS = _int_shape(8, 0, _read_pad_pairs, _write_pad_pairs)._replace(
-    spell=_spell_pad_pairs)
+    spell=_spell_pad_pairs, check=_check_pad_pairs)
 _EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, "1 or 3 integers >= 1 joined by '-'",
-                 join_multi, _spell_extent)
+                 join_multi, _spell_extent, _check_extent)
 _POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, " or ".join(map(repr, POOL_TYPES)), str,
-                    _spell_typed(str))
+                    _spell_typed(str), _check_pool_type)
 _FLAG = _Shape("Yes|No", "Yes".__eq__, "'Yes' or 'No'", ("No", "Yes").__getitem__,
-               _spell_typed(bool, ("No", "Yes").__getitem__))
+               _spell_typed(bool, ("No", "Yes").__getitem__), _check_flag)
 _WORD = _Shape(_TOKEN, _read_token, f"a non-empty token with no '-', {_NOT_IN_TOKEN}", str,
-               _spell_typed(str))
+               _spell_typed(str), _check_token)
 _VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values,
                  f"'Null' or non-empty tokens joined by '-', with no {_NOT_IN_TOKEN}",
-                 _write_values, _spell_values)
+                 _write_values, _spell_values, _check_values)
+
+
+# --- the spec classes -----------------------------------------------------------
+
+class _Spec:
+    """Base of the four spec kinds.
+
+    The one spec check: each field's shape checks its argument in table
+    order, leaving an optional ``None`` alone, then the pool channels must
+    agree. ``proved_spec`` skips it. Only the dataclass fields are pickled,
+    so the basic fields a spec keeps never change its pickle.
+    """
+
+    def __post_init__(self):
+        kind = kind_of(self)
+        for f in UNIT_FIELDS[kind][1]:
+            value = getattr(self, f.attr)
+            if value is not None or not f.optional:
+                object.__setattr__(self, f.attr, f.shape.check(value, f.attr))
+        if kind == KIND_POOL and self.in_size[2] != self.out_size[2]:
+            raise InvalidSpecError(
+                "pooling cannot change the channel count "
+                f"({self.in_size[2]} -> {self.out_size[2]})"
+            )
+
+    def __getstate__(self):
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
+
+@dataclass(frozen=True)
+class ConvSpec(_Spec):
+    """Configuration of a convolutional layer.
+
+    Shapes are (width, height, channels). ``stride`` is (vertical,
+    horizontal). ``padding`` holds one (value, count) pair per direction in
+    the order up, down, left, right.
+    """
+
+    in_size: tuple[int, int, int]
+    out_size: tuple[int, int, int]
+    kernel: tuple[int, int]
+    stride: tuple[int, int]
+    padding: tuple[tuple[int, int], ...] = ((0, 0), (0, 0), (0, 0), (0, 0))
+    dilation: int = 1
+    groups: int = 1
+    bias_used: bool = False
+
+
+@dataclass(frozen=True)
+class PoolSpec(_Spec):
+    """Configuration of a pooling layer.
+
+    ``padding`` is four pad counts in the order up, down, left, right
+    (pooling always pads with zeros, so no pad value is stored). Input and
+    output channel counts must agree.
+    """
+
+    pool_type: str
+    in_size: tuple[int, int, int]
+    out_size: tuple[int, int, int]
+    kernel: tuple[int, int]
+    stride: tuple[int, int]
+    padding: tuple[int, int, int, int] = (0, 0, 0, 0)
+    dilation: int = 1
+    bias_used: bool = False
+
+
+@dataclass(frozen=True)
+class FullSpec(_Spec):
+    """Configuration of a fully-connected layer."""
+
+    in_size: int
+    out_size: int
+    act_fun: str | None = None
+
+
+@dataclass(frozen=True)
+class MFSpec(_Spec):
+    """Configuration of a multi-function node (activation, BN, dropout,
+    addition/concatenation merge, interpolation, ...).
+
+    Sizes may be a single extent or a full (width, height, channels) shape;
+    bare integers are accepted and stored as 1-tuples. Parameter strings in
+    ``values`` are stored sorted by their UTF-8 byte order, which is the
+    order they are rendered in. The literal ``"Null"`` is reserved to mean
+    "no parameters" and is rejected as a parameter value.
+    """
+
+    op_name: str
+    in_size: tuple[int, ...]
+    out_size: tuple[int, ...]
+    values: tuple[str, ...] = ()
+
+
+NodeSpec = Union[ConvSpec, PoolSpec, FullSpec, MFSpec]
 
 
 class UnitField(NamedTuple):
@@ -179,7 +391,8 @@ class UnitField(NamedTuple):
 
 # Each kind's spec class and its fields between id and connect_to, in line
 # order, which is also the spec class's field order: matched values go to the
-# class positionally. Optional fields come last.
+# class positionally, and the class checks its arguments in this order.
+# Optional fields come last.
 UNIT_FIELDS: dict[str, tuple[type, tuple[UnitField, ...]]] = {
     KIND_CONV: (ConvSpec, (
         UnitField("in_size", "in_size", _SIZE),

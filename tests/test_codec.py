@@ -134,11 +134,13 @@ class TestRenderUnit:
         with pytest.raises(InvalidSpecError):
             render_unit(spec, 1, [0])
         if _MAX_DIGITS:  # an integer too long for str() is refused, not written
-            with pytest.raises(InvalidSpecError, match=f"^id has more than {_MAX_DIGITS} digits$"):
-                render_unit(spec, 10 ** _MAX_DIGITS, None)
-            with pytest.raises(InvalidSpecError,
-                               match=f"^connect_to entry has more than {_MAX_DIGITS} digits$"):
-                render_unit(spec, 1, [10 ** _MAX_DIGITS])
+            for big in (10 ** _MAX_DIGITS, -10 ** _MAX_DIGITS):
+                with pytest.raises(InvalidSpecError,
+                                   match=f"^id has more than {_MAX_DIGITS} digits$"):
+                    render_unit(spec, big, None)
+                with pytest.raises(InvalidSpecError,
+                                   match=f"^connect_to entry has more than {_MAX_DIGITS} digits$"):
+                    render_unit(spec, 1, [2, big])
 
 
 class TestClassifyLine:

@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 
@@ -123,6 +124,19 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError) as err:
             build()
         assert "lone surrogate" in str(err.value)
+
+
+@pytest.mark.parametrize("spec", [
+    ConvSpec((8, 8, 3), (8, 8, 16), (3, 3), (1, 1)),
+    PoolSpec("Max", (8, 8, 3), (4, 4, 3), (2, 2), (2, 2)),
+    FullSpec(4, 5, "ReLU"),
+    MFSpec("BN", 4, 4, ("b", "a")),
+], ids=["conv", "pool", "full", "mf"])
+def test_a_spec_pickled_under_its_old_module_still_loads(spec):
+    # the spec classes moved from arctext.model to arctext.unitformat
+    data = pickle.dumps(spec, protocol=0)  # names the class's module in plain text
+    assert b"arctext.unitformat" in data
+    assert pickle.loads(data.replace(b"arctext.unitformat", b"arctext.model")) == spec
 
 
 class TestBuildGraph:
@@ -300,6 +314,7 @@ _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     lambda big: FullSpec(big, 1),
     lambda big: FullSpec(1, big, "ReLU"),
     lambda big: ConvSpec((1, 1, big), (1, 1, 1), (1, 1), (1, 1)),
+    lambda big: ConvSpec((1, 1, 1), (1, 1, 1), (big, 3), (1, 1)),
     lambda big: ConvSpec((1, 1, 1), (1, 1, 1), (1, 1), (1, 1), ((0, 0), (0, big), (0, 0), (0, 0))),
     lambda big: ConvSpec((1, 1, 1), (1, 1, 1), (1, 1), (1, 1), dilation=big),
     lambda big: ConvSpec((1, 1, 1), (1, 1, 1), (1, 1), (1, 1), groups=big),
@@ -307,12 +322,41 @@ _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     lambda big: PoolSpec("Avg", (1, 1, 1), (1, 1, 1), (1, 1), (1, 1), (0, 0, 0, big)),
     lambda big: MFSpec("BN", big, 1),
     lambda big: MFSpec("BN", (1, 1, 1), (1, big, 1)),
-], ids=["full-in", "full-out", "conv-size", "conv-pad", "conv-dilation", "conv-groups",
-        "pool-kernel", "pool-pad", "mf-extent", "mf-shape"])
+], ids=["full-in", "full-out", "conv-size", "conv-kernel", "conv-pad", "conv-dilation",
+        "conv-groups", "pool-kernel", "pool-pad", "mf-extent", "mf-shape"])
 def test_an_integer_too_long_to_write_is_an_invalid_spec(build):
-    # the text would need more digits than str() writes: refuse it when built
-    with pytest.raises(InvalidSpecError, match=f"has more than {_MAX_DIGITS} digits"):
-        build(10 ** _MAX_DIGITS)
+    # the text would need more digits than str() writes: refuse it when built,
+    # below the minimum as above it
+    for big in (10 ** _MAX_DIGITS, -10 ** _MAX_DIGITS, 10 ** (_MAX_DIGITS + 700)):
+        with pytest.raises(InvalidSpecError, match=f"has more than {_MAX_DIGITS} digits$"):
+            build(big)
+    with pytest.raises(InvalidSpecError, match=f"must be >= [01], got -{'9' * _MAX_DIGITS}$"):
+        build(1 - 10 ** _MAX_DIGITS)  # the longest negative that is written
     spec = build(10 ** _MAX_DIGITS - 1)  # the longest that is written
     text = render_description(build_graph([("a", spec)], [])).text
     assert "9" * _MAX_DIGITS in text
+
+
+@pytest.mark.skipif(not _MAX_DIGITS, reason="str() writes any number of digits")
+@pytest.mark.parametrize("build, error, message", [
+    (lambda big: MFSpec(big, 4, 4), InvalidSpecError,
+     "op_name must be a non-empty string, got int {}"),
+    (lambda big: FullSpec(1, 1, act_fun=big), InvalidSpecError,
+     "act_fun must be a non-empty string, got int {}"),
+    (lambda big: MFSpec("A", 4, 4, (big,)), InvalidSpecError,
+     "parameter value must be a non-empty string, got int {}"),
+    (lambda big: PoolSpec(big, (1, 1, 1), (1, 1, 1), (1, 1), (1, 1)), InvalidSpecError,
+     "pool_type must be one of ('Max', 'Avg'), got int {}"),
+    (lambda big: FullSpec([big], 1), InvalidSpecError, "in_size must be an integer, got list {}"),
+    (lambda big: build_graph([(big, mf())], []), InvalidNodeNameError,
+     "node names must be non-empty strings, got int {}"),
+    (lambda big: build_graph([("a", mf())], [("a", big)]), UnknownEdgeEndpointError,
+     "edge ('a' -> int {0}) references unknown node int {0}"),
+], ids=["mf-name", "full-act", "mf-value", "pool-type", "full-in-list", "node-name",
+        "edge-endpoint"])
+def test_a_value_too_long_to_show_is_named_by_its_type(build, error, message):
+    # such a value is not written into the message, which names its type instead
+    for big in (10 ** _MAX_DIGITS, -10 ** (_MAX_DIGITS + 700)):
+        with pytest.raises(error) as err:
+            build(big)
+        assert str(err.value) == message.format(f"of more than {_MAX_DIGITS} digits")

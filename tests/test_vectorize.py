@@ -26,7 +26,7 @@ from arctext import (
     unit_vector,
     vectors_csv,
 )
-from arctext.unitformat import UNIT_FIELDS
+from arctext.unitformat import _FLAG, _VALUES, POOL_TYPES, UNIT_FIELDS, _connect_text
 from arctext.vectorize import (
     NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _SLOTS, _numeric,
 )
@@ -49,9 +49,14 @@ class TestVocabulary:
         assert v.token_id("Null") == 24
 
     def test_default_reserves_every_field_key(self):
+        # each key and literal word the table writes is structural, so its id
+        # never depends on the input: a new one must join the vocabulary
         v = Vocabulary.default(closed=True)
         keys = {f.key for _, fields in UNIT_FIELDS.values() for f in fields}
-        for key in keys | {"id", "connect_to"}:
+        literals = {*POOL_TYPES, _FLAG.write(False), _FLAG.write(True), _VALUES.write(()),
+                    _connect_text(None)}
+        assert literals == {"Max", "Avg", "Yes", "No", "Null"}
+        for key in keys | literals | {"id", "connect_to"}:
             assert key in v
 
     def test_open_growth(self):
