@@ -36,6 +36,7 @@ from .errors import (
     DuplicateNodeNameError,
     EmptyInputError,
     GraphFileSyntaxError,
+    InvalidEdgeError,
     InvalidNodeNameError,
     InvalidSpecError,
     IoError,
@@ -87,7 +88,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcTextError", "InvalidSpecError", "InvalidNodeNameError",
-    "DuplicateNodeNameError", "UnknownEdgeEndpointError", "SelfLoopError",
+    "DuplicateNodeNameError", "InvalidEdgeError", "UnknownEdgeEndpointError", "SelfLoopError",
     "DuplicateEdgeError", "CycleDetectedError", "NoNodesError",
     "AmbiguousSourceError", "AmbiguousSinkError", "BrokenPathError",
     "PathExplosionError", "UnreachableNodeError", "UnclassifiableLineError",

@@ -64,6 +64,13 @@ class CanonicalOrder:
         return tuple(sorted(self.positions, key=self.positions.__getitem__))
 
 
+def _ordered(positions: Mapping[str, int], by_position: tuple[str, ...]) -> CanonicalOrder:
+    """The order of ``positions`` whose names in position order are already known."""
+    order = CanonicalOrder(positions, len(by_position))
+    order.__dict__["by_position"] = by_position  # where cached_property keeps its value
+    return order
+
+
 @dataclass(frozen=True)
 class PathCandidate:
     """One source-to-sink path plus the material that ranks it."""
@@ -263,4 +270,6 @@ def assign_positions(
             if name not in positions:
                 positions[name] = next_free
                 next_free += 1
+    if state.longest[state.source] == n:  # numbered along the one path, in topological order
+        return _ordered(positions, state.order)
     return CanonicalOrder(positions, n)

@@ -7,18 +7,27 @@ multi-values, ascending connect_to -- so each architecture has exactly one
 spelling and byte equality coincides with architectural equality.
 
 The line grammar is one compiled pattern per kind, built from the rules in
-:mod:`arctext.unitformat`: its field table and connect list. A line is tried
-against them in table order, and the first ``fullmatch`` yields the kind,
-the id, every field's string and the connect list. The patterns make every
-check on one value; after the match run only the checks that compare values:
-connect targets strictly ascending (on a line with two or more), and the
-kind's value comparison from ``unitformat``. A line that passes builds its
-spec with ``unitformat.proved_spec`` (``description_from_text`` builds
-none). Any other line's first fault is worded by ``_refuse``: a value its
-shape's pattern refuses by that shape's one template, "<key> must be <says>,
-got <value>"; descending connect targets and unsorted MF values by their own
-message; and the rest (pool channels, a ``Null`` among MF values) by the
-public spec class.
+:mod:`arctext.unitformat`: its field table and connect list. A kind's
+pattern can match only a line whose first key is the kind's first field
+key, so a line is tried only against the kinds whose first key begins with
+the character after its first ``;``, in table order; the first ``fullmatch``
+yields the kind, the id, every field's string and the connect list. The
+patterns make every check on one value; after the match run only the checks
+that compare values: connect targets strictly ascending (on a line with two
+or more), and the kind's value comparison from ``unitformat``. A line that
+passes builds its spec with ``unitformat.proved_spec``
+(``description_from_text`` builds none). Any other line's first fault is
+worded by ``_refuse``: a value its shape's pattern refuses by that shape's
+one template, "<key> must be <says>, got <value>"; descending connect
+targets and unsorted MF values by their own message; and the rest (pool
+channels, a ``Null`` among MF values) by the public spec class.
+
+``parse_description`` builds its graph from what the grammar proved: each
+name "n<k>" is made once, a target is a name by its id, and the graph's
+assembler in :mod:`arctext.model` gets distinct edges. Only the faults no
+line shows are checked: the sink, dangling targets, self-loops and (in the
+assembler) cycles, in that order, which is the order ``build_graph`` would
+report them in.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 
-from .canonical import DEFAULT_MAX_PATHS, CanonicalOrder, assign_positions
+from .canonical import DEFAULT_MAX_PATHS, CanonicalOrder, _ordered, assign_positions
 from .errors import (
     DanglingConnectError,
     DuplicateIdError,
@@ -37,9 +47,10 @@ from .errors import (
     MultipleSinksError,
     NonCanonicalSinkError,
     NonContiguousIdsError,
+    SelfLoopError,
     UnclassifiableLineError,
 )
-from .model import ArchGraph, build_graph
+from .model import ArchGraph, _assemble
 from .unitformat import (
     _AGREE,
     _CONNECT,
@@ -158,6 +169,15 @@ _KINDS = tuple(
      _AGREE.get(kind))
     for kind, (cls, fields) in UNIT_FIELDS.items()
 )
+# A kind's pattern matches only a line whose first key, after "id:N;", is the
+# kind's first field key. So a line is tried only against the kinds whose
+# first key begins with the character after its first ";" (in_size: conv and
+# full; type: pool; name: mf), in table order: no other kind could match it.
+_INITIAL = {kind: fields[0].key[0] for kind, (_, fields) in UNIT_FIELDS.items()}
+_BY_INITIAL = {
+    initial: tuple(entry for entry in _KINDS if _INITIAL[entry[0]] == initial)
+    for initial in _INITIAL.values()
+}
 
 
 def _split(line: str) -> list[tuple[str, str, str]]:
@@ -239,15 +259,20 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
     line's ``UnitLine`` comes fourth, its fields the matched strings and its
     ``text`` the line itself; with ``_UNIT`` no spec is built (None).
     """
-    for kind, fullmatch, cls, readers, keys, agree in _KINDS:
+    semi = line.find(";") + 1
+    for kind, fullmatch, cls, readers, keys, agree in _BY_INITIAL.get(line[semi:semi + 1], ()):
         if match := fullmatch(line):
             break
     else:
         _refuse(line, lineno)
     uid, *values, targets = match.groups()
-    connect = None if targets == "Null" else _read_ints(targets)
-    if ("-" in targets and any(a >= b for a, b in zip(connect, connect[1:]))
-            or agree and not agree(values)):
+    if "-" in targets:  # two or more targets, which must ascend
+        connect = _read_ints(targets)
+        if not all(map(lt, connect, connect[1:])):
+            _refuse(line, lineno)
+    else:
+        connect = None if targets == "Null" else (int(targets),)
+    if agree and not agree(values):
         _refuse(line, lineno)
     uid = int(uid)
     spec = None if _want == _UNIT else proved_spec(
@@ -293,7 +318,14 @@ def _read_text(text: str, want: int):
 
 
 def _build(entries) -> tuple[ArchGraph, CanonicalOrder]:
-    """Check the sink and the connect targets, then build the graph."""
+    """The graph and numbering of proved entries, after the checks no line can make.
+
+    The grammar has proved each line's spec and its targets (integers >= 1,
+    strictly ascending, so no line repeats an edge), and the ids run 1..n,
+    so each name "n<k>" is made once and a target is a name by its index.
+    Left to check, in this order: one sink and it is the last id, no target
+    beyond n, no line connecting to itself, and (in the assembler) no cycle.
+    """
     n = len(entries)
     sinks = [entry[0] for entry in entries if entry[2] is None]
     if len(sinks) > 1:
@@ -308,21 +340,33 @@ def _build(entries) -> tuple[ArchGraph, CanonicalOrder]:
         )
 
     for entry in entries:
-        for target in entry[2] or ():
-            if target > n:
-                raise DanglingConnectError(
-                    f"id {entry[0]} connects to missing id {target}", subject=target
-                )
+        targets = entry[2]
+        if targets and targets[-1] > n:  # ascending: the last is the largest
+            target = next(t for t in targets if t > n)
+            raise DanglingConnectError(
+                f"id {entry[0]} connects to missing id {target}", subject=target
+            )
 
-    nodes = [(f"n{entry[0]}", entry[1]) for entry in entries]
-    edges = [
-        (f"n{entry[0]}", f"n{target}")
-        for entry in entries
-        for target in entry[2] or ()
-    ]
-    graph = build_graph(nodes, edges)  # cycles surface here when no unit is Null
-    order = CanonicalOrder({f"n{entry[0]}": entry[0] for entry in entries}, n)
-    return graph, order
+    names = tuple([f"n{k}" for k in range(1, n + 1)])
+    name_of = ("",) + names  # by id
+    edges: list[tuple[str, str]] = []
+    succ: dict[str, tuple[str, ...]] = {}
+    pred: dict[str, list[str]] = {name: [] for name in names}
+    for name, entry in zip(names, entries):
+        uid, targets = entry[0], entry[2]
+        if targets is None:
+            succ[name] = ()
+            continue
+        if targets[0] <= uid and uid in targets:  # only a target up to its own id can be it
+            raise SelfLoopError(f"self-loop on node {name!r}", subject=(name, name))
+        heads = succ[name] = tuple(map(name_of.__getitem__, targets))
+        for head in heads:
+            edges.append((name, head))
+            pred[head].append(name)
+    nodes = dict(zip(names, [entry[1] for entry in entries]))
+    graph = _assemble(nodes, tuple(edges), frozenset(edges), succ,
+                      {k: tuple(v) for k, v in pred.items()})  # a cycle surfaces here
+    return graph, _ordered(dict(zip(names, range(1, n + 1))), names)
 
 
 def parse_description(text: str) -> tuple[ArchGraph, CanonicalOrder]:

@@ -34,6 +34,10 @@ class DuplicateNodeNameError(GraphError):
     code = "DuplicateNodeName"
 
 
+class InvalidEdgeError(GraphError):
+    code = "InvalidEdge"
+
+
 class UnknownEdgeEndpointError(GraphError):
     code = "UnknownEdgeEndpoint"
 

@@ -7,6 +7,12 @@ configuration of a node. Identifiers and connection lists are derived
 later, by canonical ordering, and are never stored on a spec. Node names
 are transport-only handles: they make graphs convenient to build and debug
 but never appear in rendered text.
+
+``build_graph`` checks what it is given, node by node and edge by edge, and
+hands the checked nodes, edges and edge set to one private assembler, which
+builds the neighbour tuples, finds the topological order (or a cycle) and
+makes the graph. The text parser hands that assembler what its grammar has
+already proved, and checks only what no line can show.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from .errors import (
     CycleDetectedError,
     DuplicateEdgeError,
     DuplicateNodeNameError,
+    GraphError,
+    InvalidEdgeError,
     InvalidNodeNameError,
     InvalidSpecError,
     SelfLoopError,
@@ -64,10 +72,10 @@ class ArchGraph:
     """An immutable architecture DAG.
 
     Use :func:`build_graph`; the constructor assumes its inputs were already
-    checked. Node insertion order is recorded: it seeds deterministic
-    iteration and is the last key of the ordering tie-break, so it can
-    change the canonical description when tied paths have equal digests
-    and equal positions (ROADMAP item 1).
+    checked, and keeps the edge set it is given. Node insertion order is
+    recorded: it seeds deterministic iteration and is the last key of the
+    ordering tie-break, so it can change the canonical description when
+    tied paths have equal digests and equal positions (ROADMAP item 1).
 
     Equality compares the name->spec mapping and the edge *set*; insertion
     order is deliberately ignored.
@@ -79,13 +87,14 @@ class ArchGraph:
         self,
         nodes: dict[str, NodeSpec],
         edges: tuple[tuple[str, str], ...],
+        edge_set: frozenset[tuple[str, str]],
         succ: dict[str, tuple[str, ...]],
         pred: dict[str, tuple[str, ...]],
         topo: tuple[str, ...],
     ):
         self.nodes = nodes
         self.edges = edges
-        self._edge_set = frozenset(edges)
+        self._edge_set = edge_set
         self._succ = succ
         self._pred = pred
         self._index = {name: i for i, name in enumerate(nodes)}
@@ -139,9 +148,11 @@ def build_graph(
 ) -> ArchGraph:
     """Assemble and fully check an :class:`ArchGraph`.
 
-    Raises InvalidNodeNameError, DuplicateNodeNameError,
-    UnknownEdgeEndpointError, SelfLoopError, DuplicateEdgeError or
-    CycleDetectedError (the latter reports one offending cycle).
+    Raises InvalidNodeNameError, DuplicateNodeNameError, InvalidEdgeError
+    (an edge that is not a pair), UnknownEdgeEndpointError, SelfLoopError,
+    DuplicateEdgeError or CycleDetectedError (the latter reports one
+    offending cycle). Each is the first fault in input order: nodes before
+    edges, and edges one by one.
     """
     node_map: dict[str, NodeSpec] = {}
     for name, spec in nodes:
@@ -158,43 +169,72 @@ def build_graph(
             )
         node_map[name] = spec
 
+    # a repeated edge is found by the one edge set, after the loop; one that
+    # comes before another edge's fault is reported first
     edge_list: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
     succ: dict[str, list[str]] = {name: [] for name in node_map}
     pred: dict[str, list[str]] = {name: [] for name in node_map}
-    for src, dst in edges:
-        if src not in node_map or dst not in node_map:
-            missing = src if src not in node_map else dst
-            raise UnknownEdgeEndpointError(
-                f"edge ({_shown(src)} -> {_shown(dst)}) references unknown node {_shown(missing)}",
-                subject=(src, dst),
-            )
-        if src == dst:
-            raise SelfLoopError(f"self-loop on node {src!r}", subject=(src, dst))
-        if (src, dst) in seen:
-            raise DuplicateEdgeError(
-                f"duplicate edge ({src!r} -> {dst!r})", subject=(src, dst)
-            )
-        seen.add((src, dst))
+    for edge in edges:
+        try:
+            src, dst = edge
+            known = src in node_map and dst in node_map
+        except (TypeError, ValueError):  # not a pair, or an unhashable endpoint
+            known = False
+        if not known or src == dst:
+            raise _first_repeat(edge_list) or _edge_fault(edge, node_map)
         edge_list.append((src, dst))
         succ[src].append(dst)
         pred[dst].append(src)
+    edge_set = frozenset(edge_list)
+    if len(edge_set) < len(edge_list):
+        raise _first_repeat(edge_list)
+    return _assemble(node_map, tuple(edge_list), edge_set,
+                     {k: tuple(v) for k, v in succ.items()},
+                     {k: tuple(v) for k, v in pred.items()})
 
-    topo = _topological_order(node_map, succ, pred)
 
-    return ArchGraph(
-        node_map,
-        tuple(edge_list),
-        {k: tuple(v) for k, v in succ.items()},
-        {k: tuple(v) for k, v in pred.items()},
-        topo,
-    )
+def _first_repeat(edges: list[tuple[str, str]]) -> DuplicateEdgeError | None:
+    seen: set[tuple[str, str]] = set()
+    for src, dst in edges:
+        if (src, dst) in seen:
+            return DuplicateEdgeError(f"duplicate edge ({src!r} -> {dst!r})", subject=(src, dst))
+        seen.add((src, dst))
+    return None
+
+
+def _edge_fault(edge, node_map: dict[str, NodeSpec]) -> GraphError:
+    """The error that words the fault of one edge: not a pair, an unknown endpoint or a loop."""
+    try:
+        src, dst = edge
+    except (TypeError, ValueError):
+        return InvalidEdgeError(
+            f"an edge must be a (from, to) pair of node names, got {_shown(edge)}", subject=edge)
+    for name in (src, dst):
+        try:
+            known = name in node_map
+        except TypeError:  # unhashable: no node's name
+            known = False
+        if not known:
+            return UnknownEdgeEndpointError(
+                f"edge ({_shown(src)} -> {_shown(dst)}) references unknown node {_shown(name)}",
+                subject=(src, dst),
+            )
+    return SelfLoopError(f"self-loop on node {src!r}", subject=(src, dst))
+
+
+def _assemble(nodes, edges, edge_set, succ, pred) -> ArchGraph:
+    """The graph of checked nodes and distinct, checked edges; only a cycle is left to find.
+
+    ``succ`` and ``pred`` map each node to its successors and predecessors,
+    as tuples in edge order. Raises CycleDetectedError.
+    """
+    return ArchGraph(nodes, edges, edge_set, succ, pred, _topological_order(nodes, succ, pred))
 
 
 def _topological_order(
     node_map: dict[str, NodeSpec],
-    succ: dict[str, list[str]],
-    pred: dict[str, list[str]],
+    succ: dict[str, tuple[str, ...]],
+    pred: dict[str, tuple[str, ...]],
 ) -> tuple[str, ...]:
     indeg = {name: len(pred[name]) for name in node_map}
     queue = [name for name in node_map if indeg[name] == 0]
@@ -216,7 +256,7 @@ def _topological_order(
     return tuple(order)
 
 
-def _find_cycle(remaining: set[str], pred: dict[str, list[str]]) -> list[str]:
+def _find_cycle(remaining: set[str], pred: dict[str, tuple[str, ...]]) -> list[str]:
     # Kahn's sort leaves every remaining node a remaining predecessor, so a
     # walk back along them must repeat a node; the repeat closes a cycle
     seen_at: dict[str, int] = {}

@@ -120,7 +120,7 @@ def _check_extent(value, attr):  # a bare integer is a 1-tuple
 
 
 def _check_pool_type(value, attr):
-    if value not in POOL_TYPES:
+    if not isinstance(value, str) or value not in POOL_TYPES:  # no == on a non-string
         raise InvalidSpecError(f"{attr} must be one of {POOL_TYPES}, got {_shown(value)}")
     return value
 

@@ -10,11 +10,15 @@ than ``int()`` converts.
 
 Each line also becomes a fixed row of ``VECTOR_SLOTS``. Which fields fill
 slots, and how, is read off each kind's declared fields (``UNIT_FIELDS``),
-one reader per value shape, so the row is built from the field strings the
-line holds. A slot's CSV cell is its value as ``float()`` reads it, written
-as an integer when it is integral and by ``repr`` otherwise. An integer of at
-most 15 digits is exact in a float, so its text is its cell; any other atom
-goes through ``float()``. ``unit_vector`` is ``float()`` of the same cells.
+one reader per value shape. A slot's CSV cell is its value as ``float()``
+reads it, written as an integer when it is integral and by ``repr``
+otherwise. An integer of at most 15 digits is exact in a float, so its text
+is its cell; any other atom goes through ``float()``. A line in rendered
+form (every parsed or rendered line) fills its row from one match of its
+kind's cell pattern, built from the same shapes; a line the pattern refuses
+(a longer integer, an odd spelling, a missing or extra field) is read field
+by field from the strings it holds, with the same result. ``unit_vector`` is
+``float()`` of the same cells.
 """
 
 from __future__ import annotations
@@ -23,13 +27,15 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .codec import Description, UnitLine
 from .errors import IoError, SchemaError, UnknownTokenError, read_text
 from .unitformat import (
-    _FLAG, _INT, _PAD_PAIRS, _POOL_TYPE, _VALUES, UNIT_FIELDS, UnitField, _read_values,
+    _CONNECT, _COUNT, _FLAG, _INT, _PAD_PAIRS, _POOL_TYPE, _POS, _VALUES, UNIT_FIELDS, UnitField,
+    _read_values,
 )
 
 _NUMBER_RE = re.compile(_INT)  # an integer's spelling that int() converts
@@ -246,7 +252,8 @@ _SLOTS = {
 
 # a canonical integer of at most 15 digits: every integer below 10**15 is exact
 # in a float, so _cell would give its text back
-_SHORT_INT = "(?:0|[1-9][0-9]{0,14})"
+_SHORT_POS = "[1-9][0-9]{0,14}"
+_SHORT_INT = f"(?:0|{_SHORT_POS})"
 _short_ints = re.compile(f"{_SHORT_INT}(?:-{_SHORT_INT})*").fullmatch
 _EXACT = 10**15
 
@@ -302,24 +309,82 @@ def _step(field: UnitField):
     return slots, slots.stop - slots.start, read
 
 
-# each kind's row before its fields (its kind slot 1, the rest 0), and the
-# (slots, width, reader) of each of its fields that fills a slot, by text key;
-# a key its kind does not declare fills none
-_PLANS = {
-    kind: (
-        ["1" if name == f"kind_{kind}" else "0" for name in VECTOR_SLOTS],
-        {f.key: step for f in fields if (step := _step(f)) is not None},
-    )
-    for kind, (_, fields) in UNIT_FIELDS.items()
-}
+# --- one match per line ------------------------------------------------------------
+# A line in rendered form fills its row from one match of its kind's cell
+# pattern: the kind's line pattern, built from the same shapes, with each
+# integer atom of a slot field captured as a canonical integer of at most 15
+# digits, whose text is its cell, and each word that sets a slot captured
+# whole. No fragment matches ";" or ":", so a matched line has one part per
+# ";", each its declared key and value; when the line holds one field per
+# part, the groups are its field strings. Any other line is read field by
+# field, by the steps.
+
+_CONSTANTS = ("0", "1")  # what a blank row holds outside the groups
+
+
+def _atoms(pattern: str) -> str:
+    """An integer shape's pattern with each atom captured, and at most 15 digits long."""
+    return pattern.replace(_INT, f"({_SHORT_INT})").replace(_POS, f"({_SHORT_POS})")
+
+
+def _plan(kind: str, fields) -> tuple:
+    """How a row of ``kind`` is read: blank row, steps, cell pattern, picker, word readers.
+
+    The blank row has the kind's slot 1 and the rest 0. The steps give the
+    (slots, width, reader) of each field that fills a slot, by text key; a
+    key the kind does not declare fills none. The picker takes the cell
+    pattern's groups (an absent atom is "0") followed by ``_CONSTANTS`` to
+    the row; each word reader then turns the word in its slot into its cell,
+    as its step does.
+    """
+    blank = ["1" if name == f"kind_{kind}" else "0" for name in VECTOR_SLOTS]
+    steps = {f.key: step for f in fields if (step := _step(f)) is not None}
+    parts, slots, words = [f"id:{_atoms(_COUNT.pattern)}"], [4], []  # slot per group
+    for f in fields:
+        step = steps.get(f.key)
+        if step is None:
+            fragment = f.shape.pattern
+        elif step[2] in (_int_cells, _pad_counts):
+            fragment = _atoms(f.shape.pattern)
+            filled = list(range(step[0].start, step[0].stop))
+            if step[2] is _pad_counts:  # a pad value fills no slot
+                filled = [slot for count in filled for slot in (None, count)]
+            slots += filled[:re.compile(fragment).groups]
+        else:
+            fragment = f"({f.shape.pattern})"
+            slots.append(step[0].start)
+            words.append((step[0].start, step[2]))
+        part = f";{f.key}:(?:{fragment})"
+        parts.append(f"(?:{part})?" if f.optional else part)
+    parts.append(f";connect_to:(?:{_CONNECT.pattern})")
+    source = [len(slots) + _CONSTANTS.index(cell) for cell in blank]
+    for group, slot in enumerate(slots):
+        if slot is not None:
+            source[slot] = group
+    return blank, steps, re.compile("".join(parts)).fullmatch, itemgetter(*source), tuple(words)
+
+
+_PLANS = {kind: _plan(kind, fields) for kind, (_, fields) in UNIT_FIELDS.items()}
 
 
 def _unit_cells(line: UnitLine) -> list[str]:
-    """The 24 slots of one line as CSV cells; absent fields stay 0."""
+    """The 24 slots of one line as CSV cells; absent fields stay 0.
+
+    A line that holds its text (each parsed or rendered line, and a built one
+    once its text is read) is read by one match when its cell pattern
+    accepts it; any other line field by field.
+    """
     plan = _PLANS.get(line.unit_kind)
     if plan is None:
         raise ValueError(f"unit {line.id} has an undeclared kind {line.unit_kind!r}")
-    blank, steps = plan
+    blank, steps, fullmatch, pick, words = plan
+    text = line.__dict__.get("text")
+    if text is not None and (match := fullmatch(text)) and (
+            text.count(";") == len(line.fields) + 1):
+        row = list(pick(match.groups("0") + _CONSTANTS))
+        for slot, read in words:
+            row[slot:slot + 1] = read(row[slot])
+        return row
     row = blank.copy()
     uid = line.id
     row[4] = str(uid) if type(uid) is int and -_EXACT < uid < _EXACT else _cell(uid)

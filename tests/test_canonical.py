@@ -254,6 +254,22 @@ class TestAssignPositions:
         order = assign_positions(g)
         assert dict(order.positions) == {"only": 1}
 
+    def test_by_position_is_the_position_order(self, resnet4, branching25):
+        # a graph numbered along one path through every node lists its
+        # topological order, which is that order; any other is sorted
+        rng = random.Random(23)
+        graphs = [gen.random_graph(rng, min_nodes=3, max_nodes=25) for _ in range(200)]
+        graphs += [mf_chain("A"), mf_chain("A", "B"), resnet4, branching25]
+        whole = 0
+        for g in graphs:
+            order = assign_positions(g)
+            assert order.by_position == tuple(sorted(order.positions, key=order.positions.get))
+            assert [order.name_at(k) for k in range(1, len(g) + 1)] == list(order.by_position)
+            whole += order.by_position == g.topological_order()
+        assert whole > 100  # spines with forward skips: the longest path holds every node
+        chain = mf_chain("A", "B", "C")
+        assert assign_positions(chain).by_position is chain.topological_order()  # not sorted
+
     def test_bijectivity_random(self):
         rng = random.Random(9)
         for _ in range(40):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import pickle
@@ -932,3 +933,191 @@ def test_per_kind_patterns_read_as_the_alternation_did(resnet4_text, branching25
             assert outcome == _read_outcome(reference_parse_line, line, want), line
         refused += isinstance(outcome[0], type)
     assert refused > 1000  # of the 2,000 mutants
+
+
+# --- first-key dispatch: the same reading as trying every kind ---------------------
+
+def reference_every_kind(line: str, lineno: int = 1, *, _want: int = codec._SPEC):
+    """The line tried against every kind's pattern in table order, then read as parse_line reads."""
+    for kind, fullmatch, cls, readers, keys, agree in codec._KINDS:
+        if match := fullmatch(line):
+            break
+    else:
+        codec._refuse(line, lineno)
+    uid, *values, targets = match.groups()
+    connect = None if targets == "Null" else tuple(map(int, targets.split("-")))
+    if connect and any(a >= b for a, b in zip(connect, connect[1:])) or (
+            agree and not agree(values)):
+        codec._refuse(line, lineno)
+    uid = int(uid)
+    spec = None if _want == codec._UNIT else proved_spec(
+        cls, [read(v) for read, v in zip(readers, values)])
+    if _want == codec._SPEC:
+        return uid, spec, connect
+    fields = tuple(field for field in zip(keys, values) if field[1] is not None)
+    unit = UnitLine(kind, uid, fields, connect)
+    unit.__dict__["text"] = line
+    return uid, spec, connect, unit
+
+
+_FIRST_KEYS = ("in_size", "type", "name", "kernel", "i", "n", "t", "", "in_size:4", "value")
+
+
+def _first_key_mutant(line: str, rng) -> str:
+    """``line`` with its first key replaced, cut short or run on, or its first ";" moved."""
+    head, semi, rest = line.partition(";")
+    key, colon, tail = rest.partition(":")
+    edits = [
+        f"{head};{rng.choice(_FIRST_KEYS)}:{tail}",
+        f"{head};{key[:rng.randrange(len(key) + 1)]}{colon}{tail}",
+        f"{head};{key}{rng.choice(_MUTANT_CHARS)}{colon}{tail}",
+        f"{head}{rest}",
+        f"{head};",
+        line[:rng.randrange(len(line) + 1)],
+        f"{head};{key}",
+    ]
+    return rng.choice(edits)
+
+
+def test_first_key_dispatch_reads_as_trying_every_kind(resnet4_text, branching25_text):
+    rng = random.Random(2003)
+    texts = [render_description(gen.random_graph(rng)).text for _ in range(200)]
+    lines = [line for text in texts + [resnet4_text, branching25_text]
+             for line in text.split("\n")]
+    mutants = []
+    for line in rng.sample(lines, 2500):
+        mutants.append(_first_key_mutant(line, rng))
+        mutants.append(_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng))
+    mutants += ["", ";", ":", "id:1", "id:1;", "id:1;:", "name:A;in_size:4", "id:1;name"]
+    assert len(mutants) >= 5000
+    refused = 0
+    for line in lines[:500] + mutants:
+        for want in (codec._SPEC, codec._UNIT, codec._BOTH):
+            outcome = _read_outcome(parse_line, line, want)
+            assert outcome == _read_outcome(reference_every_kind, line, want), line
+        refused += isinstance(outcome[0], type)
+    assert refused > 3000  # of the 5,008 mutants
+
+
+# --- the parsed graph is built from what the grammar proved -------------------------
+
+def reference_build(entries):
+    """The graph of parsed entries through the public, fully checking build_graph."""
+    n = len(entries)
+    sinks = [entry[0] for entry in entries if entry[2] is None]
+    if len(sinks) > 1:
+        raise MultipleSinksError(
+            f"connect_to:Null on ids {sinks}; only the last unit may be the sink",
+            subject=tuple(sinks))
+    if sinks and sinks[0] != n:
+        raise NonCanonicalSinkError(
+            f"connect_to:Null on id {sinks[0]}, but the highest id is {n}", subject=sinks[0])
+    for entry in entries:
+        for target in entry[2] or ():
+            if target > n:
+                raise DanglingConnectError(
+                    f"id {entry[0]} connects to missing id {target}", subject=target)
+    nodes = [(f"n{entry[0]}", entry[1]) for entry in entries]
+    edges = [(f"n{entry[0]}", f"n{target}") for entry in entries for target in entry[2] or ()]
+    graph = build_graph(nodes, edges)
+    positions = {f"n{entry[0]}": entry[0] for entry in entries}
+    return graph, canonical.CanonicalOrder(positions, n)
+
+
+def _with_targets(line: str, targets) -> str:
+    head = line.rpartition(";connect_to:")[0]
+    return f"{head};connect_to:{'-'.join(map(str, sorted(targets))) if targets else 'Null'}"
+
+
+def _faulty(text: str, rng) -> str:
+    """``text`` with two to four faults: a self-loop, a back edge, a dangling
+    target, an extra sink, or the sink moved off the last line."""
+    lines = text.split("\n")
+    n = len(lines)
+    for _ in range(rng.randint(2, 4)):
+        k = rng.randrange(n)
+        targets = set(_read_connect(lines[k]))
+        fault = rng.randrange(5)
+        if fault == 0:
+            targets.add(k + 1)
+        elif fault == 1:
+            targets.add(rng.randint(1, k + 1))
+        elif fault == 2:
+            targets.add(n + rng.randint(1, 3))
+        elif fault == 3:
+            targets = set()
+        else:
+            lines[-1] = _with_targets(lines[-1], {rng.randint(1, n)})
+        lines[k] = _with_targets(lines[k], targets)
+    return "\n".join(lines)
+
+
+def _read_connect(line: str) -> tuple[int, ...]:
+    value = line.rpartition(";connect_to:")[2]
+    return () if value == "Null" else tuple(map(int, value.split("-")))
+
+
+def _graph_outcome(build, entries):
+    try:
+        graph, order = build(entries)
+    except ArcTextError as exc:
+        return type(exc), str(exc), exc.subject
+    return (graph.nodes, graph.edges, graph.edge_set(), graph.topological_order(),
+            {name: (graph.successors(name), graph.predecessors(name)) for name in graph.names()},
+            dict(order.positions), order.n, order.by_position)
+
+
+def test_a_faulty_description_raises_the_first_fault_as_build_graph_did(resnet4_text,
+                                                                         branching25_text):
+    rng = random.Random(2011)
+    texts = [render_description(gen.random_graph(rng, min_nodes=3, max_nodes=12)).text
+             for _ in range(600)]
+    texts += [resnet4_text, branching25_text]
+    faulty = [_faulty(text, rng) for text in texts for _ in range(4)]
+    raised = collections.Counter()
+    for text in texts + faulty:
+        entries = codec._read_text(text, codec._SPEC)[1]
+        outcome = _graph_outcome(codec._build, entries)
+        assert outcome == _graph_outcome(reference_build, entries), text
+        if isinstance(outcome[0], type):
+            raised[outcome[0]] += 1
+        try:
+            parsed = parse_description(text)
+        except ArcTextError as exc:
+            assert (type(exc), str(exc), exc.subject) == outcome
+        else:
+            assert _graph_outcome(lambda _: parsed, entries) == outcome
+    # a later fault can undo an earlier one, so not every mutant is faulty
+    assert sum(raised.values()) > 0.9 * len(faulty)
+    assert set(raised) == {SelfLoopError, CycleDetectedError, DanglingConnectError,
+                           MultipleSinksError, NonCanonicalSinkError}
+
+
+@pytest.mark.parametrize("connects, error, subject", [
+    # each description holds two or more faults; the first in the order
+    # sinks, dangling targets, self-loops, cycles is raised
+    (["2", "1-3", "Null"], CycleDetectedError, ("n1", "n2", "n1")),
+    (["1-2", "1-3", "Null"], SelfLoopError, ("n1", "n1")),
+    (["2", "2-3", "9"], DanglingConnectError, 9),
+    (["1-2", "5", "Null"], DanglingConnectError, 5),
+    (["Null", "3", "1"], NonCanonicalSinkError, 1),
+    (["Null", "2-7", "Null"], MultipleSinksError, (1, 3)),
+    (["3", "2", "2"], SelfLoopError, ("n2", "n2")),
+], ids=["back-edge-and-cycle", "loop-before-cycle", "loop-and-dangling",
+        "dangling-after-loop", "sink-first-and-back-edge", "two-sinks-and-dangling",
+        "two-loops-no-sink"])
+def test_the_first_of_several_faults_is_raised(connects, error, subject):
+    text = "\n".join(f"id:{k};name:A;in_size:4;out_size:4;value:Null;connect_to:{c}"
+                     for k, c in enumerate(connects, start=1))
+    with pytest.raises(error) as info:
+        parse_description(text)
+    assert info.value.subject == subject
+    with pytest.raises(error) as reference:
+        reference_build(codec._read_text(text, codec._SPEC)[1])
+    assert str(info.value) == str(reference.value)
+
+
+def test_a_parsed_order_lists_the_names_by_id(resnet4_text):
+    graph, order = parse_description(resnet4_text)
+    assert order.by_position == tuple(f"n{k}" for k in range(1, len(graph) + 1))
+    assert order.by_position == tuple(sorted(order.positions, key=order.positions.get))

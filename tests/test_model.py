@@ -12,6 +12,7 @@ from arctext import (
     DuplicateEdgeError,
     DuplicateNodeNameError,
     FullSpec,
+    InvalidEdgeError,
     InvalidNodeNameError,
     InvalidSpecError,
     MFSpec,
@@ -82,6 +83,12 @@ class TestSpecValidation:
             PoolSpec("Med", (8, 8, 3), (4, 4, 3), (2, 2), (2, 2))
         with pytest.raises(InvalidSpecError):
             PoolSpec("max", (8, 8, 3), (4, 4, 3), (2, 2), (2, 2))
+
+    def test_a_pool_type_is_compared_only_as_a_string(self):
+        # an array's == gives an array, whose truth value numpy refuses
+        np = pytest.importorskip("numpy")
+        with pytest.raises(InvalidSpecError, match=r"^pool_type must be one of .*, got array"):
+            PoolSpec(np.array([1, 2]), (1, 1, 1), (1, 1, 1), (1, 1), (1, 1))
 
     def test_full_token_charset(self):
         with pytest.raises(InvalidSpecError):
@@ -159,6 +166,41 @@ class TestBuildGraph:
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdgeError):
             build_graph([("a", mf()), ("b", mf())], [("a", "b"), ("a", "b")])
+
+    @pytest.mark.parametrize("edge, error, message", [
+        (("a", ["b"]), UnknownEdgeEndpointError,
+         "edge ('a' -> ['b']) references unknown node ['b']"),
+        ((["a"], "b"), UnknownEdgeEndpointError,
+         "edge (['a'] -> 'b') references unknown node ['a']"),
+        (["a"], InvalidEdgeError, "an edge must be a (from, to) pair of node names, got ['a']"),
+        (("a", "a", "a"), InvalidEdgeError,
+         "an edge must be a (from, to) pair of node names, got ('a', 'a', 'a')"),
+        (7, InvalidEdgeError, "an edge must be a (from, to) pair of node names, got 7"),
+    ], ids=["unhashable-head", "unhashable-tail", "one-name", "three-names", "not-a-sequence"])
+    def test_a_malformed_edge_is_a_typed_graph_error(self, edge, error, message):
+        with pytest.raises(error) as info:
+            build_graph([("a", mf()), ("b", mf())], [("a", "b"), edge])
+        assert str(info.value) == message
+        assert info.value.subject == (edge if error is InvalidEdgeError else tuple(edge))
+
+    @pytest.mark.parametrize("fault, error", [
+        (("a", "ghost"), UnknownEdgeEndpointError),
+        (("b", "b"), SelfLoopError),
+        ("a", InvalidEdgeError),
+    ])
+    def test_each_edge_fault_is_reported_in_edge_order(self, fault, error):
+        nodes = [("a", mf()), ("b", mf()), ("c", mf())]
+        # a repeat before the fault is the first fault; one after it is not
+        with pytest.raises(DuplicateEdgeError) as info:
+            build_graph(nodes, [("a", "b"), ("b", "c"), ("a", "b"), fault])
+        assert info.value.subject == ("a", "b")
+        with pytest.raises(error):
+            build_graph(nodes, [("a", "b"), ("b", "c"), fault, ("a", "b")])
+
+    def test_the_graph_keeps_the_edge_set_it_was_checked_with(self):
+        g = chain(mf(), mf("BN"), mf())
+        assert g.edge_set() is g.edge_set()
+        assert isinstance(g.edge_set(), frozenset) and g.edge_set() == frozenset(g.edges)
 
     def test_cycle_reported_with_sequence(self):
         with pytest.raises(CycleDetectedError) as info:

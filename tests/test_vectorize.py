@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arctext import (
     Description,
@@ -26,9 +27,9 @@ from arctext import (
     unit_vector,
     vectors_csv,
 )
-from arctext.unitformat import _FLAG, _VALUES, POOL_TYPES, UNIT_FIELDS, _connect_text
+from arctext.unitformat import _FLAG, _POOL_TYPE, _VALUES, POOL_TYPES, UNIT_FIELDS, _connect_text
 from arctext.vectorize import (
-    NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _SLOTS, _numeric,
+    _PLANS, NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _SLOTS, _numeric,
 )
 
 import gen
@@ -603,3 +604,115 @@ class TestCellSpelling:
     def test_a_key_its_kind_does_not_declare_fills_no_slot(self, kind, field):
         line = UnitLine(kind, 1, (field,), None)
         assert csv_cells(line)[5:] == ["0"] * 19
+
+
+# --- one match per line, and the field path it falls back to ------------------------
+
+_SHORT = st.integers(1, 10**15 - 1).map(str)
+_ODD_ATOMS = st.one_of(
+    st.integers(10**15, 10**40).map(str),  # 16 digits and more: through float()
+    st.just("9" * 400),  # beyond a float: inf
+    st.integers(0, 999).map(lambda i: f"00{i}"),  # leading zeros
+    st.sampled_from(["0", "5\n", "1e3", "0.5", "-0"]),
+)
+_TOKENS = st.sampled_from(["ReLU", "alpha", "0.5", "2", "0.1", "1e3", "007", "9" * 400])
+_ODD_WORDS = st.sampled_from(["A;in_size:4", "x:y", "B;C", "Null", "", "a\nb"])
+
+
+def _arities(kind: str, key: str) -> tuple[int, ...]:
+    if kind == "full" or key in ("dilation", "groups"):
+        return (1,)
+    if kind == "mf":
+        return (1, 3)
+    return {"in_size": (3,), "out_size": (3,), "padding": (4 if kind == "pool" else 8,)}.get(
+        key, (2,))
+
+
+def _values(kind: str, field, odd: bool) -> st.SearchStrategy:
+    """Texts for one declared field: as rendered, or (``odd``) spelled otherwise."""
+    if field.key in _SLOTS:
+        arity = st.sampled_from(_arities(kind, field.key))
+        if odd:  # a wrong arity, or an atom the cell pattern refuses
+            arity = arity.flatmap(lambda n: st.sampled_from([n, n - 1, n + 1, 0]))
+        atoms = st.one_of(_SHORT, _ODD_ATOMS) if odd else _SHORT
+        ints = arity.flatmap(lambda n: st.lists(atoms, min_size=n, max_size=n)).map("-".join)
+        return st.one_of(ints, st.sampled_from(["4;out_size:5", "3:3", "1-2;kernel:3-3"])) \
+            if odd else ints
+    if field.shape in (_FLAG, _POOL_TYPE):
+        words = field.shape.pattern.split("|")
+        return st.sampled_from(words + ["yes", "Yes;x", ""] if odd else words)
+    if field.shape is _VALUES:
+        tokens = st.lists(_TOKENS, min_size=1, max_size=3).map(lambda v: "-".join(sorted(v)))
+        return st.one_of(tokens, st.just("Null"), _ODD_WORDS) if odd else \
+            st.one_of(tokens, st.just("Null"))
+    return st.one_of(st.just("ReLU"), _ODD_WORDS) if odd else st.just("ReLU")
+
+
+@st.composite
+def _hand_built_lines(draw):
+    """A line of any kind built from fields: as rendered, or with one to three odd fields."""
+    kind = draw(st.sampled_from(list(UNIT_FIELDS)))
+    declared = UNIT_FIELDS[kind][1]
+    odd = draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2, 3]))
+    odd = set(draw(st.lists(st.integers(0, len(declared) - 1), min_size=odd, max_size=odd)))
+    fields = [(f.key, draw(_values(kind, f, i in odd))) for i, f in enumerate(declared)]
+    change = draw(st.integers(0, 9))
+    if change < 2:  # a missing field: act_fun, or any other
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif change < 4:  # two fields as one, whose value holds the second: the same text
+        i = draw(st.integers(0, len(fields) - 2))
+        (key, value), (key2, value2) = fields[i:i + 2]
+        fields[i:i + 2] = [(key, f"{value};{key2}:{value2}")]
+    uid = draw(st.integers(1, 999) if draw(st.integers(0, 3)) else st.integers(10**15, 10**20))
+    connect = draw(st.sampled_from([None, (2,), (3, 4)]))
+    return UnitLine(kind, uid, tuple(fields), connect)
+
+
+def _outcome(line: UnitLine):
+    """The cells and vector of one line, or the type of what they raise."""
+    try:
+        cells = csv_cells(line)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            unit_vector(line)
+        return ValueError
+    assert unit_vector(line).tolist() == [float(c) for c in cells]
+    return cells
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(line=_hand_built_lines())
+def test_hand_built_lines_vectorize_as_the_reference(line):
+    # a built line is read field by field until its text is read; then by one
+    # match wherever its cell pattern accepts it; both give the reference
+    try:
+        reference = [reference_cell(x) for x in reference_row(line)]
+    except ValueError:  # an atom float() refuses
+        reference = ValueError
+    else:
+        if len(reference) != len(VECTOR_SLOTS):  # more values than slots
+            reference = ValueError
+    assert "text" not in vars(line)
+    assert _outcome(line) == reference
+    line.text  # kept from now on
+    assert _outcome(line) == reference
+
+
+@pytest.mark.parametrize("fields", [
+    (("in_size", "4;out_size:5"),),
+    (("in_size", "4"), ("out_size", "5;act_fun:X")),
+], ids=["value-holds-a-field", "value-holds-the-optional-field"])
+def test_a_value_holding_a_separator_is_read_field_by_field(fields):
+    # its text reads as a well-formed full line of other fields
+    line = UnitLine("full", 1, fields, None)
+    assert _PLANS["full"][2](line.text)
+    with pytest.raises(ValueError, match="could not convert"):
+        csv_cells(line)
+
+
+def test_rendered_and_parsed_lines_are_read_by_one_match(resnet4_text, branching25_text):
+    rng = random.Random(2017)
+    texts = [render_description(gen.random_graph(rng)).text for _ in range(300)]
+    for text in texts + [resnet4_text, branching25_text]:
+        for line in description_from_text(text).lines:
+            assert _PLANS[line.unit_kind][2](line.text), line.text
