@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         input_="graph file or description text (auto-detected)")
     cmd("lint", _cmd_lint, "shape-consistency warnings for a graph file",
         input_="graph file (JSON)")
-    cmd("digest", _cmd_digest, "SHA-224 of a description's canonical bytes",
+    cmd("digest", _cmd_digest, "SHA-224 of the checked text as given (ROADMAP item 11)",
         input_="description text file")
     p = cmd("diff", _cmd_diff, "compare two description texts by id")
     p.add_argument("left", metavar="A.txt")

@@ -7,20 +7,20 @@ multi-values, ascending connect_to -- so each architecture has exactly one
 spelling and byte equality coincides with architectural equality.
 
 The line grammar is one compiled pattern per kind, built from the rules in
-:mod:`arctext.unitformat`: its field table and connect list. A kind's
-pattern can match only a line whose first key is the kind's first field
-key, so a line is tried only against the kinds whose first key begins with
-the character after its first ``;``, in table order; the first ``fullmatch``
-yields the kind, the id, every field's string and the connect list. The
-patterns make every check on one value; after the match run only the checks
-that compare values: connect targets strictly ascending (on a line with two
-or more), and the kind's value comparison from ``unitformat``. A line that
-passes builds its spec with ``unitformat.proved_spec``
-(``description_from_text`` builds none). Any other line's first fault is
-worded by ``_refuse``: a value its shape's pattern refuses by that shape's
-one template, "<key> must be <says>, got <value>"; descending connect
-targets and unsorted MF values by their own message; and the rest (pool
-channels, a ``Null`` among MF values) by the public spec class.
+:mod:`arctext.unitformat`: its field table and connect list. A line is
+tried against the kinds in table order. Each pattern spells its kind's key
+sequence, no value holds ``;`` and no two kinds share a sequence, so at most
+one pattern can match; its ``fullmatch`` yields the kind, the id, every
+field's string and the connect list. The patterns make every check on one
+value; after the match run only the checks that compare values: connect
+targets strictly ascending (on a line with two or more), and the kind's
+value comparison from ``unitformat``. A line that passes builds its spec
+with ``unitformat.proved_spec`` (``description_from_text`` builds none).
+Any other line's first fault is worded by ``_refuse``: a value its shape's
+pattern refuses by that shape's one template, "<key> must be <says>, got
+<value>"; descending connect targets and unsorted MF values by their own
+message; and the rest (pool channels, a ``Null`` among MF values) by the
+public spec class.
 
 ``parse_description`` builds its graph from what the grammar proved: each
 name "n<k>" is made once, a target is a name by its id, and the graph's
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from operator import lt
 
 from .canonical import DEFAULT_MAX_PATHS, CanonicalOrder, _ordered, assign_positions
@@ -77,8 +76,9 @@ class UnitLine:
     """One rendered unit: kind, id, its basic fields, and its successors.
 
     ``connect_to`` is None for the sink (rendered as the literal "Null").
-    ``text`` is the source line for a parsed unit; for a rendered one it is
-    computed on first use and kept.
+    A parsed or rendered unit holds its line as ``text``, proved by the
+    grammar or by the spec's checks. A unit built by hand holds none: its
+    ``text`` is spelled from its fields on each use, and nothing proves it.
     """
 
     unit_kind: str
@@ -86,8 +86,9 @@ class UnitLine:
     fields: tuple[tuple[str, str], ...]
     connect_to: tuple[int, ...] | None
 
-    @cached_property
-    def text(self) -> str:
+    def __getattr__(self, name: str) -> str:  # only reached for what the unit does not hold
+        if name != "text":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         body = ";".join(f"{k}:{v}" for k, v in self.fields)
         return f"id:{self.id};{body};connect_to:{_connect_text(self.connect_to)}"
 
@@ -113,7 +114,9 @@ def render_unit(spec: NodeSpec, id: int, connect_to) -> UnitLine:
             raise InvalidSpecError(f"connect_to must be strictly ascending, got {targets}")
         if not targets:
             targets = None  # outdegree 0 is the sink
-    return UnitLine(kind_of(spec), id, basic_fields(spec), targets)
+    line = UnitLine(kind_of(spec), id, basic_fields(spec), targets)
+    line.__dict__["text"] = line.text  # proved: a checked spec, id and targets
+    return line
 
 
 def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Description:
@@ -169,15 +172,6 @@ _KINDS = tuple(
      _AGREE.get(kind))
     for kind, (cls, fields) in UNIT_FIELDS.items()
 )
-# A kind's pattern matches only a line whose first key, after "id:N;", is the
-# kind's first field key. So a line is tried only against the kinds whose
-# first key begins with the character after its first ";" (in_size: conv and
-# full; type: pool; name: mf), in table order: no other kind could match it.
-_INITIAL = {kind: fields[0].key[0] for kind, (_, fields) in UNIT_FIELDS.items()}
-_BY_INITIAL = {
-    initial: tuple(entry for entry in _KINDS if _INITIAL[entry[0]] == initial)
-    for initial in _INITIAL.values()
-}
 
 
 def _split(line: str) -> list[tuple[str, str, str]]:
@@ -259,8 +253,7 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
     line's ``UnitLine`` comes fourth, its fields the matched strings and its
     ``text`` the line itself; with ``_UNIT`` no spec is built (None).
     """
-    semi = line.find(";") + 1
-    for kind, fullmatch, cls, readers, keys, agree in _BY_INITIAL.get(line[semi:semi + 1], ()):
+    for kind, fullmatch, cls, readers, keys, agree in _KINDS:
         if match := fullmatch(line):
             break
     else:

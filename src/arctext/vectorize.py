@@ -9,16 +9,18 @@ can always reproduce the source bytes. So does an integer of more digits
 than ``int()`` converts.
 
 Each line also becomes a fixed row of ``VECTOR_SLOTS``. Which fields fill
-slots, and how, is read off each kind's declared fields (``UNIT_FIELDS``),
-one reader per value shape. A slot's CSV cell is its value as ``float()``
-reads it, written as an integer when it is integral and by ``repr``
-otherwise. An integer of at most 15 digits is exact in a float, so its text
-is its cell; any other atom goes through ``float()``. A line in rendered
-form (every parsed or rendered line) fills its row from one match of its
-kind's cell pattern, built from the same shapes; a line the pattern refuses
-(a longer integer, an odd spelling, a missing or extra field) is read field
-by field from the strings it holds, with the same result. ``unit_vector`` is
-``float()`` of the same cells.
+slots, and how, is read off each kind's declared fields (``UNIT_FIELDS``). A
+slot's CSV cell is its value as ``float()`` reads it, written as an integer
+when it is integral and by ``repr`` otherwise. Every row comes from one
+match of its kind's cell pattern: the kind's line pattern with the id, each
+integer of a slot field and each word that sets a slot captured. An integer
+of at most 15 digits is exact in a float, so its text is its cell; a line
+holding a longer one is matched by a second pattern with the same groups,
+and only those cells go through ``float()``. A parsed or rendered line holds
+its text, which the grammar or the spec's checks proved. A line built by hand
+is read through its own ``text`` once ``codec.parse_line`` reads that as a
+line of its kind; any other raises ``MalformedLineError`` naming its id.
+``unit_vector`` is ``float()`` of the same cells.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ from operator import itemgetter
 
 import numpy as np
 
-from .codec import Description, UnitLine
-from .errors import IoError, SchemaError, UnknownTokenError, read_text
+from .codec import _UNIT, Description, UnitLine, parse_line
+from .errors import (
+    ArcTextError, IoError, MalformedLineError, SchemaError, UnknownTokenError, read_text,
+)
 from .unitformat import (
-    _CONNECT, _COUNT, _FLAG, _INT, _PAD_PAIRS, _POOL_TYPE, _POS, _VALUES, UNIT_FIELDS, UnitField,
-    _read_values,
+    _CONNECT, _COUNT, _FLAG, _INT, _PAD_PAIRS, _POOL_TYPE, _POS, _VALUES, UNIT_FIELDS,
+    _read_values, _shown,
 )
 
 _NUMBER_RE = re.compile(_INT)  # an integer's spelling that int() converts
@@ -250,154 +254,105 @@ _SLOTS = {
     "groups": slice(20, 21),
 }
 
-# a canonical integer of at most 15 digits: every integer below 10**15 is exact
-# in a float, so _cell would give its text back
-_SHORT_POS = "[1-9][0-9]{0,14}"
-_SHORT_INT = f"(?:0|{_SHORT_POS})"
-_short_ints = re.compile(f"{_SHORT_INT}(?:-{_SHORT_INT})*").fullmatch
-_EXACT = 10**15
+_CONSTANTS = ("0", "1")  # what a row holds outside the groups
 
 
-def _cell(value) -> str:
-    """The CSV cell of ``float(value)``: an integral value without its ".0"."""
-    try:
-        x = float(value)
-    except OverflowError:  # an int beyond a float's range: infinite, as its text reads
-        x = math.inf if value > 0 else -math.inf
+def _cell(text: str) -> str:
+    """The CSV cell of ``float(text)``: an integral value without its ".0"."""
+    x = float(text)  # an integer beyond a float's range reads as inf
     return str(int(x)) if x.is_integer() else repr(x)
 
 
-def _int_cells(text: str) -> list[str]:
-    atoms = text.split("-")
-    return atoms if _short_ints(text) else [_cell(a) for a in atoms]
-
-
-def _pad_counts(text: str) -> list[str]:
-    return _int_cells(text)[1::2]  # counts only; pad values do not affect geometry
-
-
-def _first_number(text: str) -> list[str]:
+def _first_number(text: str) -> str:
     for atom in _read_values(text):  # "Null" holds no number
-        num = _numeric(atom)
-        if num is not None:  # an int by its text: inf, as in the other slots, past a float's range
-            return [_cell(atom if type(num) is int else num)]
-    return ["0"]
+        if _numeric(atom) is not None:
+            return _cell(atom)
+    return "0"
 
 
 def _one_if(word: str):
-    return lambda text: ["1" if text == word else "0"]
+    return lambda text: "1" if text == word else "0"
 
 
-def _slot(name: str) -> slice:
-    i = VECTOR_SLOTS.index(name)
-    return slice(i, i + 1)
+# each shape of a word that sets a slot: that slot, and the reader of its cell
+_WORDS = {
+    _FLAG: (VECTOR_SLOTS.index("bias"), _one_if("Yes")),
+    _POOL_TYPE: (VECTOR_SLOTS.index("pool_max"), _one_if("Max")),
+    _VALUES: (VECTOR_SLOTS.index("mf_value"), _first_number),
+}
 
-
-def _step(field: UnitField):
-    """The slots one field fills and the reader of its cells, by its shape; or None."""
-    if field.key in _SLOTS:
-        slots = _SLOTS[field.key]
-        read = _pad_counts if field.shape is _PAD_PAIRS else _int_cells
-    elif field.shape is _FLAG:
-        slots, read = _slot("bias"), _one_if("Yes")
-    elif field.shape is _POOL_TYPE:
-        slots, read = _slot("pool_max"), _one_if("Max")
-    elif field.shape is _VALUES:
-        slots, read = _slot("mf_value"), _first_number
-    else:
-        return None  # a word (an MF name, an activation) fills no slot
-    return slots, slots.stop - slots.start, read
-
-
-# --- one match per line ------------------------------------------------------------
-# A line in rendered form fills its row from one match of its kind's cell
-# pattern: the kind's line pattern, built from the same shapes, with each
-# integer atom of a slot field captured as a canonical integer of at most 15
-# digits, whose text is its cell, and each word that sets a slot captured
-# whole. No fragment matches ";" or ":", so a matched line has one part per
-# ";", each its declared key and value; when the line holds one field per
-# part, the groups are its field strings. Any other line is read field by
-# field, by the steps.
-
-_CONSTANTS = ("0", "1")  # what a blank row holds outside the groups
-
-
-def _atoms(pattern: str) -> str:
-    """An integer shape's pattern with each atom captured, and at most 15 digits long."""
-    return pattern.replace(_INT, f"({_SHORT_INT})").replace(_POS, f"({_SHORT_POS})")
+# An integer as the cell patterns capture it: at most 15 digits long, whose
+# text is its cell as every integer below 10**15 is exact in a float, or any
+# length str() writes. One alternation swaps each whole, as _INT holds _POS.
+_SHORT = {_INT: "(?:0|[1-9][0-9]{0,14})", _POS: "[1-9][0-9]{0,14}"}
+_ANY = {_INT: _INT, _POS: _POS}
+_INTEGERS = re.compile(f"{re.escape(_INT)}|{re.escape(_POS)}")
 
 
 def _plan(kind: str, fields) -> tuple:
-    """How a row of ``kind`` is read: blank row, steps, cell pattern, picker, word readers.
+    """How a row of ``kind`` is read: its two cell patterns, picker and word readers.
 
-    The blank row has the kind's slot 1 and the rest 0. The steps give the
-    (slots, width, reader) of each field that fills a slot, by text key; a
-    key the kind does not declare fills none. The picker takes the cell
-    pattern's groups (an absent atom is "0") followed by ``_CONSTANTS`` to
-    the row; each word reader then turns the word in its slot into its cell,
-    as its step does.
+    Both patterns spell the kind's line with the same groups: the id and
+    each integer of a slot field, at most 15 digits long in the first and
+    of any length in the second, and each word that sets a slot, whole. The
+    picker takes their groups (an absent atom is "0") followed by
+    ``_CONSTANTS`` to the row, which holds the kind's slot 1 and the rest 0;
+    each word reader then turns the word in its slot into its cell.
     """
-    blank = ["1" if name == f"kind_{kind}" else "0" for name in VECTOR_SLOTS]
-    steps = {f.key: step for f in fields if (step := _step(f)) is not None}
-    parts, slots, words = [f"id:{_atoms(_COUNT.pattern)}"], [4], []  # slot per group
+    parts, slots, words = [f"id:{_COUNT.pattern}"], [4], []  # slot per group
     for f in fields:
-        step = steps.get(f.key)
-        if step is None:
-            fragment = f.shape.pattern
-        elif step[2] in (_int_cells, _pad_counts):
-            fragment = _atoms(f.shape.pattern)
-            filled = list(range(step[0].start, step[0].stop))
-            if step[2] is _pad_counts:  # a pad value fills no slot
+        fragment, filled = f.shape.pattern, _SLOTS.get(f.key)
+        if filled is not None:
+            filled = list(range(filled.start, filled.stop))
+            if f.shape is _PAD_PAIRS:  # a pad value fills no slot
                 filled = [slot for count in filled for slot in (None, count)]
-            slots += filled[:re.compile(fragment).groups]
-        else:
-            fragment = f"({f.shape.pattern})"
-            slots.append(step[0].start)
-            words.append((step[0].start, step[2]))
+            slots += filled[:len(_INTEGERS.findall(fragment))]
+        elif f.shape in _WORDS:  # any other word (an MF name, an activation) fills none
+            fragment = f"({fragment})"
+            slots.append(_WORDS[f.shape][0])
+            words.append(_WORDS[f.shape])
         part = f";{f.key}:(?:{fragment})"
         parts.append(f"(?:{part})?" if f.optional else part)
-    parts.append(f";connect_to:(?:{_CONNECT.pattern})")
+    blank = ["1" if name == f"kind_{kind}" else "0" for name in VECTOR_SLOTS]
     source = [len(slots) + _CONSTANTS.index(cell) for cell in blank]
     for group, slot in enumerate(slots):
         if slot is not None:
             source[slot] = group
-    return blank, steps, re.compile("".join(parts)).fullmatch, itemgetter(*source), tuple(words)
+    body, connect = "".join(parts), f";connect_to:(?:{_CONNECT.pattern})"
+    short, long = [
+        re.compile(_INTEGERS.sub(lambda m: f"({ints[m[0]]})", body) + connect).fullmatch
+        for ints in (_SHORT, _ANY)]
+    return short, long, itemgetter(*source), tuple(words)
 
 
 _PLANS = {kind: _plan(kind, fields) for kind, (_, fields) in UNIT_FIELDS.items()}
 
 
-def _unit_cells(line: UnitLine) -> list[str]:
-    """The 24 slots of one line as CSV cells; absent fields stay 0.
+def _proved_text(line: UnitLine) -> str:
+    """The text of a line built by hand, once the grammar reads it as a line of its kind."""
+    try:
+        text = line.text  # ValueError: an integer too long for str() to write
+        if parse_line(text, _want=_UNIT)[3].unit_kind == line.unit_kind:
+            return text
+    except (ArcTextError, ValueError):
+        pass
+    raise MalformedLineError(
+        f"unit {_shown(line.id)} is not a well-formed {line.unit_kind!r} line",
+        subject=line.id)
 
-    A line that holds its text (each parsed or rendered line, and a built one
-    once its text is read) is read by one match when its cell pattern
-    accepts it; any other line field by field.
-    """
-    plan = _PLANS.get(line.unit_kind)
-    if plan is None:
-        raise ValueError(f"unit {line.id} has an undeclared kind {line.unit_kind!r}")
-    blank, steps, fullmatch, pick, words = plan
+
+def _unit_cells(line: UnitLine) -> list[str]:
+    """The 24 slots of one line as CSV cells; absent fields stay 0."""
     text = line.__dict__.get("text")
-    if text is not None and (match := fullmatch(text)) and (
-            text.count(";") == len(line.fields) + 1):
-        row = list(pick(match.groups("0") + _CONSTANTS))
-        for slot, read in words:
-            row[slot:slot + 1] = read(row[slot])
-        return row
-    row = blank.copy()
-    uid = line.id
-    row[4] = str(uid) if type(uid) is int and -_EXACT < uid < _EXACT else _cell(uid)
-    for key, text in line.fields:
-        step = steps.get(key)
-        if step is not None:
-            slots, width, read = step
-            cells = read(text)
-            if len(cells) < width:  # more values than slots grow the row, and fail below
-                cells += ["0"] * (width - len(cells))
-            row[slots] = cells
-    if len(row) != len(VECTOR_SLOTS):
-        raise ValueError(f"unit {line.id} has a field of the wrong arity")
+    if text is None:  # built by hand
+        text = _proved_text(line)
+    short, long, pick, words = _PLANS[line.unit_kind]
+    match = short(text)
+    row = list(pick((match or long(text)).groups("0") + _CONSTANTS))
+    for slot, read in words:
+        row[slot] = read(row[slot])
+    if match is None:  # an integer of more than 15 digits
+        return [cell if len(cell) <= 15 else _cell(cell) for cell in row]
     return row
 
 

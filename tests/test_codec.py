@@ -935,7 +935,21 @@ def test_per_kind_patterns_read_as_the_alternation_did(resnet4_text, branching25
     assert refused > 1000  # of the 2,000 mutants
 
 
-# --- first-key dispatch: the same reading as trying every kind ---------------------
+# --- table order: the line is tried against every kind ----------------------------
+
+def test_each_line_matches_exactly_one_kind(resnet4_text, branching25_text):
+    # what makes table order safe: no line a kind's pattern accepts is
+    # accepted by another's, so the first match is the only one
+    rng = random.Random(1003)  # the C03 corpus
+    texts = [resnet4_text, branching25_text] + [
+        render_description(gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)).text
+        for _ in range(1000)
+    ]
+    for text in texts:
+        for line in text.split("\n"):
+            assert [entry[0] for entry in codec._KINDS if entry[1](line)] == [
+                classify_line(line)], line
+
 
 def reference_every_kind(line: str, lineno: int = 1, *, _want: int = codec._SPEC):
     """The line tried against every kind's pattern in table order, then read as parse_line reads."""
@@ -980,6 +994,8 @@ def _first_key_mutant(line: str, rng) -> str:
 
 
 def test_first_key_dispatch_reads_as_trying_every_kind(resnet4_text, branching25_text):
+    # parse_line against the plain table-order loop, on lines whose first key
+    # is replaced, cut short or run on, where a dispatch by first key would err
     rng = random.Random(2003)
     texts = [render_description(gen.random_graph(rng)).text for _ in range(200)]
     lines = [line for text in texts + [resnet4_text, branching25_text]

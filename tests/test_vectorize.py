@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arctext import (
+    ArcTextError,
     Description,
     IoError,
+    MalformedLineError,
     MFSpec,
     SchemaError,
     Token,
@@ -27,6 +30,7 @@ from arctext import (
     unit_vector,
     vectors_csv,
 )
+from arctext.codec import _UNIT, parse_line
 from arctext.unitformat import _FLAG, _POOL_TYPE, _VALUES, POOL_TYPES, UNIT_FIELDS, _connect_text
 from arctext.vectorize import (
     _PLANS, NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _SLOTS, _numeric,
@@ -198,6 +202,22 @@ class TestTokenRoundTrip:
 
 
 MF_LINE = "id:1;name:ReLU;in_size:4;out_size:4;value:Null;connect_to:Null"
+
+WELL_FORMED = {  # the fields of one well-formed line of each kind
+    "conv": (("in_size", "8-8-3"), ("out_size", "8-8-3"), ("kernel", "1-1"), ("stride", "1-1"),
+             ("padding", "0-0-0-0-0-0-0-0"), ("dilation", "1"), ("groups", "1"),
+             ("bias_used", "No")),
+    "pool": (("type", "Max"), ("in_size", "8-8-3"), ("out_size", "4-4-3"), ("kernel", "2-2"),
+             ("stride", "2-2"), ("padding", "0-0-0-0"), ("dilation", "1"), ("bias_used", "No")),
+    "full": (("in_size", "64"), ("out_size", "10")),
+    "mf": (("name", "X"), ("in_size", "4"), ("out_size", "4"), ("value", "Null")),
+}
+
+
+def built(kind: str, uid: int = 1, **values) -> UnitLine:
+    """A line built by hand: the well-formed ``kind`` line with ``uid`` and ``values`` by key."""
+    return UnitLine(kind, uid, tuple((key, values.get(key, value))
+                                     for key, value in WELL_FORMED[kind]), None)
 
 
 def bare_vocabulary(closed=False, words=()):
@@ -440,8 +460,8 @@ class TestUnitVector:
         assert set(_SLOTS) <= keys
 
     def test_a_value_wider_than_its_slots_is_refused(self):
-        line = UnitLine("conv", 1, (("kernel", "3-3-3"),), None)
-        with pytest.raises(ValueError, match="wrong arity"):
+        line = built("conv", kernel="3-3-3")
+        with pytest.raises(MalformedLineError, match="^unit 1 is not a well-formed 'conv' line$"):
             unit_vector(line)
 
     def test_csv_shape(self, branching25_text):
@@ -483,7 +503,7 @@ def reference_row(line: UnitLine) -> list[float]:
     """The slots of a parsed line as floats, read field by field by key."""
     row = [0.0] * len(VECTOR_SLOTS)
     row[VECTOR_SLOTS.index(f"kind_{line.unit_kind}")] = 1.0
-    row[4] = float(line.id)
+    row[4] = float(str(line.id))  # as its text reads: inf beyond a float
     for key, text in line.fields:
         if key in _SLOTS:
             values = [float(atom) for atom in text.split("-")]
@@ -527,11 +547,9 @@ class TestCellSpelling:
         ("9999999999999999", ["10000000000000000"]),
         (f"{2**53 + 1}-3-4", ["9007199254740992", "3", "4"]),
         ("9" * 400, ["inf"]),
-        ("007-08-0", ["7", "8", "0"]),
-        ("007-1e3-5", ["7", "1000", "5"]),
-    ], ids=["15-digits", "16-digits", "2**53+1", "400-digits", "leading-zeros", "not-an-int"])
+    ], ids=["15-digits", "16-digits", "2**53+1", "400-digits"])
     def test_a_size_cell_is_its_text_only_for_a_short_int(self, size, cells):
-        line = UnitLine("full", 1, (("in_size", size), ("out_size", "7")), None)
+        line = built("mf", in_size=size, out_size="7")
         row = csv_cells(line)
         assert row[5:8] == cells + ["0"] * (3 - len(cells))
         assert row[8] == "7"
@@ -541,10 +559,9 @@ class TestCellSpelling:
         (10**15 - 1, "999999999999999"),
         (10**16 - 1, "10000000000000000"),
         (2**53 + 1, "9007199254740992"),
-        (True, "1"),
-    ], ids=["15-digits", "16-digits", "2**53+1", "True"])
+    ], ids=["15-digits", "16-digits", "2**53+1"])
     def test_an_id_cell_is_its_text_only_for_a_short_int(self, uid, cell):
-        line = UnitLine("full", uid, (("in_size", "4"),), None)
+        line = built("full", uid)
         row = csv_cells(line)
         assert row[4] == cell
         assert unit_vector(line)[4] == float(cell)
@@ -553,7 +570,7 @@ class TestCellSpelling:
         ("1.0", "1"), ("0.1", "0.1"), ("1e3", "0"), ("1e3-0.25", "0.25"),
     ])
     def test_mf_values(self, value, cell):
-        line = UnitLine("mf", 1, (("name", "X"), ("in_size", "4"), ("value", value)), None)
+        line = render_unit(MFSpec("X", (4,), (4,), value.split("-")), 1, None)  # sorted
         assert csv_cells(line)[VECTOR_SLOTS.index("mf_value")] == cell
 
     @pytest.mark.parametrize("value, cell", [
@@ -561,56 +578,85 @@ class TestCellSpelling:
         ("9" * 400, "inf"),
     ], ids=["0.5", "0.1-0.9", "2", "alpha", "Null", "400-digits"])
     def test_mf_value_cells_of_the_corpus_values(self, value, cell):
-        line = UnitLine("mf", 1, (("name", "X"), ("in_size", "4"), ("value", value)), None)
+        line = built("mf", value=value)
         assert csv_cells(line)[VECTOR_SLOTS.index("mf_value")] == cell
         assert unit_vector(line)[VECTOR_SLOTS.index("mf_value")] == float(cell)
 
-    @pytest.mark.parametrize("uid, cell", [(10**400, "inf"), (-10**400, "-inf")])
+    @pytest.mark.parametrize("uid, cell", [(10**400, "inf")])
     def test_an_id_beyond_a_float_is_infinite(self, uid, cell):
         # as the same number spelled in a size is
-        line = UnitLine("full", uid, (("in_size", "1"), ("out_size", "1")), None)
+        line = built("full", uid)
         assert csv_cells(line)[VECTOR_SLOTS.index("id")] == cell
         assert unit_vector(line)[VECTOR_SLOTS.index("id")] == float(cell)
-        size = UnitLine("full", 1, (("in_size", str(abs(uid))), ("out_size", "1")), None)
+        size = built("full", in_size=str(uid))
         assert csv_cells(size)[VECTOR_SLOTS.index("in_w")] == "inf"
 
     @pytest.mark.parametrize("kind", ["unit", "Conv", "", "mf "])
     def test_an_undeclared_kind_is_refused_by_id_and_kind(self, kind):
-        line = UnitLine(kind, 7, (("in_size", "4"),), None)
+        line = UnitLine(kind, 7, WELL_FORMED["full"], None)
+        message = f"^unit 7 is not a well-formed {re.escape(repr(kind))} line$"
         for vectorize in (unit_vector, lambda line: vectors_csv(Description((line,), ""))):
-            with pytest.raises(ValueError, match=f"^unit 7 has an undeclared kind {kind!r}$"):
+            with pytest.raises(MalformedLineError, match=message) as info:
                 vectorize(line)
-
-    @pytest.mark.parametrize("padding, counts", [
-        ("1-2-3", ["2", "0", "0", "0"]),
-        ("1-2-3-4-5", ["2", "4", "0", "0"]),
-    ])
-    def test_conv_padding_with_odd_counts(self, padding, counts):
-        line = UnitLine("conv", 1, (("padding", padding),), None)
-        assert csv_cells(line)[15:19] == counts
+            assert info.value.subject == 7
 
     def test_conv_padding_wider_than_its_slots_is_refused(self):
-        line = UnitLine("conv", 1, (("padding", "-".join("1" * 10)),), None)
-        with pytest.raises(ValueError, match="wrong arity"):
+        line = built("conv", padding="-".join("1" * 10))
+        with pytest.raises(MalformedLineError, match="^unit 1 is not a well-formed 'conv' line$"):
             vectors_csv(Description((line,), line.text))
 
-    @pytest.mark.parametrize("kind, field", [
-        ("full", ("kernel", "3-3")),
-        ("full", ("kernel", "3-3-3")),
-        ("conv", ("type", "Max")),
-        ("mf", ("bias_used", "Yes")),
-        ("full", ("value", "2")),
-    ])
-    def test_a_key_its_kind_does_not_declare_fills_no_slot(self, kind, field):
-        line = UnitLine(kind, 1, (field,), None)
-        assert csv_cells(line)[5:] == ["0"] * 19
+
+# --- one match per line -------------------------------------------------------------
+
+# where a long integer can sit: (kind, None for the id or the fields that hold it)
+_INTEGER_SLOTS = {
+    "id": ("full", None),
+    "full-in": ("full", {"in_size": "{}"}),
+    "full-out": ("full", {"out_size": "{}"}),
+    "conv-size": ("conv", {"in_size": "8-{}-3"}),
+    "conv-kernel": ("conv", {"kernel": "1-{}"}),
+    "conv-groups": ("conv", {"groups": "{}"}),
+    "conv-pad-count": ("conv", {"padding": "0-{}-0-0-0-0-0-0"}),
+    "conv-pad-value": ("conv", {"padding": "{}-1-0-0-0-0-0-0"}),  # fills no slot
+    "pool-channels": ("pool", {"in_size": "8-8-{}", "out_size": "4-4-{}"}),
+    "pool-pad": ("pool", {"padding": "0-0-{}-0"}),
+    "mf-1": ("mf", {"in_size": "{}"}),
+    "mf-3": ("mf", {"out_size": "4-{}-4"}),
+}
 
 
-# --- one match per line, and the field path it falls back to ------------------------
+@pytest.mark.parametrize("digits", [
+    str(10**15 - 1), str(10**15), str(2**53 + 1), "9" * 400,
+], ids=["15-digits", "16-digits", "2**53+1", "400-digits"])
+@pytest.mark.parametrize("where", list(_INTEGER_SLOTS))
+def test_a_long_integer_is_read_by_the_second_pattern(where, digits):
+    kind, values = _INTEGER_SLOTS[where]
+    if values is None:
+        line = built(kind, int(digits))
+    else:
+        line = built(kind, **{key: value.format(digits) for key, value in values.items()})
+    parsed = parse_line(line.text, _want=_UNIT)[3]
+    short, long = _PLANS[kind][:2]
+    assert (short(line.text) is None) == (len(digits) > 15)
+    assert long(line.text)
+    for read in (line, parsed):  # built by hand, and parsed
+        assert csv_cells(read) == [reference_cell(x) for x in reference_row(parsed)]
+        assert unit_vector(read).tolist() == reference_row(parsed)
+
+
+@pytest.mark.skipif(not _MAX_DIGITS, reason="str() writes any number of digits")
+def test_an_id_too_long_to_write_is_a_typed_refusal():
+    line = built("full", 10**_MAX_DIGITS)
+    message = f"^unit int of more than {_MAX_DIGITS} digits is not a well-formed 'full' line$"
+    for vectorize in (unit_vector, lambda line: vectors_csv(Description((line,), ""))):
+        with pytest.raises(MalformedLineError, match=message) as info:
+            vectorize(line)
+        assert info.value.subject == line.id
+
 
 _SHORT = st.integers(1, 10**15 - 1).map(str)
 _ODD_ATOMS = st.one_of(
-    st.integers(10**15, 10**40).map(str),  # 16 digits and more: through float()
+    st.integers(10**15, 10**40).map(str),  # 16 digits and more: the second pattern
     st.just("9" * 400),  # beyond a float: inf
     st.integers(0, 999).map(lambda i: f"00{i}"),  # leading zeros
     st.sampled_from(["0", "5\n", "1e3", "0.5", "-0"]),
@@ -632,7 +678,7 @@ def _values(kind: str, field, odd: bool) -> st.SearchStrategy:
     """Texts for one declared field: as rendered, or (``odd``) spelled otherwise."""
     if field.key in _SLOTS:
         arity = st.sampled_from(_arities(kind, field.key))
-        if odd:  # a wrong arity, or an atom the cell pattern refuses
+        if odd:  # a wrong arity, or an atom the grammar refuses
             arity = arity.flatmap(lambda n: st.sampled_from([n, n - 1, n + 1, 0]))
         atoms = st.one_of(_SHORT, _ODD_ATOMS) if odd else _SHORT
         ints = arity.flatmap(lambda n: st.lists(atoms, min_size=n, max_size=n)).map("-".join)
@@ -656,6 +702,9 @@ def _hand_built_lines(draw):
     odd = draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2, 3]))
     odd = set(draw(st.lists(st.integers(0, len(declared) - 1), min_size=odd, max_size=odd)))
     fields = [(f.key, draw(_values(kind, f, i in odd))) for i, f in enumerate(declared)]
+    if kind == "pool" and draw(st.integers(0, 3)):  # mostly channels that agree
+        head, _, _ = fields[2][1].rpartition("-")
+        fields[2] = ("out_size", f"{head}-{fields[1][1].rpartition('-')[2]}")
     change = draw(st.integers(0, 9))
     if change < 2:  # a missing field: act_fun, or any other
         del fields[draw(st.integers(0, len(fields) - 1))]
@@ -669,13 +718,13 @@ def _hand_built_lines(draw):
 
 
 def _outcome(line: UnitLine):
-    """The cells and vector of one line, or the type of what they raise."""
+    """The cells and vector of one line, or the refusal both raise."""
     try:
         cells = csv_cells(line)
-    except ValueError as exc:
-        with pytest.raises(type(exc)):
+    except MalformedLineError:
+        with pytest.raises(MalformedLineError):
             unit_vector(line)
-        return ValueError
+        return MalformedLineError
     assert unit_vector(line).tolist() == [float(c) for c in cells]
     return cells
 
@@ -683,31 +732,21 @@ def _outcome(line: UnitLine):
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(line=_hand_built_lines())
 def test_hand_built_lines_vectorize_as_the_reference(line):
-    # a built line is read field by field until its text is read; then by one
-    # match wherever its cell pattern accepts it; both give the reference
+    # a built line is read through its own text: the reference cells of the
+    # line that description_from_text reads from that text, where its line
+    # reader accepts it as a line of the built kind (its id check would
+    # refuse a lone line whose id is not 1), and the typed refusal otherwise
     try:
-        reference = [reference_cell(x) for x in reference_row(line)]
-    except ValueError:  # an atom float() refuses
-        reference = ValueError
+        parsed = parse_line(line.text, _want=_UNIT)[3]
+    except ArcTextError:
+        parsed = None
+    if parsed is None or parsed.unit_kind != line.unit_kind:
+        reference = MalformedLineError
     else:
-        if len(reference) != len(VECTOR_SLOTS):  # more values than slots
-            reference = ValueError
-    assert "text" not in vars(line)
+        reference = [reference_cell(x) for x in reference_row(parsed)]
     assert _outcome(line) == reference
-    line.text  # kept from now on
+    assert "text" not in vars(line)  # nothing is kept: a second read is the same
     assert _outcome(line) == reference
-
-
-@pytest.mark.parametrize("fields", [
-    (("in_size", "4;out_size:5"),),
-    (("in_size", "4"), ("out_size", "5;act_fun:X")),
-], ids=["value-holds-a-field", "value-holds-the-optional-field"])
-def test_a_value_holding_a_separator_is_read_field_by_field(fields):
-    # its text reads as a well-formed full line of other fields
-    line = UnitLine("full", 1, fields, None)
-    assert _PLANS["full"][2](line.text)
-    with pytest.raises(ValueError, match="could not convert"):
-        csv_cells(line)
 
 
 def test_rendered_and_parsed_lines_are_read_by_one_match(resnet4_text, branching25_text):
@@ -715,4 +754,4 @@ def test_rendered_and_parsed_lines_are_read_by_one_match(resnet4_text, branching
     texts = [render_description(gen.random_graph(rng)).text for _ in range(300)]
     for text in texts + [resnet4_text, branching25_text]:
         for line in description_from_text(text).lines:
-            assert _PLANS[line.unit_kind][2](line.text), line.text
+            assert _PLANS[line.unit_kind][0](line.text), line.text  # the short pattern
