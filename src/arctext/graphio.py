@@ -5,13 +5,14 @@ The graph file is strict JSON: top-level "nodes" (ordered records) and
 fields of its kind, named after the NodeSpec dataclass fields; unknown or missing
 keys are errors. Strictness keeps fixtures stable and makes the format
 auto-detectable from ArcText by the first byte ("{" vs "i"). A record with
-exactly its kind's keys is spelled in one pass: its values are taken in line
-order, each field's speller gives its spec value and its text, and the texts
-are joined under their keys. If the kind's line pattern and value comparison
-(both from :mod:`arctext.unitformat`) accept the joined text, it is the
-spec's basic string, and ``unitformat.proved_spec`` builds the spec with its
-basic fields and string kept. Any other record, and any record whose text
-they refuse, goes to the spec class, which words the error.
+exactly its kind's keys, or exactly its required ones, is read by one
+straight-line reader per kind and key set, generated at import from
+``UNIT_FIELDS``: it runs each field's spelling statements inline, in line
+order, and joins the texts under their keys. If the kind's line pattern and
+value comparison (both from :mod:`arctext.unitformat`) accept the joined
+text, it is the spec's basic string, and ``unitformat.proved_spec`` builds
+the spec with its basic fields and string kept. Any other record, and any
+record whose text they refuse, goes to the spec class, which words the error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .canonical import CanonicalOrder
 from .codec import Description
@@ -39,51 +39,63 @@ from .unitformat import (
 )
 
 # a record's keys: name, kind and the spec attributes of its kind's text fields
-_ALLOWED = {kind: {"name", "kind"} | {f.attr for f in fields}
+_ALLOWED = {kind: frozenset({"name", "kind"} | {f.attr for f in fields})
             for kind, (_, fields) in UNIT_FIELDS.items()}
-_REQUIRED = {kind: {"name", "kind"} | {f.attr for f in fields if not f.optional}
+_REQUIRED = {kind: frozenset({"name", "kind"} | {f.attr for f in fields if not f.optional})
              for kind, (_, fields) in UNIT_FIELDS.items()}
 
 
-def _plan(kind: str, record_keys: set[str]):
-    """How a record with exactly ``record_keys`` is spelled and proved."""
+def _reader(kind: str, record_keys: frozenset[str]):
+    """The reader of a record with exactly ``record_keys``, generated from the kind's fields.
+
+    Its source holds only table constants: keys and attributes as literals,
+    each shape's spelling statements, and synthetic local names (``x``: a
+    JSON value, ``v``: its spec value, ``t``: its text, suffixed by field).
+    """
     cls, fields = UNIT_FIELDS[kind]
-    kept = [f for f in fields if f.attr in record_keys]
-    return (record_keys,
-            itemgetter(*[f.attr for f in kept]),  # two or more: always a tuple
-            tuple(f.shape.spell for f in kept),
-            "".join([f";{f.key}:%s" for f in kept]),
-            re.compile(_kind_pattern(kept)).fullmatch,
-            tuple(f.key for f in kept),
-            cls, (None,) * (len(fields) - len(kept)),  # left out: optional, so last
-            _AGREE.get(kind))
+    kept = list(enumerate(f for f in fields if f.attr in record_keys))
+    texts = "".join(f"t{i}, " for i, _ in kept)
+    agree = f" or not agree(({texts}))" if kind in _AGREE else ""
+    absent = "None, " * (len(fields) - len(kept))  # left out: optional, so last
+    source = "\n".join([
+        "def read(record):",
+        *[f"    x{i} = record[{f.attr!r}]" for i, f in kept],
+        "    try:",
+        *[f"        {line}" for i, f in kept
+          for line in f.shape.spell.format(x=f"x{i}", v=f"v{i}", t=f"t{i}").splitlines()],
+        "    except (TypeError, ValueError):  # a sequence of the wrong length, or a bad element",
+        "        return None",
+        f"    text = {''.join(f';{f.key}:%s' for _, f in kept)!r} % ({texts})",
+        f"    if proves(text) is None{agree}:",
+        "        return None",
+        f"    return proved_spec(cls, ({''.join(f'v{i}, ' for i, _ in kept)}{absent}),",
+        f"                       ({''.join(f'({f.key!r}, t{i}), ' for i, f in kept)}), text[1:])",
+    ])
+    namespace = {"cls": cls, "proves": re.compile(_kind_pattern([f for _, f in kept])).fullmatch,
+                 "agree": _AGREE.get(kind), "proved_spec": proved_spec}
+    exec(compile(source, f"<graph-file reader: {kind}, {len(kept)} fields>", "exec"), namespace)
+    return namespace["read"]
 
 
-# per kind, by the number of keys in a record: every field, or the required ones
-_PLANS = {kind: {len(keys): _plan(kind, keys) for keys in (_ALLOWED[kind], _REQUIRED[kind])}
-          for kind in UNIT_FIELDS}
+# per kind, by the number of keys in a record: (those keys, their reader), for
+# every field or the required ones
+_READERS = {kind: {len(keys): (keys, _reader(kind, keys))
+                   for keys in {_ALLOWED[kind], _REQUIRED[kind]}}
+            for kind in UNIT_FIELDS}
 
 
 def _loaded_spec(record: dict, kind: str) -> NodeSpec | None:
     """The spec of a record the line grammar proves, or None to leave it to the class.
 
-    Every field is spelled in one pass and the joined text is proved by the
-    kind's line pattern and value comparison. No field pattern takes a ";",
-    so each field's text is what its group matched: the texts are the spec's
-    basic fields, and the proved text is its basic string.
+    The record's reader spells every field inline and proves the joined text
+    by the kind's line pattern and value comparison. No field pattern takes
+    a ";", so each field's text is what its group matched: the texts are the
+    spec's basic fields, and the proved text is its basic string.
     """
-    plan = _PLANS[kind].get(len(record))
-    if plan is None or record.keys() != plan[0]:
+    entry = _READERS[kind].get(len(record))
+    if entry is None or record.keys() != entry[0]:
         return None
-    _, get, spells, template, proves, keys, cls, absent, agree = plan
-    try:
-        values, texts = zip(*[spell(value) for spell, value in zip(spells, get(record))])
-    except (TypeError, ValueError):  # a sequence of the wrong length, or a bad element
-        return None
-    text = template % texts
-    if proves(text) is None or agree and not agree(texts):
-        return None
-    return proved_spec(cls, values + absent, tuple(zip(keys, texts)), text[1:])
+    return entry[1](record)
 
 
 def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:

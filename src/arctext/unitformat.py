@@ -9,9 +9,10 @@ The fields are declared once, in ``UNIT_FIELDS``: for each unit kind, its
 spec class and its basic fields in line order, each with its text key, spec
 attribute and value shape. A shape says how a value is spelled (a pattern),
 written (spec value -> text), read back (text -> spec value) and checked
-(a spec-class argument -> its stored value), and how a graph file's JSON
-value becomes its spec value and its text in one step (``spell``). A
-speller checks no value: it formats each element with ``%r``, so that
+(a spec-class argument -> its stored value), and holds the statements that
+take a graph file's JSON value to its spec value and its text (``spell``),
+which the graph-file reader runs inline, one reader per kind and key set.
+They check no value: they format each element with ``%r``, so that
 anything but an int shows a character no integer pattern takes. A shape
 also puts what its pattern accepts into words (``says``), the one template
 for a text value the pattern refuses. Next to the table sit the rules no
@@ -173,54 +174,44 @@ def _write_values(values) -> str:
     return join_multi(values) if values else "Null"
 
 
-# Each speller takes a graph file's JSON value, as ``json.loads`` gives it, to
-# (its spec value, its text). It proves nothing: the caller matches the text
-# against the field's pattern. Only an int's repr is all digits, so "%r" writes
-# any other element with a dot, quote, letter, bracket or a doubled "-", which
-# the pattern refuses. A sequence of the wrong length raises TypeError or
-# ValueError, and a value of the wrong type gets the empty text, which no
-# pattern accepts.
+# Each shape's ``spell`` is the statements that take a graph file's JSON value
+# ``{x}``, as ``json.loads`` gives it, to its spec value ``{v}`` and its text
+# ``{t}``; the graph-file reader runs them inline, under its own local names.
+# They prove nothing: the reader matches the text against the field's
+# pattern. Only an int's repr is all digits, so "%r" writes any other element
+# with a dot, quote, letter, bracket or a doubled "-", which the pattern
+# refuses. A sequence of the wrong length raises TypeError or ValueError, and
+# a value of the wrong type gets the empty text, which no pattern accepts.
 
-def _spell_typed(cls: type, write=str):
-    return lambda value: (value, write(value) if type(value) is cls else "")
-
-
-def _spell_count(value):
-    return value, "%r" % (value,)
+def _spell_typed(cls: type, write="{x}") -> str:
+    return f"{{v}} = {{x}}\n{{t}} = {write} if type({{x}}) is {cls.__name__} else ''"
 
 
-def _spell_ints(arity: int):
-    fmt = "-".join(["%r"] * arity)  # takes exactly arity values
-
-    def spell(value):
-        items = tuple(value)
-        return items, fmt % items
-    return spell
+def _spell_ints(arity: int) -> str:  # the format takes exactly arity values
+    return f"{{v}} = tuple({{x}})\n{{t}} = {'-'.join(['%r'] * arity)!r} % {{v}}"
 
 
-def _spell_pad_pairs(value):  # written flat, so each pair must hold two values
-    (a, b), (c, d), (e, f), (g, h) = value
-    return ((a, b), (c, d), (e, f), (g, h)), "%r-%r-%r-%r-%r-%r-%r-%r" % (a, b, c, d, e, f, g, h)
-
-
-_EXTENT_FORMATS = {1: "%r", 3: "%r-%r-%r"}  # any other length: "" raises, or is empty
-
-
-def _spell_extent(value):  # a bare integer is a 1-tuple
-    items = (value,) if type(value) is int else tuple(value)
-    return items, _EXTENT_FORMATS.get(len(items), "") % items
-
-
-def _spell_values(value):
-    # their order and a "Null" among them are left to the line's value
-    # comparison; a "-" inside a value, or the one value "Null", would read
-    # back as another list
-    if type(value) is not list:
-        return value, ""
-    if not value:
-        return (), "Null"
-    text = "-".join(value)  # TypeError for a non-string
-    return tuple(value), text if text != "Null" and text.count("-") < len(value) else ""
+_SPELL_COUNT = "{v} = {x}\n{t} = '%r' % ({x},)"
+# written flat, so each pair must hold two values
+_SPELL_PAD_PAIRS = """\
+({v}a, {v}b), ({v}c, {v}d), ({v}e, {v}f), ({v}g, {v}h) = {x}
+{v} = ({v}a, {v}b), ({v}c, {v}d), ({v}e, {v}f), ({v}g, {v}h)
+{t} = '%r-%r-%r-%r-%r-%r-%r-%r' % ({v}a, {v}b, {v}c, {v}d, {v}e, {v}f, {v}g, {v}h)"""
+# a bare integer is a 1-tuple; any length but 1 or 3 leaves a format unfilled or overfilled
+_SPELL_EXTENT = """\
+{v} = ({x},) if type({x}) is int else tuple({x})
+{t} = ('%r' if len({v}) == 1 else '%r-%r-%r') % {v}"""
+# their order and a "Null" among them are left to the line's value comparison;
+# a "-" inside a value, or the one value "Null", would read back as another list
+_SPELL_VALUES = """\
+if type({x}) is not list:
+    {v}, {t} = {x}, ''
+elif {x}:
+    {v}, {t} = tuple({x}), '-'.join({x})
+    if {t} == 'Null' or {t}.count('-') >= len({x}):
+        {t} = ''
+else:
+    {v}, {t} = (), 'Null'"""
 
 
 class _Shape(NamedTuple):
@@ -236,9 +227,9 @@ class _Shape(NamedTuple):
     read: Callable[[str], object]  # a matched value -> its spec argument
     says: str  # what the pattern accepts, in words
     write: Callable[[object], str] = join_multi  # a spec value -> its text
-    # a graph file's JSON value -> (its spec value, its text), which the
-    # caller proves; None for a shape no graph file holds
-    spell: Callable[[object], tuple[object, str]] | None = None
+    # the statements that spell a graph file's JSON value as its spec value
+    # and its text, which the caller proves; None for a shape no graph file holds
+    spell: str | None = None
     # a spec-class argument and its attribute -> the value stored, or
     # InvalidSpecError; None for a shape no spec field has
     check: Callable[[object, str], object] | None = None
@@ -268,23 +259,23 @@ def _check_pad_pairs(value, attr):
     return tuple(_check_pad_pair(p, "padding pair") for p in value)
 
 
-_COUNT = _Shape(_POS, int, "an integer >= 1", str, _spell_count, _check_int)
+_COUNT = _Shape(_POS, int, "an integer >= 1", str, _SPELL_COUNT, _check_int)
 _PAIR = _int_shape(2)
 _SIZE = _int_shape(3)
 _PADS = _int_shape(4, 0)
 _PAD_PAIRS = _int_shape(8, 0, _read_pad_pairs, _write_pad_pairs)._replace(
-    spell=_spell_pad_pairs, check=_check_pad_pairs)
+    spell=_SPELL_PAD_PAIRS, check=_check_pad_pairs)
 _EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, "1 or 3 integers >= 1 joined by '-'",
-                 join_multi, _spell_extent, _check_extent)
+                 join_multi, _SPELL_EXTENT, _check_extent)
 _POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, " or ".join(map(repr, POOL_TYPES)), str,
                     _spell_typed(str), _check_pool_type)
 _FLAG = _Shape("Yes|No", "Yes".__eq__, "'Yes' or 'No'", ("No", "Yes").__getitem__,
-               _spell_typed(bool, ("No", "Yes").__getitem__), _check_flag)
+               _spell_typed(bool, "('No', 'Yes')[{x}]"), _check_flag)
 _WORD = _Shape(_TOKEN, _read_token, f"a non-empty token with no '-', {_NOT_IN_TOKEN}", str,
                _spell_typed(str), _check_token)
 _VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values,
                  f"'Null' or non-empty tokens joined by '-', with no {_NOT_IN_TOKEN}",
-                 _write_values, _spell_values, _check_values)
+                 _write_values, _SPELL_VALUES, _check_values)
 
 
 # --- the spec classes -----------------------------------------------------------

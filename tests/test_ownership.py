@@ -1,7 +1,8 @@
 """Each shared unit rule has one owner, :mod:`arctext.unitformat`.
 
 The readers may call what it exports, but only it spells the keys under
-which a spec keeps its basic fields and string, only it defines the spec
+which a spec keeps its basic fields and string (in module source and in the
+graph-file readers generated at import), only it defines the spec
 classes and their check, and the graph-file reader takes nothing private
 from the text codec.
 """
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import arctext
+from arctext import graphio, unitformat
 
 PACKAGE = Path(arctext.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -43,6 +45,31 @@ def test_unitformat_spells_the_memo_keys():
     keywords = {node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword)}
     constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     assert MEMO_KEYS <= keywords | constants
+
+
+def _code_words(code) -> set:
+    """The names and constants of a code object and of those nested in it."""
+    words, stack = set(code.co_names), list(code.co_consts)
+    while stack:
+        const = stack.pop()
+        if isinstance(const, tuple):
+            stack += const
+        elif hasattr(const, "co_consts"):
+            words |= _code_words(const)
+        else:
+            words.add(const)
+    return words
+
+
+def test_no_generated_graph_file_reader_spells_the_memo_keys():
+    # the readers are built from source at import, which the checks above never see
+    readers = [read for by_count in graphio._READERS.values() for _, read in by_count.values()]
+    assert len(readers) == 5  # one per kind, and two for full, whose act_fun is optional
+    for read in readers:
+        spelled = MEMO_KEYS & _code_words(read.__code__)
+        assert not spelled, f"{read.__code__.co_filename} spells {sorted(spelled)}"
+    # the check reads the right spelling
+    assert MEMO_KEYS <= _code_words(unitformat.proved_spec.__code__)
 
 
 SPEC_CLASSES = {"ConvSpec", "PoolSpec", "FullSpec", "MFSpec"}
