@@ -64,6 +64,7 @@ from .unitformat import (
     _connect_text,
     _kind_pattern,
     _read_ints,
+    _shown,
     basic_fields,
     basic_string,
     kind_of,
@@ -78,7 +79,8 @@ class UnitLine:
     ``connect_to`` is None for the sink (rendered as the literal "Null").
     A parsed or rendered unit holds its line as ``text``, proved by the
     grammar or by the spec's checks. A unit built by hand holds none: its
-    ``text`` is spelled from its fields on each use, and nothing proves it.
+    ``text`` is spelled from its fields on each use, and nothing proves it;
+    fields that cannot be spelled raise ``MalformedLineError`` naming its id.
     """
 
     unit_kind: str
@@ -89,8 +91,17 @@ class UnitLine:
     def __getattr__(self, name: str) -> str:  # only reached for what the unit does not hold
         if name != "text":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        body = ";".join(f"{k}:{v}" for k, v in self.fields)
-        return f"id:{self.id};{body};connect_to:{_connect_text(self.connect_to)}"
+        try:
+            body = ";".join(f"{k}:{v}" for k, v in self.fields)
+            return f"id:{self.id};{body};connect_to:{_connect_text(self.connect_to)}"
+        except (TypeError, ValueError):  # not pairs, not iterable, or an int str() cannot write
+            raise _not_well_formed(self) from None
+
+
+def _not_well_formed(line: UnitLine) -> MalformedLineError:
+    """The refusal of a unit built by hand, by its id and kind."""
+    return MalformedLineError(
+        f"unit {_shown(line.id)} is not a well-formed {line.unit_kind!r} line", subject=line.id)
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,13 @@ from operator import itemgetter
 
 import numpy as np
 
-from .codec import _UNIT, Description, UnitLine, parse_line
+from .codec import _UNIT, Description, UnitLine, _not_well_formed, parse_line
 from .errors import (
-    ArcTextError, IoError, MalformedLineError, SchemaError, UnknownTokenError, read_text,
+    ArcTextError, IoError, SchemaError, UnknownTokenError, read_text,
 )
 from .unitformat import (
     _CONNECT, _COUNT, _FLAG, _INT, _PAD_PAIRS, _POOL_TYPE, _POS, _VALUES, UNIT_FIELDS,
-    _read_values, _shown,
+    _read_values,
 )
 
 _NUMBER_RE = re.compile(_INT)  # an integer's spelling that int() converts
@@ -330,15 +330,13 @@ _PLANS = {kind: _plan(kind, fields) for kind, (_, fields) in UNIT_FIELDS.items()
 
 def _proved_text(line: UnitLine) -> str:
     """The text of a line built by hand, once the grammar reads it as a line of its kind."""
+    text = line.text  # MalformedLineError: fields that cannot be spelled
     try:
-        text = line.text  # ValueError: an integer too long for str() to write
         if parse_line(text, _want=_UNIT)[3].unit_kind == line.unit_kind:
             return text
-    except (ArcTextError, ValueError):
+    except ArcTextError:
         pass
-    raise MalformedLineError(
-        f"unit {_shown(line.id)} is not a well-formed {line.unit_kind!r} line",
-        subject=line.id)
+    raise _not_well_formed(line)
 
 
 def _unit_cells(line: UnitLine) -> list[str]:

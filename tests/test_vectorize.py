@@ -600,6 +600,18 @@ class TestCellSpelling:
                 vectorize(line)
             assert info.value.subject == 7
 
+    @pytest.mark.parametrize("fields, connect_to", [
+        (None, None), (WELL_FORMED["full"], 5)], ids=["fields=None", "connect_to=5"])
+    def test_fields_that_cannot_be_spelled_are_refused_by_id(self, fields, connect_to):
+        line = UnitLine("full", 7, fields, connect_to)
+        d = Description((line,), "")
+        for read in (lambda line: line.text, unit_vector, lambda line: vectors_csv(d),
+                     lambda line: tokenize(d, Vocabulary.default())):
+            with pytest.raises(MalformedLineError,
+                               match="^unit 7 is not a well-formed 'full' line$") as info:
+                read(line)
+            assert info.value.subject == 7
+
     def test_conv_padding_wider_than_its_slots_is_refused(self):
         line = built("conv", padding="-".join("1" * 10))
         with pytest.raises(MalformedLineError, match="^unit 1 is not a well-formed 'conv' line$"):
