@@ -922,20 +922,36 @@ def _read_outcome(reader, line: str, want: int):
             [(type(u), vars(u)) for u in unit])
 
 
+def _rendered_lines(rng, graphs: int, *fixture_texts) -> list[str]:
+    texts = [render_description(gen.random_graph(rng)).text for _ in range(graphs)]
+    return [line for text in texts + list(fixture_texts) for line in text.split("\n")]
+
+
 def test_per_kind_patterns_read_as_the_alternation_did(resnet4_text, branching25_text):
+    # parse_line against one fullmatch over every kind, on rendered lines and
+    # their field mutants, and on lines whose first key is replaced, cut short
+    # or run on, where a reader that took the kind from the first key would err
     rng = random.Random(47)
-    texts = [render_description(gen.random_graph(rng)).text for _ in range(300)]
-    lines = [line for text in texts + [resnet4_text, branching25_text]
-             for line in text.split("\n")]
+    lines = _rendered_lines(rng, 300, resnet4_text, branching25_text)
     lines += [_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng)
               for line in rng.sample(lines, 2000)]
-    refused = 0
-    for line in lines:
-        for want in (codec._SPEC, codec._UNIT, codec._BOTH):
-            outcome = _read_outcome(parse_line, line, want)
-            assert outcome == _read_outcome(reference_parse_line, line, want), line
-        refused += isinstance(outcome[0], type)
-    assert refused > 1000  # of the 2,000 mutants
+    rng = random.Random(2003)
+    first_key_lines = _rendered_lines(rng, 200, resnet4_text, branching25_text)
+    mutants = []
+    for line in rng.sample(first_key_lines, 2500):
+        mutants.append(_first_key_mutant(line, rng))
+        mutants.append(_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng))
+    mutants += ["", ";", ":", "id:1", "id:1;", "id:1;:", "name:A;in_size:4", "id:1;name"]
+    assert len(mutants) >= 5000
+    for inputs, floor in ((lines, 1000),  # of the 2,000 field mutants
+                          (first_key_lines[:500] + mutants, 3000)):  # of the 5,008 mutants
+        refused = 0
+        for line in inputs:
+            for want in (codec._SPEC, codec._UNIT, codec._BOTH):
+                outcome = _read_outcome(parse_line, line, want)
+                assert outcome == _read_outcome(reference_parse_line, line, want), line
+            refused += isinstance(outcome[0], type)
+        assert refused > floor
 
 
 # --- table order: the line is tried against every kind ----------------------------
@@ -952,29 +968,6 @@ def test_each_line_matches_exactly_one_kind(resnet4_text, branching25_text):
         for line in text.split("\n"):
             assert [entry[0] for entry in codec._KINDS if entry[1](line)] == [
                 classify_line(line)], line
-
-
-def reference_every_kind(line: str, lineno: int = 1, *, _want: int = codec._SPEC):
-    """The line tried against every kind's pattern in table order, then read as parse_line reads."""
-    for kind, fullmatch, cls, readers, keys, agree in codec._KINDS:
-        if match := fullmatch(line):
-            break
-    else:
-        codec._refuse(line, lineno)
-    uid, *values, targets = match.groups()
-    connect = None if targets == "Null" else tuple(map(int, targets.split("-")))
-    if connect and any(a >= b for a, b in zip(connect, connect[1:])) or (
-            agree and not agree(values)):
-        codec._refuse(line, lineno)
-    uid = int(uid)
-    spec = None if _want == codec._UNIT else proved_spec(
-        cls, [read(v) for read, v in zip(readers, values)])
-    if _want == codec._SPEC:
-        return uid, spec, connect
-    fields = tuple(field for field in zip(keys, values) if field[1] is not None)
-    unit = UnitLine(kind, uid, fields, connect)
-    unit.__dict__["text"] = line
-    return uid, spec, connect, unit
 
 
 _FIRST_KEYS = ("in_size", "type", "name", "kernel", "i", "n", "t", "", "in_size:4", "value")
@@ -994,28 +987,6 @@ def _first_key_mutant(line: str, rng) -> str:
         f"{head};{key}",
     ]
     return rng.choice(edits)
-
-
-def test_first_key_dispatch_reads_as_trying_every_kind(resnet4_text, branching25_text):
-    # parse_line against the plain table-order loop, on lines whose first key
-    # is replaced, cut short or run on, where a dispatch by first key would err
-    rng = random.Random(2003)
-    texts = [render_description(gen.random_graph(rng)).text for _ in range(200)]
-    lines = [line for text in texts + [resnet4_text, branching25_text]
-             for line in text.split("\n")]
-    mutants = []
-    for line in rng.sample(lines, 2500):
-        mutants.append(_first_key_mutant(line, rng))
-        mutants.append(_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng))
-    mutants += ["", ";", ":", "id:1", "id:1;", "id:1;:", "name:A;in_size:4", "id:1;name"]
-    assert len(mutants) >= 5000
-    refused = 0
-    for line in lines[:500] + mutants:
-        for want in (codec._SPEC, codec._UNIT, codec._BOTH):
-            outcome = _read_outcome(parse_line, line, want)
-            assert outcome == _read_outcome(reference_every_kind, line, want), line
-        refused += isinstance(outcome[0], type)
-    assert refused > 3000  # of the 5,008 mutants
 
 
 # --- the parsed graph is built from what the grammar proved -------------------------
