@@ -927,31 +927,25 @@ def _rendered_lines(rng, graphs: int, *fixture_texts) -> list[str]:
     return [line for text in texts + list(fixture_texts) for line in text.split("\n")]
 
 
+def _reads_as_the_alternation(lines) -> int:
+    """Assert parse_line reads every line as reference_parse_line does; count the refused."""
+    refused = 0
+    for line in lines:
+        for want in (codec._SPEC, codec._UNIT, codec._BOTH):
+            outcome = _read_outcome(parse_line, line, want)
+            assert outcome == _read_outcome(reference_parse_line, line, want), line
+        refused += isinstance(outcome[0], type)
+    return refused
+
+
 def test_per_kind_patterns_read_as_the_alternation_did(resnet4_text, branching25_text):
     # parse_line against one fullmatch over every kind, on rendered lines and
-    # their field mutants, and on lines whose first key is replaced, cut short
-    # or run on, where a reader that took the kind from the first key would err
+    # their field mutants
     rng = random.Random(47)
     lines = _rendered_lines(rng, 300, resnet4_text, branching25_text)
     lines += [_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng)
               for line in rng.sample(lines, 2000)]
-    rng = random.Random(2003)
-    first_key_lines = _rendered_lines(rng, 200, resnet4_text, branching25_text)
-    mutants = []
-    for line in rng.sample(first_key_lines, 2500):
-        mutants.append(_first_key_mutant(line, rng))
-        mutants.append(_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng))
-    mutants += ["", ";", ":", "id:1", "id:1;", "id:1;:", "name:A;in_size:4", "id:1;name"]
-    assert len(mutants) >= 5000
-    for inputs, floor in ((lines, 1000),  # of the 2,000 field mutants
-                          (first_key_lines[:500] + mutants, 3000)):  # of the 5,008 mutants
-        refused = 0
-        for line in inputs:
-            for want in (codec._SPEC, codec._UNIT, codec._BOTH):
-                outcome = _read_outcome(parse_line, line, want)
-                assert outcome == _read_outcome(reference_parse_line, line, want), line
-            refused += isinstance(outcome[0], type)
-        assert refused > floor
+    assert _reads_as_the_alternation(lines) > 1000  # of the 2,000 mutants
 
 
 # --- table order: the line is tried against every kind ----------------------------
@@ -987,6 +981,20 @@ def _first_key_mutant(line: str, rng) -> str:
         f"{head};{key}",
     ]
     return rng.choice(edits)
+
+
+def test_first_key_dispatch_reads_as_trying_every_kind(resnet4_text, branching25_text):
+    # parse_line against one fullmatch over every kind, on lines whose first
+    # key is replaced, cut short or run on, where a dispatch by first key would err
+    rng = random.Random(2003)
+    lines = _rendered_lines(rng, 200, resnet4_text, branching25_text)
+    mutants = []
+    for line in rng.sample(lines, 2500):
+        mutants.append(_first_key_mutant(line, rng))
+        mutants.append(_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng))
+    mutants += ["", ";", ":", "id:1", "id:1;", "id:1;:", "name:A;in_size:4", "id:1;name"]
+    assert len(mutants) >= 5000
+    assert _reads_as_the_alternation(lines[:500] + mutants) > 3000  # of the 5,008 mutants
 
 
 # --- the parsed graph is built from what the grammar proved -------------------------
