@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from arctext import ArchGraph, ConvSpec, FullSpec, MFSpec, PoolSpec, build_graph
@@ -231,3 +232,28 @@ def resnext_graph(blocks: int = 2, branches: int = 4) -> ArchGraph:
     nodes.append(("out", rand_full(rng)))
     edges.append((prev, "out"))
     return build_graph(nodes, edges)
+
+
+TWO_MF_SPECS = (MFSpec("ReLU", (8, 8, 4), (8, 8, 4)), MFSpec("BN", (8, 8, 4), (8, 8, 4)))
+
+
+def five_node_dags() -> list[ArchGraph]:
+    """Every 5-node DAG over two MF specs, each built in identity insertion order.
+
+    The nodes are d0..d4, every edge runs from a lower to a higher index, d0
+    is the one source and d4 the one sink (122 edge sets), and each node takes
+    either spec of ``TWO_MF_SPECS`` (32 labellings): 3,904 graphs, edge sets
+    by bit mask and labellings in ``itertools.product`` order. Some of them
+    render differently under other insertion orders (ROADMAP item 1).
+    """
+    names = [f"d{i}" for i in range(5)]
+    pairs = list(itertools.combinations(range(5), 2))
+    graphs = []
+    for mask in range(1 << len(pairs)):
+        edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        if {b for _, b in edges} != {1, 2, 3, 4} or {a for a, _ in edges} != {0, 1, 2, 3}:
+            continue  # a second source or sink
+        for labels in itertools.product(TWO_MF_SPECS, repeat=5):
+            graphs.append(build_graph(list(zip(names, labels)),
+                                      [(names[a], names[b]) for a, b in edges]))
+    return graphs

@@ -14,6 +14,10 @@ an index and short SHA-256 digests:
 - ``mutants``: 2,000 seeded node-record mutants from
   ``test_graphio.record_mutants``, each loaded as a one-node graph file; the
   digest of its basic string, or of its error type and message.
+- ``five_node``: the 3,904 graphs of ``gen.five_node_dags``, each built in
+  identity insertion order; the digest of its canonical text. Some of them
+  render differently under other insertion orders (ROADMAP item 1), so a fix
+  of the tie-break changes exactly those entries.
 """
 
 from __future__ import annotations
@@ -66,12 +70,13 @@ def families() -> dict[str, list[str]]:
     rng = random.Random(2210)
     mutants = [_mutant_entry(mutant) for _ in range(100)
                for mutant in record_mutants(_spec_to_record("a", gen.rand_spec(rng)), rng, 20)]
-    return {"fixtures": fixtures, "c03": c03, "mutants": mutants}
+    five_node = [_digest(render_description(g).text) for g in gen.five_node_dags()]
+    return {"fixtures": fixtures, "c03": c03, "mutants": mutants, "five_node": five_node}
 
 
-def read_golden() -> dict[str, list[str]]:
+def read_golden(path: Path = GOLDEN) -> dict[str, list[str]]:
     recorded: dict[str, list[str]] = {}
-    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         if line and not line.startswith("#"):
             family, index, entry = line.split(" ", 2)
             assert int(index) == len(recorded.setdefault(family, [])), line
