@@ -15,7 +15,8 @@ field's string and the connect list. The patterns make every check on one
 value; after the match run only the checks that compare values: connect
 targets strictly ascending (on a line with two or more), and the kind's
 value comparison from ``unitformat``. A line that passes builds its spec
-with ``unitformat.proved_spec`` (``description_from_text`` builds none).
+with ``unitformat.proved_spec`` (``description_from_text`` builds none) and
+its ``UnitLine`` with ``_proved_line``, which keeps the line as its text.
 Any other line's first fault is worded by ``_refuse``: a value its shape's
 pattern refuses by that shape's one template, "<key> must be <says>, got
 <value>"; descending connect targets and unsorted MF values by their own
@@ -65,7 +66,6 @@ from .unitformat import (
     _kind_pattern,
     _read_ints,
     _shown,
-    basic_fields,
     basic_string,
     kind_of,
     proved_spec,
@@ -78,9 +78,10 @@ class UnitLine:
 
     ``connect_to`` is None for the sink (rendered as the literal "Null").
     A parsed or rendered unit holds its line as ``text``, proved by the
-    grammar or by the spec's checks. A unit built by hand holds none: its
-    ``text`` is spelled from its fields on each use, and nothing proves it;
-    fields that cannot be spelled raise ``MalformedLineError`` naming its id.
+    grammar or by the spec's checks, and reads its ``fields`` from it on each
+    use. A unit built by hand holds its fields and spells its ``text`` from
+    them on each use; nothing proves it, and fields that cannot be spelled
+    raise ``MalformedLineError`` naming its id.
     """
 
     unit_kind: str
@@ -88,7 +89,9 @@ class UnitLine:
     fields: tuple[tuple[str, str], ...]
     connect_to: tuple[int, ...] | None
 
-    def __getattr__(self, name: str) -> str:  # only reached for what the unit does not hold
+    def __getattr__(self, name: str):  # only reached for what the unit does not hold
+        if name == "fields" and "text" in self.__dict__:  # proved: no value holds ";" or ":"
+            return tuple([part.partition(":")[::2] for part in self.text.split(";")[1:-1]])
         if name != "text":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         try:
@@ -102,6 +105,13 @@ def _not_well_formed(line: UnitLine) -> MalformedLineError:
     """The refusal of a unit built by hand, by its id and kind."""
     return MalformedLineError(
         f"unit {_shown(line.id)} is not a well-formed {line.unit_kind!r} line", subject=line.id)
+
+
+def _proved_line(kind: str, id: int, connect_to, text: str) -> UnitLine:
+    """The unit of a proved line ``text``, built without the ``UnitLine`` constructor."""
+    line = object.__new__(UnitLine)
+    line.__dict__.update(unit_kind=kind, id=id, connect_to=connect_to, text=text)
+    return line
 
 
 @dataclass(frozen=True)
@@ -125,9 +135,8 @@ def render_unit(spec: NodeSpec, id: int, connect_to) -> UnitLine:
             raise InvalidSpecError(f"connect_to must be strictly ascending, got {targets}")
         if not targets:
             targets = None  # outdegree 0 is the sink
-    line = UnitLine(kind_of(spec), id, basic_fields(spec), targets)
-    line.__dict__["text"] = line.text  # proved: a checked spec, id and targets
-    return line
+    return _proved_line(kind_of(spec), id, targets,  # proved: a checked spec, id and targets
+                        f"id:{id};{basic_string(spec)};connect_to:{_connect_text(targets)}")
 
 
 def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Description:
@@ -135,8 +144,8 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
 
     Node ids are canonical positions; each connect_to lists the positions of
     the node's successors in ascending order. Each line equals what
-    ``render_unit`` gives for its spec, id and successors, and is built
-    without the ``UnitLine`` constructor: its values are already proved.
+    ``render_unit`` gives for its spec, id and successors, and is built by
+    the same ``_proved_line``: its values are already proved.
     """
     order = assign_positions(g, max_paths=max_paths)
     positions = order.positions
@@ -153,11 +162,7 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
             connect = _connect_text(succ)
         # ordering has already joined and kept each spec's basic string
         text = f"id:{pos};{basic_string(spec)};connect_to:{connect}"
-        line = object.__new__(UnitLine)
-        line.__dict__.update(
-            unit_kind=kind_of(spec), id=pos,
-            fields=basic_fields(spec), connect_to=succ, text=text)
-        lines.append(line)
+        lines.append(_proved_line(kind_of(spec), pos, succ, text))
         texts.append(text)
     return Description(tuple(lines), "\n".join(texts))
 
@@ -174,13 +179,12 @@ _FULL_KEYS = set(_KIND_KEYS[KIND_FULL][0])
 
 
 # per kind, in table order: its line's compiled fullmatch, spec class,
-# readers, keys and value comparison; groups are the id, the kind's field
-# strings and the connect list
+# readers and value comparison; groups are the id, the kind's field strings
+# and the connect list
 _KINDS = tuple(
     (kind, re.compile(f"id:({_COUNT.pattern}){_kind_pattern(fields)}"
                       f";connect_to:({_CONNECT.pattern})").fullmatch,
-     cls, tuple(f.shape.read for f in fields), tuple(f.key for f in fields),
-     _AGREE.get(kind))
+     cls, tuple(f.shape.read for f in fields), _AGREE.get(kind))
     for kind, (cls, fields) in UNIT_FIELDS.items()
 )
 
@@ -261,10 +265,10 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
     """Parse one line into (id, spec, connect_to); strict on everything.
 
     The description readers pass ``_want``. With ``_BOTH`` or ``_UNIT`` the
-    line's ``UnitLine`` comes fourth, its fields the matched strings and its
-    ``text`` the line itself; with ``_UNIT`` no spec is built (None).
+    line's ``UnitLine`` comes fourth, its ``text`` the line itself; with
+    ``_UNIT`` no spec is built (None).
     """
-    for kind, fullmatch, cls, readers, keys, agree in _KINDS:
+    for kind, fullmatch, cls, readers, agree in _KINDS:
         if match := fullmatch(line):
             break
     else:
@@ -283,12 +287,7 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
         cls, [read(v) for read, v in zip(readers, values)])
     if _want == _SPEC:
         return uid, spec, connect
-    fields = tuple(zip(keys, values))
-    if None in values:  # an optional field the line leaves out
-        fields = tuple([field for field in fields if field[1] is not None])
-    unit = object.__new__(UnitLine)  # a matched line is already in rendered form
-    unit.__dict__.update(unit_kind=kind, id=uid, fields=fields, connect_to=connect, text=line)
-    return uid, spec, connect, unit
+    return uid, spec, connect, _proved_line(kind, uid, connect, line)  # already rendered
 
 
 # --- whole descriptions ------------------------------------------------------------
@@ -389,8 +388,7 @@ def description_from_text(text: str) -> Description:
     Each line is checked as strictly as ``parse_description`` checks it, and
     so is the id sequence; the sink, the connect targets and cycles are not.
     Every line the grammar accepts is already in rendered form, so each
-    UnitLine takes its fields from the line's match and its ``text`` is the
-    line itself; ``text`` is the input minus its one tolerated trailing
+    UnitLine's ``text`` is the line itself, and its fields are read from it; ``text`` is the input minus its one tolerated trailing
     newline. Nothing is re-rendered, and no spec is built.
     """
     body, entries = _read_text(text, _UNIT)

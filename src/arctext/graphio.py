@@ -11,7 +11,7 @@ straight-line reader per kind and key set, generated at import from
 order, and joins the texts under their keys. If the kind's line pattern and
 value comparison (both from :mod:`arctext.unitformat`) accept the joined
 text, it is the spec's basic string, and ``unitformat.proved_spec`` builds
-the spec with its basic fields and string kept. Any other record, and any
+the spec with that string kept. Any other record, and any
 record whose text they refuse, goes to the spec class, which words the error.
 """
 
@@ -68,8 +68,7 @@ def _reader(kind: str, record_keys: frozenset[str]):
         f"    text = {''.join(f';{f.key}:%s' for _, f in kept)!r} % ({texts})",
         f"    if proves(text) is None{agree}:",
         "        return None",
-        f"    return proved_spec(cls, ({''.join(f'v{i}, ' for i, _ in kept)}{absent}),",
-        f"                       ({''.join(f'({f.key!r}, t{i}), ' for i, f in kept)}), text[1:])",
+        f"    return proved_spec(cls, ({''.join(f'v{i}, ' for i, _ in kept)}{absent}), text[1:])",
     ])
     namespace = {"cls": cls, "proves": re.compile(_kind_pattern([f for _, f in kept])).fullmatch,
                  "agree": _AGREE.get(kind), "proved_spec": proved_spec}
@@ -89,8 +88,8 @@ def _loaded_spec(record: dict, kind: str) -> NodeSpec | None:
 
     The record's reader spells every field inline and proves the joined text
     by the kind's line pattern and value comparison. No field pattern takes
-    a ";", so each field's text is what its group matched: the texts are the
-    spec's basic fields, and the proved text is its basic string.
+    a ";", so each field's text is what its group matched, and the proved
+    text is the spec's basic string.
     """
     entry = _READERS[kind].get(len(record))
     if entry is None or record.keys() != entry[0]:

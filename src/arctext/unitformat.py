@@ -24,10 +24,11 @@ The spec classes check their arguments with the table's shapes. The line
 grammar in :mod:`arctext.codec` and the graph-file reader in
 :mod:`arctext.graphio` are built from these rules, and both build what they
 have proved with ``proved_spec``, which runs no spec-class check. Each
-spec's basic fields and basic string are computed on first use, or handed
-over by the graph-file reader, and kept in the spec's instance ``__dict__``
-the way ``functools.cached_property`` keeps its value; specs are frozen, so
-the kept value cannot go stale. Only this module spells those keys.
+spec's basic string is joined on first use, or handed over by the
+graph-file reader, and kept in the spec's instance ``__dict__`` the way
+``functools.cached_property`` keeps its value; specs are frozen, so the
+kept value cannot go stale. It is the one spelling a spec keeps: its basic
+fields are read from it when asked for. Only this module spells its key.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ class _Spec:
     The one spec check: each field's shape checks its argument in table
     order, leaving an optional ``None`` alone, then the pool channels must
     agree. ``proved_spec`` skips it. Only the dataclass fields are pickled,
-    so the basic fields a spec keeps never change its pickle.
+    so the basic string a spec keeps never changes its pickle.
     """
 
     def __post_init__(self):
@@ -456,16 +457,16 @@ _KIND_OF_TYPE = {cls: kind for kind, (cls, _) in UNIT_FIELDS.items()}
 
 # --- the specs ------------------------------------------------------------------
 
-def proved_spec(cls: type, values, fields=None, text=None) -> NodeSpec:
+def proved_spec(cls: type, values, text=None) -> NodeSpec:
     """A ``cls`` spec of proved ``values``, in field order; no ``__post_init__`` runs.
 
-    Basic ``fields`` and a basic string ``text`` already joined are kept.
+    A basic string ``text`` already joined is kept.
     """
     spec = object.__new__(cls)
     memo = spec.__dict__
     memo.update(zip(cls.__dataclass_fields__, values))
     if text is not None:
-        memo["_basic_fields"], memo["_basic_string"] = fields, text
+        memo["_basic_string"] = text
     return spec
 
 
@@ -482,23 +483,21 @@ def kind_of(spec: NodeSpec) -> str:
 # --- the writer -------------------------------------------------------------------
 
 def basic_fields(spec: NodeSpec) -> tuple[tuple[str, str], ...]:
-    """Ordered ``(key, value)`` fields of a unit, minus id and connect_to."""
-    memo = getattr(spec, "__dict__", {})  # a non-spec fails in kind_of
-    fields = memo.get("_basic_fields")
-    if fields is None:
-        rows = _ROWS[kind_of(spec)]
-        # only an optional field is ever None: the spec classes allow no other
-        fields = memo["_basic_fields"] = tuple([
-            (key, write(value)) for key, attr, write in rows
-            if (value := getattr(spec, attr)) is not None
-        ])
-    return fields
+    """Ordered ``(key, value)`` fields of a unit, minus id and connect_to.
+
+    They are read from its basic string: no value holds ``;`` or ``:``.
+    """
+    return tuple([part.partition(":")[::2] for part in basic_string(spec).split(";")])
 
 
 def basic_string(spec: NodeSpec) -> str:
     """The fields of a unit as rendered text, without id or connect_to."""
-    memo = getattr(spec, "__dict__", {})
+    memo = getattr(spec, "__dict__", {})  # a non-spec fails in kind_of
     text = memo.get("_basic_string")
     if text is None:
-        text = memo["_basic_string"] = ";".join(f"{k}:{v}" for k, v in basic_fields(spec))
+        # only an optional field is ever None: the spec classes allow no other
+        text = memo["_basic_string"] = ";".join([
+            f"{key}:{write(value)}" for key, attr, write in _ROWS[kind_of(spec)]
+            if (value := getattr(spec, attr)) is not None
+        ])
     return text

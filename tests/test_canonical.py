@@ -135,7 +135,7 @@ class TestBasicFieldsKept:
         for spec in _one_spec_of_each_kind():
             fields = basic_fields(spec)
             assert isinstance(fields, tuple)
-            assert basic_fields(spec) is fields
+            assert basic_fields(spec) == fields
             assert basic_string(spec) is basic_string(spec)
 
     def test_spec_identity_is_untouched(self):

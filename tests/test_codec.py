@@ -536,10 +536,9 @@ def _field_mutant(line: str, rng) -> str:
 
 def _public_spec(line: str):
     """The spec the public spec class builds from the values ``line`` matched."""
-    for kind, fullmatch, _, readers, _, _ in codec._KINDS:
-        if match := fullmatch(line):
-            cls = UNIT_FIELDS[kind][0]
-            return cls(*[read(value) for read, value in zip(readers, match.groups()[1:-1])])
+    cls, fields = UNIT_FIELDS[classify_line(line)]
+    match = re.fullmatch(f"id:{_COUNT.pattern}{_kind_pattern(fields)};connect_to:.*", line)
+    return cls(*[f.shape.read(value) for f, value in zip(fields, match.groups())])
 
 
 @settings(max_examples=300, deadline=None)
@@ -919,7 +918,7 @@ def _read_outcome(reader, line: str, want: int):
     except ArcTextError as exc:
         return type(exc), str(exc), exc.subject
     return (uid, type(spec), spec, spec and basic_string(spec), connect,
-            [(type(u), vars(u)) for u in unit])
+            [(type(u), u.unit_kind, u.id, u.fields, u.connect_to, u.text) for u in unit])
 
 
 def _rendered_lines(rng, graphs: int, *fixture_texts) -> list[str]:

@@ -1,23 +1,39 @@
 """Each shared unit rule has one owner, :mod:`arctext.unitformat`.
 
-The readers may call what it exports, but only it spells the keys under
-which a spec keeps its basic fields and string (in module source and in the
-graph-file readers generated at import), only it defines the spec
-classes and their check, and the graph-file reader takes nothing private
-from the text codec.
+The readers may call what it exports, but only it spells the key under
+which a spec keeps its basic string (in module source and in the graph-file
+readers generated at import), only it defines the spec classes and their
+check, and the graph-file reader takes nothing private from the text codec.
+A spec keeps nothing else, and a proved line keeps its text and no fields:
+one constructor in the codec makes every proved line.
 """
 
 import ast
+import dataclasses
+import random
 from pathlib import Path
 
 import pytest
 
 import arctext
-from arctext import graphio, unitformat
+from arctext import (
+    description_from_text,
+    graphio,
+    parse_graph_json,
+    parse_line,
+    render_description,
+    render_unit,
+    unitformat,
+)
+from arctext.codec import _BOTH, _UNIT
+from arctext.graphio import graph_to_json
+from arctext.unitformat import basic_fields, basic_string
+
+import gen
 
 PACKAGE = Path(arctext.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
-MEMO_KEYS = {"_basic_fields", "_basic_string"}
+MEMO_KEYS = {"_basic_string"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -113,3 +129,51 @@ def test_graphio_imports_nothing_private_from_codec():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _proved_line_builders() -> list[str]:
+    """Where the package spells ``object.__new__(UnitLine)``, as module.function."""
+    found = []
+    for path in MODULES:
+        for func in ast.walk(_tree(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            found += [
+                f"{path.stem}.{func.name}" for node in ast.walk(func)
+                if isinstance(node, ast.Call) and ast.unparse(node) == "object.__new__(UnitLine)"
+            ]
+    return found
+
+
+def test_one_constructor_makes_every_proved_line():
+    assert _proved_line_builders() == ["codec._proved_line"]
+    # nothing spells it outside a function either
+    spelled = sum(ast.unparse(_tree(path)).count("object.__new__(UnitLine)") for path in MODULES)
+    assert spelled == 1
+
+
+def _text_pairs(text: str) -> tuple:
+    return tuple(tuple(part.split(":", 1)) for part in text.split(";")[1:-1])
+
+
+def test_specs_keep_one_spelling_and_proved_lines_keep_their_text():
+    rng = random.Random(2312)
+    graphs = [parse_graph_json(graph_to_json(gen.random_graph(rng))) for _ in range(50)]
+    for g in graphs:
+        d = render_description(g)
+        lines = list(d.lines)
+        lines += description_from_text(d.text).lines
+        for name in g.names():
+            spec = g.spec(name)
+            assert set(vars(spec)) == {*spec.__dataclass_fields__, "_basic_string"}
+        for line in d.lines:
+            _, spec, connect, unit = parse_line(line.text, _want=_BOTH)
+            assert basic_fields(spec) == _text_pairs(line.text)  # keeps its string on the way
+            assert set(vars(spec)) == {*spec.__dataclass_fields__, "_basic_string"}
+            assert basic_string(spec) == line.text.split(";", 1)[1].rpartition(";")[0]
+            lines += [unit, parse_line(line.text, _want=_UNIT)[3],
+                      render_unit(spec, line.id, connect)]
+        for line in lines:
+            assert set(vars(line)) == {"unit_kind", "id", "connect_to", "text"}
+            assert line.fields == _text_pairs(line.text)
+            assert line == dataclasses.replace(line)  # the hand-built twin, from its fields
