@@ -64,6 +64,7 @@ from .unitformat import (
     _check_int,
     _connect_text,
     _kind_pattern,
+    _pairs,
     _read_ints,
     _shown,
     basic_string,
@@ -90,8 +91,8 @@ class UnitLine:
     connect_to: tuple[int, ...] | None
 
     def __getattr__(self, name: str):  # only reached for what the unit does not hold
-        if name == "fields" and "text" in self.__dict__:  # proved: no value holds ";" or ":"
-            return tuple([part.partition(":")[::2] for part in self.text.split(";")[1:-1]])
+        if name == "fields" and "text" in self.__dict__:  # proved: no value holds ";"
+            return _pairs(self.text.split(";")[1:-1])
         if name != "text":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         try:
@@ -388,7 +389,8 @@ def description_from_text(text: str) -> Description:
     Each line is checked as strictly as ``parse_description`` checks it, and
     so is the id sequence; the sink, the connect targets and cycles are not.
     Every line the grammar accepts is already in rendered form, so each
-    UnitLine's ``text`` is the line itself, and its fields are read from it; ``text`` is the input minus its one tolerated trailing
+    UnitLine's ``text`` is the line itself, and its fields are read from it;
+    the Description's ``text`` is the input minus its one tolerated trailing
     newline. Nothing is re-rendered, and no spec is built.
     """
     body, entries = _read_text(text, _UNIT)

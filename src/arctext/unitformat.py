@@ -433,6 +433,10 @@ def _connect_text(connect_to: tuple[int, ...] | None) -> str:
     return "Null" if connect_to is None else join_multi(connect_to)
 
 
+def _pairs(parts) -> tuple[tuple[str, str], ...]:  # rendered "key:value" parts; no value holds ":"
+    return tuple([part.partition(":")[::2] for part in parts])
+
+
 # The value comparisons no pattern makes, on a kind's field texts in table
 # order; spellings are canonical, so equal text is an equal value.
 def _pool_channels_agree(values) -> bool:  # type, in_size, out_size, ...
@@ -483,11 +487,8 @@ def kind_of(spec: NodeSpec) -> str:
 # --- the writer -------------------------------------------------------------------
 
 def basic_fields(spec: NodeSpec) -> tuple[tuple[str, str], ...]:
-    """Ordered ``(key, value)`` fields of a unit, minus id and connect_to.
-
-    They are read from its basic string: no value holds ``;`` or ``:``.
-    """
-    return tuple([part.partition(":")[::2] for part in basic_string(spec).split(";")])
+    """Ordered ``(key, value)`` fields of a unit, minus id and connect_to, from its basic string."""
+    return _pairs(basic_string(spec).split(";"))
 
 
 def basic_string(spec: NodeSpec) -> str:

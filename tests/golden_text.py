@@ -59,7 +59,8 @@ def _reading(d, vocabulary: Vocabulary) -> str:
 
 def _description_entry(g, vocabulary: Vocabulary) -> str:
     rendered = render_description(g)
-    return f"{_reading(rendered, vocabulary)} {_reading(description_from_text(rendered.text), vocabulary)}"
+    read = description_from_text(rendered.text)
+    return f"{_reading(rendered, vocabulary)} {_reading(read, vocabulary)}"
 
 
 def _mutant_entry(line: str) -> str:
@@ -80,9 +81,12 @@ def families() -> dict[str, list[str]]:
                               vocabulary)
            for _ in range(1000)]
     rng = random.Random(2311)
-    lines = [line for _ in range(100) for line in render_description(gen.random_graph(rng)).text.split("\n")]
-    mutants = [_mutant_entry(_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng))
-               for line in (rng.choice(lines) for _ in range(2000))]
+    lines = [line for _ in range(100)
+             for line in render_description(gen.random_graph(rng)).text.split("\n")]
+    mutants = [
+        _mutant_entry(_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng))
+        for line in (rng.choice(lines) for _ in range(2000))
+    ]
     return {"fixtures": fixtures, "c03": c03, "vocabulary": [_digest(vocabulary.to_json())],
             "mutants": mutants}
 
