@@ -11,8 +11,8 @@ straight-line reader per kind and key set, generated at import from
 order, and joins the texts under their keys. If the kind's line pattern and
 value comparison (both from :mod:`arctext.unitformat`) accept the joined
 text, it is the spec's basic string, and ``unitformat.proved_spec`` builds
-the spec with that string kept. Any other record, and any
-record whose text they refuse, goes to the spec class, which words the error.
+the spec with that string kept. Any other record, and any record whose text
+they refuse, goes to the spec class, which words the error.
 """
 
 from __future__ import annotations
