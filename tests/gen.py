@@ -257,3 +257,42 @@ def five_node_dags() -> list[ArchGraph]:
             graphs.append(build_graph(list(zip(names, labels)),
                                       [(names[a], names[b]) for a, b in edges]))
     return graphs
+
+
+def inception_graph(blocks: int = 20, branches: int = 6) -> ArchGraph:
+    """A stem, then ``blocks`` blocks of parallel conv chains of lengths 1..``branches``.
+
+    Each conv's kernel and bias follow its branch and depth, so no two
+    branches tie; each block ends in a Concatenation.
+    """
+    shape = (14, 14, 256)
+    nodes = [("stem", ConvSpec((112, 112, 3), shape, (7, 7), (2, 2), ((0, 3),) * 4))]
+    edges = []
+    prev = "stem"
+    for b in range(blocks):
+        merge = f"cat{b}"
+        for k in range(branches):
+            last = prev
+            for i in range(k + 1):
+                name = f"n{b}_{k}_{i}"
+                kernel = 1 + 2 * ((k + i) % 3)
+                nodes.append((name, ConvSpec(shape, shape, (kernel, kernel), (1, 1),
+                                             ((0, kernel // 2),) * 4,
+                                             bias_used=(k + i) % 2 == 1)))
+                edges.append((last, name))
+                last = name
+            edges.append((last, merge))
+        nodes.append((merge, MFSpec("Concatenation", shape, shape, (str(b % 4 + 1),))))
+        prev = merge
+    nodes.append(("fc", FullSpec(256, 1000, "ReLU")))
+    edges.append((prev, "fc"))
+    return build_graph(nodes, edges)
+
+
+def fan_graph(k: int = 250) -> ArchGraph:
+    """A ``ReLU`` source, ``k`` equal ``ReLU`` branches and a ``BN`` sink."""
+    relu, bn = TWO_MF_SPECS
+    branches = [f"f{i}" for i in range(k)]
+    nodes = [("src", relu)] + [(name, relu) for name in branches] + [("sink", bn)]
+    edges = [("src", name) for name in branches] + [(name, "sink") for name in branches]
+    return build_graph(nodes, edges)

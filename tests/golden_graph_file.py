@@ -18,6 +18,10 @@ an index and short SHA-256 digests:
   identity insertion order; the digest of its canonical text. Some of them
   render differently under other insertion orders (ROADMAP item 1), so a fix
   of the tie-break changes exactly those entries.
+- ``shapes``: the hard shapes that render in under a second, in the order of
+  ``SHAPES``; the digests of the canonical text and of ``graph_to_json`` of
+  that text read back by ``parse_description``, which reads every field of
+  every spec the text holds.
 """
 
 from __future__ import annotations
@@ -28,7 +32,13 @@ import random
 import sys
 from pathlib import Path
 
-from arctext import ArcTextError, assign_positions, parse_graph_json, render_description
+from arctext import (
+    ArcTextError,
+    assign_positions,
+    parse_description,
+    parse_graph_json,
+    render_description,
+)
 from arctext.graphio import _spec_to_record, graph_to_json
 from arctext.unitformat import basic_string
 
@@ -40,6 +50,9 @@ from test_graphio import record_mutants  # noqa: E402
 
 GOLDEN = HERE / "golden" / "graph_file.txt"
 FIXTURES = HERE / "fixtures"
+# ResNeXt 1 x 32 and 2 x 32, braid 12 x 2, Inception 20, chain 4,000, fan 250
+SHAPES = ((gen.resnext_graph, 1, 32), (gen.resnext_graph, 2, 32), (gen.braid_graph, 12, 2),
+          (gen.inception_graph, 20), (gen.chain_graph, 4000), (gen.fan_graph, 250))
 
 
 def _digest(text: str) -> str:
@@ -49,6 +62,11 @@ def _digest(text: str) -> str:
 def _graph_entry(graph_file: str) -> str:
     g = parse_graph_json(graph_file)
     return f"{_digest(render_description(g).text)} {_digest(graph_to_json(g, assign_positions(g)))}"
+
+
+def _shape_entry(g) -> str:
+    text = render_description(g).text
+    return f"{_digest(text)} {_digest(graph_to_json(*parse_description(text)))}"
 
 
 def _mutant_entry(record: dict) -> str:
@@ -71,7 +89,9 @@ def families() -> dict[str, list[str]]:
     mutants = [_mutant_entry(mutant) for _ in range(100)
                for mutant in record_mutants(_spec_to_record("a", gen.rand_spec(rng)), rng, 20)]
     five_node = [_digest(render_description(g).text) for g in gen.five_node_dags()]
-    return {"fixtures": fixtures, "c03": c03, "mutants": mutants, "five_node": five_node}
+    shapes = [_shape_entry(make(*args)) for make, *args in SHAPES]
+    return {"fixtures": fixtures, "c03": c03, "mutants": mutants, "five_node": five_node,
+            "shapes": shapes}
 
 
 def read_golden(path: Path = GOLDEN) -> dict[str, list[str]]:
