@@ -14,9 +14,11 @@ one pattern can match; its ``fullmatch`` yields the kind, the id, every
 field's string and the connect list. The patterns make every check on one
 value; after the match run only the checks that compare values: connect
 targets strictly ascending (on a line with two or more), and the kind's
-value comparison from ``unitformat``. A line that passes builds its spec
-with ``unitformat.proved_spec`` (``description_from_text`` builds none) and
-its ``UnitLine`` with ``_proved_line``, which keeps the line as its text.
+value comparison from ``unitformat``. Every check has then run. A line
+that passes builds its spec with ``unitformat.proved_spec`` from the line's
+basic string alone, which the spec keeps and reads its values from on first
+use (``description_from_text`` builds no spec), and its ``UnitLine`` with
+``_proved_line``, which keeps the line as its text.
 Any other line's first fault is worded by ``_refuse``: a value its shape's
 pattern refuses by that shape's one template, "<key> must be <says>, got
 <value>"; descending connect targets and unsorted MF values by their own
@@ -179,13 +181,13 @@ _KIND_KEYS = {
 _FULL_KEYS = set(_KIND_KEYS[KIND_FULL][0])
 
 
-# per kind, in table order: its line's compiled fullmatch, spec class,
-# readers and value comparison; groups are the id, the kind's field strings
-# and the connect list
+# per kind, in table order: its line's compiled fullmatch, spec class and
+# value comparison; groups are the id, the kind's field strings and the
+# connect list
 _KINDS = tuple(
     (kind, re.compile(f"id:({_COUNT.pattern}){_kind_pattern(fields)}"
                       f";connect_to:({_CONNECT.pattern})").fullmatch,
-     cls, tuple(f.shape.read for f in fields), _AGREE.get(kind))
+     cls, _AGREE.get(kind))
     for kind, (cls, fields) in UNIT_FIELDS.items()
 )
 
@@ -269,7 +271,7 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
     line's ``UnitLine`` comes fourth, its ``text`` the line itself; with
     ``_UNIT`` no spec is built (None).
     """
-    for kind, fullmatch, cls, readers, agree in _KINDS:
+    for kind, fullmatch, cls, agree in _KINDS:
         if match := fullmatch(line):
             break
     else:
@@ -284,8 +286,9 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
     if agree and not agree(values):
         _refuse(line, lineno)
     uid = int(uid)
+    # the basic string lies between the id and the connect list, which holds no ";"
     spec = None if _want == _UNIT else proved_spec(
-        cls, [read(v) for read, v in zip(readers, values)])
+        cls, (), line[match.end(1) + 1:line.rfind(";")])
     if _want == _SPEC:
         return uid, spec, connect
     return uid, spec, connect, _proved_line(kind, uid, connect, line)  # already rendered

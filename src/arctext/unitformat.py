@@ -28,7 +28,9 @@ spec's basic string is joined on first use, or handed over by the
 graph-file reader, and kept in the spec's instance ``__dict__`` the way
 ``functools.cached_property`` keeps its value; specs are frozen, so the
 kept value cannot go stale. It is the one spelling a spec keeps: its basic
-fields are read from it when asked for. Only this module spells its key.
+fields are read from it when asked for. A spec read from text, every check
+run, holds only that string until a value is asked for; then ``_Unread``
+reads every value from it and keeps them. Only this module spells its key.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple, Union
 
 from .errors import InvalidSpecError
@@ -155,8 +158,8 @@ def _read_ints(value: str) -> tuple[int, ...]:
 
 
 def _read_pad_pairs(value: str) -> tuple[tuple[int, int], ...]:
-    flat = _read_ints(value)
-    return tuple(zip(flat[0::2], flat[1::2]))
+    ints = map(int, value.split("-"))
+    return tuple(zip(ints, ints))  # each two in a row
 
 
 def _write_pad_pairs(pairs) -> str:
@@ -303,7 +306,7 @@ class _Spec:
             )
 
     def __getstate__(self):
-        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -372,6 +375,39 @@ class MFSpec(_Spec):
 
 
 NodeSpec = Union[ConvSpec, PoolSpec, FullSpec, MFSpec]
+
+
+class _Unread:
+    """A spec field's class attribute, in place of the dataclass default, which ``__init__`` keeps.
+
+    A lookup reaches it only when the spec holds no value: a spec read from
+    text holds its basic string alone until a value is asked for. Then every
+    value is read from the string, once, and kept in the spec's ``__dict__``,
+    which later lookups find first, as ``functools.cached_property`` does.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, spec, owner=None):
+        if spec is None:
+            return self
+        memo = spec.__dict__
+        text = memo.get("_basic_string")
+        if text is None:
+            raise AttributeError(f"{type(spec).__name__!r} object has no attribute {self.name!r}")
+        # proved, so every value reads; keys and values alternate, neither holding ":" or ";"
+        values = text.replace(";", ":").split(":")[1::2]
+        for (_, attr, _, read), value in zip_longest(_ROWS[kind_of(spec)], values):
+            memo[attr] = read(value)  # a left-out optional field, always last, reads as None
+        return memo[self.name]
+
+
+for _cls in (ConvSpec, PoolSpec, FullSpec, MFSpec):
+    for _name in _cls.__dataclass_fields__:
+        setattr(_cls, _name, _Unread(_name))
 
 
 class UnitField(NamedTuple):
@@ -451,9 +487,9 @@ def _mf_values_agree(values) -> bool:  # name, in_size, out_size, value
 _AGREE = {KIND_POOL: _pool_channels_agree, KIND_MF: _mf_values_agree}
 
 
-# each kind's (key, attr, write) per field, in line order
+# each kind's (key, attr, write, read) per field, in line order
 _ROWS = {
-    kind: tuple((f.key, f.attr, f.shape.write) for f in fields)
+    kind: tuple((f.key, f.attr, f.shape.write, f.shape.read) for f in fields)
     for kind, (_, fields) in UNIT_FIELDS.items()
 }
 _KIND_OF_TYPE = {cls: kind for kind, (cls, _) in UNIT_FIELDS.items()}
@@ -464,7 +500,8 @@ _KIND_OF_TYPE = {cls: kind for kind, (cls, _) in UNIT_FIELDS.items()}
 def proved_spec(cls: type, values, text=None) -> NodeSpec:
     """A ``cls`` spec of proved ``values``, in field order; no ``__post_init__`` runs.
 
-    A basic string ``text`` already joined is kept.
+    A basic string ``text`` already joined is kept. Given no ``values``, the
+    spec reads them from ``text`` on first use.
     """
     spec = object.__new__(cls)
     memo = spec.__dict__
@@ -498,7 +535,7 @@ def basic_string(spec: NodeSpec) -> str:
     if text is None:
         # only an optional field is ever None: the spec classes allow no other
         text = memo["_basic_string"] = ";".join([
-            f"{key}:{write(value)}" for key, attr, write in _ROWS[kind_of(spec)]
+            f"{key}:{write(value)}" for key, attr, write, _ in _ROWS[kind_of(spec)]
             if (value := getattr(spec, attr)) is not None
         ])
     return text

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import json
 import pickle
@@ -50,6 +51,7 @@ from arctext.unitformat import (
     _COUNT,
     UNIT_FIELDS,
     _kind_pattern,
+    _Unread,
     basic_fields,
     basic_string,
     proved_spec,
@@ -799,6 +801,78 @@ def test_checked_specs_equal_public_specs(resnet4_text, branching25_text, c03_de
             assert pickle.dumps(spec) == pickle.dumps(public)
             body = line.split(";", 1)[1].rpartition(";")[0]
             assert basic_string(spec) == basic_string(public) == body
+
+
+# every kind, with each defaulted field off its default and on it, 1-extent
+# MF sizes, MF values Null and not, and act_fun present and absent
+_DEFERRED = [
+    (ConvSpec, dict(in_size=(8, 8, 3), out_size=(4, 4, 6), kernel=(3, 3), stride=(2, 2),
+                    padding=((0, 1), (0, 1), (1, 2), (1, 2)), dilation=2, groups=2,
+                    bias_used=True)),
+    (ConvSpec, dict(in_size=(8, 8, 3), out_size=(8, 8, 3), kernel=(1, 1), stride=(1, 1))),
+    (PoolSpec, dict(pool_type="Max", in_size=(8, 8, 3), out_size=(4, 4, 3), kernel=(2, 2),
+                    stride=(2, 2), padding=(0, 1, 0, 1), dilation=2, bias_used=True)),
+    (PoolSpec, dict(pool_type="Avg", in_size=(8, 8, 3), out_size=(4, 4, 3), kernel=(2, 2),
+                    stride=(2, 2))),
+    (FullSpec, dict(in_size=64, out_size=10, act_fun="ReLU")),
+    (FullSpec, dict(in_size=64, out_size=10)),
+    (MFSpec, dict(op_name="BN", in_size=(4,), out_size=(4,))),
+    (MFSpec, dict(op_name="Dropout", in_size=(8, 8, 3), out_size=(8, 8, 3), values=("0.5",))),
+    (MFSpec, dict(op_name="Concatenation", in_size=(8,), out_size=(2, 2, 2),
+                  values=("1", "2"))),
+]
+
+
+def _fresh(value):
+    """``value`` with every tuple built anew, as a reader builds it.
+
+    A pickle writes an object that recurs as a reference to it, and the
+    compiler shares equal tuple constants.
+    """
+    return tuple([_fresh(v) for v in value]) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("cls, fields", _DEFERRED,
+                         ids=[f"{cls.__name__}{i}" for i, (cls, _) in enumerate(_DEFERRED)])
+def test_a_spec_read_from_text_reads_its_values_on_first_use(cls, fields):
+    # every field given, so that no default's shared tuples reach the pickle
+    public = cls(**{f.name: _fresh(fields.get(f.name, f.default))
+                    for f in dataclasses.fields(cls)})
+    line = render_unit(public, 1, None).text
+    # no default on the class is found in place of a value not yet read; __init__ keeps them
+    assert {type(vars(cls)[name]) for name in cls.__dataclass_fields__} == {_Unread}
+    required = {f.name: fields[f.name] for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING}
+    assert vars(cls(**required)) == {f.name: f.default for f in dataclasses.fields(cls)} | required
+
+    def parsed(first):
+        spec = parse_line(line)[1]
+        assert set(vars(spec)) == {"_basic_string"}
+        if first is not None:  # one field read before the comparison
+            getattr(spec, first)
+            assert set(vars(spec)) == {*cls.__dataclass_fields__, "_basic_string"}
+        return spec
+
+    for first in (None, *cls.__dataclass_fields__):
+        assert parsed(first) == public
+        assert hash(parsed(first)) == hash(public)
+        assert repr(parsed(first)) == repr(public)
+        assert copy.copy(parsed(first)) == public
+        assert dataclasses.replace(parsed(first)) == public
+        assert pickle.dumps(parsed(first)) == pickle.dumps(public)
+        spec = parsed(first)
+        for name in cls.__dataclass_fields__:
+            got, want = getattr(spec, name), getattr(public, name)
+            assert type(got) is type(want) and got == want, name
+        assert basic_string(spec) == basic_string(public)
+
+
+def test_parsed_graphs_equal_their_graph_files_read_back(resnet4_text, branching25_text,
+                                                         c03_descriptions):
+    # the loaded graph's specs hold every value; the parsed graph's read theirs here
+    for text in [resnet4_text, branching25_text] + [d.text for d in c03_descriptions]:
+        assert parse_description(text)[0] == parse_graph_json(
+            graph_to_json(parse_description(text)[0]))
 
 
 def test_matched_lines_run_no_spec_checks(monkeypatch, resnet4_text, branching25_text):

@@ -4,8 +4,10 @@ The readers may call what it exports, but only it spells the key under
 which a spec keeps its basic string (in module source and in the graph-file
 readers generated at import), only it defines the spec classes and their
 check, and the graph-file reader takes nothing private from the text codec.
-A spec keeps nothing else, and a proved line keeps its text and no fields:
-one constructor in the codec makes every proved line.
+A spec keeps nothing else, and a spec read from text keeps only its basic
+string until a value is asked for, which only unitformat reads from it. A
+proved line keeps its text and no fields: one constructor in the codec makes
+every proved line.
 """
 
 import ast
@@ -16,6 +18,7 @@ import pytest
 
 import arctext
 from arctext import (
+    codec,
     description_from_text,
     graphio,
     parse_graph_json,
@@ -26,7 +29,7 @@ from arctext import (
 )
 from arctext.codec import _BOTH, _UNIT
 from arctext.graphio import graph_to_json
-from arctext.unitformat import basic_fields
+from arctext.unitformat import UNIT_FIELDS, basic_fields
 
 import gen
 
@@ -167,10 +170,28 @@ def test_specs_keep_one_spelling_and_proved_lines_keep_their_text():
             assert set(vars(spec)) == {*spec.__dataclass_fields__, "_basic_string"}
         for line in d.lines:
             _, spec, connect, unit = parse_line(line.text, _want=_BOTH)
-            assert basic_fields(spec) == _text_pairs(line.text)  # keeps its string on the way
+            assert basic_fields(spec) == _text_pairs(line.text)  # reads no value on the way
+            assert set(vars(spec)) == {"_basic_string"}
+            getattr(spec, rng.choice(list(spec.__dataclass_fields__)))  # reads every value
             assert set(vars(spec)) == {*spec.__dataclass_fields__, "_basic_string"}
             lines += [unit, parse_line(line.text, _want=_UNIT)[3],
                       render_unit(spec, line.id, connect)]
         for line in lines:
             assert set(vars(line)) == {"unit_kind", "id", "connect_to", "text"}
             assert line.fields == _text_pairs(line.text)
+
+
+def test_only_unitformat_reads_a_parsed_spec_s_values():
+    # the table parse_line runs holds patterns, classes and value comparisons;
+    # a spec it builds reads its values from its basic string in unitformat
+    readers = {f.shape.read for _, fields in UNIT_FIELDS.values() for f in fields}
+    assert readers == {row[3] for rows in unitformat._ROWS.values() for row in rows}
+    held, stack = [], list(codec._KINDS)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack += item
+        else:
+            held.append(item)
+    assert len(held) == 4 * len(UNIT_FIELDS)  # kind, fullmatch, class, comparison
+    assert [item for item in held if item in readers] == []
