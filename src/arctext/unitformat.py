@@ -377,39 +377,6 @@ class MFSpec(_Spec):
 NodeSpec = Union[ConvSpec, PoolSpec, FullSpec, MFSpec]
 
 
-class _Unread:
-    """A spec field's class attribute, in place of the dataclass default, which ``__init__`` keeps.
-
-    A lookup reaches it only when the spec holds no value: a spec read from
-    text holds its basic string alone until a value is asked for. Then every
-    value is read from the string, once, and kept in the spec's ``__dict__``,
-    which later lookups find first, as ``functools.cached_property`` does.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __get__(self, spec, owner=None):
-        if spec is None:
-            return self
-        memo = spec.__dict__
-        text = memo.get("_basic_string")
-        if text is None:
-            raise AttributeError(f"{type(spec).__name__!r} object has no attribute {self.name!r}")
-        # proved, so every value reads; keys and values alternate, neither holding ":" or ";"
-        values = text.replace(";", ":").split(":")[1::2]
-        for (_, attr, _, read), value in zip_longest(_ROWS[kind_of(spec)], values):
-            memo[attr] = read(value)  # a left-out optional field, always last, reads as None
-        return memo[self.name]
-
-
-for _cls in (ConvSpec, PoolSpec, FullSpec, MFSpec):
-    for _name in _cls.__dataclass_fields__:
-        setattr(_cls, _name, _Unread(_name))
-
-
 class UnitField(NamedTuple):
     key: str  # text key
     attr: str  # spec attribute
@@ -496,6 +463,39 @@ _KIND_OF_TYPE = {cls: kind for kind, (cls, _) in UNIT_FIELDS.items()}
 
 
 # --- the specs ------------------------------------------------------------------
+
+class _Unread:
+    """A spec field's class attribute, in place of the dataclass default, which ``__init__`` keeps.
+
+    A lookup reaches it only when the spec holds no value: a spec read from
+    text holds its basic string alone until a value is asked for. Then every
+    value is read from the string, once, and kept in the spec's ``__dict__``,
+    which later lookups find first, as ``functools.cached_property`` does.
+    """
+
+    __slots__ = ("name", "rows")
+
+    def __init__(self, name: str, rows):
+        self.name, self.rows = name, rows  # rows: the kind's _ROWS
+
+    def __get__(self, spec, owner=None):
+        if spec is None:
+            return self
+        memo = spec.__dict__
+        text = memo.get("_basic_string")
+        if text is None:
+            raise AttributeError(f"{type(spec).__name__!r} object has no attribute {self.name!r}")
+        # proved, so every value reads; keys and values alternate, neither holding ":" or ";"
+        values = text.replace(";", ":").split(":")[1::2]
+        for (_, attr, _, read), value in zip_longest(self.rows, values):
+            memo[attr] = read(value)  # a left-out optional field, always last, reads as None
+        return memo[self.name]
+
+
+for _kind, (_cls, _fields) in UNIT_FIELDS.items():
+    for _f in _fields:
+        setattr(_cls, _f.attr, _Unread(_f.attr, _ROWS[_kind]))
+
 
 def proved_spec(cls: type, values, text=None) -> NodeSpec:
     """A ``cls`` spec of proved ``values``, in field order; no ``__post_init__`` runs.
