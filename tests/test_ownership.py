@@ -181,7 +181,7 @@ def test_specs_keep_one_spelling_and_proved_lines_keep_their_text():
             assert line.fields == _text_pairs(line.text)
 
 
-def test_only_unitformat_reads_a_parsed_spec_s_values():
+def test_only_unitformat_reads_parsed_values():
     # the table parse_line runs holds patterns, classes and value comparisons;
     # a spec it builds reads its values from its basic string in unitformat
     readers = {f.shape.read for _, fields in UNIT_FIELDS.values() for f in fields}
