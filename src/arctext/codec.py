@@ -287,8 +287,7 @@ def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
         _refuse(line, lineno)
     uid = int(uid)
     # the basic string lies between the id and the connect list, which holds no ";"
-    spec = None if _want == _UNIT else proved_spec(
-        cls, (), line[match.end(1) + 1:line.rfind(";")])
+    spec = None if _want == _UNIT else proved_spec(cls, line[match.end(1) + 1:line.rfind(";")])
     if _want == _SPEC:
         return uid, spec, connect
     return uid, spec, connect, _proved_line(kind, uid, connect, line)  # already rendered

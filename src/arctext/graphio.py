@@ -11,8 +11,8 @@ straight-line reader per kind and key set, generated at import from
 order, and joins the texts under their keys. If the kind's line pattern and
 value comparison (both from :mod:`arctext.unitformat`) accept the joined
 text, it is the spec's basic string, and ``unitformat.proved_spec`` builds
-the spec with that string kept. Any other record, and any record whose text
-they refuse, goes to the spec class, which words the error.
+the spec from the class and that string alone. Any other record, and any
+record whose text they refuse, goes to the spec class, which words the error.
 """
 
 from __future__ import annotations
@@ -50,25 +50,24 @@ def _reader(kind: str, record_keys: frozenset[str]):
 
     Its source holds only table constants: keys and attributes as literals,
     each shape's spelling statements, and synthetic local names (``x``: a
-    JSON value, ``v``: its spec value, ``t``: its text, suffixed by field).
+    JSON value, ``t``: its text, suffixed by field). It builds no value.
     """
     cls, fields = UNIT_FIELDS[kind]
     kept = list(enumerate(f for f in fields if f.attr in record_keys))
     texts = "".join(f"t{i}, " for i, _ in kept)
     agree = f" or not agree(({texts}))" if kind in _AGREE else ""
-    absent = "None, " * (len(fields) - len(kept))  # left out: optional, so last
     source = "\n".join([
         "def read(record):",
         *[f"    x{i} = record[{f.attr!r}]" for i, f in kept],
         "    try:",
         *[f"        {line}" for i, f in kept
-          for line in f.shape.spell.format(x=f"x{i}", v=f"v{i}", t=f"t{i}").splitlines()],
+          for line in f.shape.spell.format(x=f"x{i}", t=f"t{i}").splitlines()],
         "    except (TypeError, ValueError):  # a sequence of the wrong length, or a bad element",
         "        return None",
         f"    text = {''.join(f';{f.key}:%s' for _, f in kept)!r} % ({texts})",
         f"    if proves(text) is None{agree}:",
         "        return None",
-        f"    return proved_spec(cls, ({''.join(f'v{i}, ' for i, _ in kept)}{absent}), text[1:])",
+        "    return proved_spec(cls, text[1:])",
     ])
     namespace = {"cls": cls, "proves": re.compile(_kind_pattern([f for _, f in kept])).fullmatch,
                  "agree": _AGREE.get(kind), "proved_spec": proved_spec}

@@ -10,8 +10,8 @@ spec class and its basic fields in line order, each with its text key, spec
 attribute and value shape. A shape says how a value is spelled (a pattern),
 written (spec value -> text), read back (text -> spec value) and checked
 (a spec-class argument -> its stored value), and holds the statements that
-take a graph file's JSON value to its spec value and its text (``spell``),
-which the graph-file reader runs inline, one reader per kind and key set.
+take a graph file's JSON value to its text (``spell``), which the
+graph-file reader runs inline, one reader per kind and key set.
 They check no value: they format each element with ``%r``, so that
 anything but an int shows a character no integer pattern takes. A shape
 also puts what its pattern accepts into words (``says``), the one template
@@ -22,15 +22,15 @@ no ``Null``), and each spec class's kind (``kind_of``).
 
 The spec classes check their arguments with the table's shapes. The line
 grammar in :mod:`arctext.codec` and the graph-file reader in
-:mod:`arctext.graphio` are built from these rules, and both build what they
-have proved with ``proved_spec``, which runs no spec-class check. Each
-spec's basic string is joined on first use, or handed over by the
-graph-file reader, and kept in the spec's instance ``__dict__`` the way
-``functools.cached_property`` keeps its value; specs are frozen, so the
-kept value cannot go stale. It is the one spelling a spec keeps: its basic
-fields are read from it when asked for. A spec read from text, every check
-run, holds only that string until a value is asked for; then ``_Unread``
-reads every value from it and keeps them. Only this module spells its key.
+:mod:`arctext.graphio` are built from these rules, and both hand what they
+have proved, a spec class and its basic string, to ``proved_spec``, which
+runs no spec-class check. The basic string is the one spelling a spec
+keeps, in its instance ``__dict__`` the way ``functools.cached_property``
+keeps its value (specs are frozen, so it cannot go stale): a spec built by
+its class joins it on first use, and its basic fields are read from it when
+asked for. A proved spec holds only that string until a value is asked
+for; then ``_Unread`` reads every value from it and keeps them. Only this
+module spells its key.
 """
 
 from __future__ import annotations
@@ -179,43 +179,42 @@ def _write_values(values) -> str:
 
 
 # Each shape's ``spell`` is the statements that take a graph file's JSON value
-# ``{x}``, as ``json.loads`` gives it, to its spec value ``{v}`` and its text
-# ``{t}``; the graph-file reader runs them inline, under its own local names.
-# They prove nothing: the reader matches the text against the field's
-# pattern. Only an int's repr is all digits, so "%r" writes any other element
-# with a dot, quote, letter, bracket or a doubled "-", which the pattern
-# refuses. A sequence of the wrong length raises TypeError or ValueError, and
-# a value of the wrong type gets the empty text, which no pattern accepts.
+# ``{x}``, as ``json.loads`` gives it, to its text ``{t}``; the graph-file
+# reader runs them inline, under its own local names. They prove nothing: the
+# reader matches the text against the field's pattern. Only an int's repr is
+# all digits, so "%r" writes any other element with a dot, quote, letter,
+# bracket or a doubled "-", which the pattern refuses. A sequence of the wrong
+# length raises TypeError or ValueError, and a value of the wrong type gets the
+# empty text, which no pattern accepts.
 
 def _spell_typed(cls: type, write="{x}") -> str:
-    return f"{{v}} = {{x}}\n{{t}} = {write} if type({{x}}) is {cls.__name__} else ''"
+    return f"{{t}} = {write} if type({{x}}) is {cls.__name__} else ''"
 
 
 def _spell_ints(arity: int) -> str:  # the format takes exactly arity values
-    return f"{{v}} = tuple({{x}})\n{{t}} = {'-'.join(['%r'] * arity)!r} % {{v}}"
+    return f"{{t}} = {'-'.join(['%r'] * arity)!r} % tuple({{x}})"
 
 
-_SPELL_COUNT = "{v} = {x}\n{t} = '%r' % ({x},)"
+_SPELL_COUNT = "{t} = '%r' % ({x},)"
 # written flat, so each pair must hold two values
 _SPELL_PAD_PAIRS = """\
-({v}a, {v}b), ({v}c, {v}d), ({v}e, {v}f), ({v}g, {v}h) = {x}
-{v} = ({v}a, {v}b), ({v}c, {v}d), ({v}e, {v}f), ({v}g, {v}h)
-{t} = '%r-%r-%r-%r-%r-%r-%r-%r' % ({v}a, {v}b, {v}c, {v}d, {v}e, {v}f, {v}g, {v}h)"""
+({t}a, {t}b), ({t}c, {t}d), ({t}e, {t}f), ({t}g, {t}h) = {x}
+{t} = '%r-%r-%r-%r-%r-%r-%r-%r' % ({t}a, {t}b, {t}c, {t}d, {t}e, {t}f, {t}g, {t}h)"""
 # a bare integer is a 1-tuple; any length but 1 or 3 leaves a format unfilled or overfilled
 _SPELL_EXTENT = """\
-{v} = ({x},) if type({x}) is int else tuple({x})
-{t} = ('%r' if len({v}) == 1 else '%r-%r-%r') % {v}"""
+{t} = ({x},) if type({x}) is int else tuple({x})
+{t} = ('%r' if len({t}) == 1 else '%r-%r-%r') % {t}"""
 # their order and a "Null" among them are left to the line's value comparison;
 # a "-" inside a value, or the one value "Null", would read back as another list
 _SPELL_VALUES = """\
 if type({x}) is not list:
-    {v}, {t} = {x}, ''
+    {t} = ''
 elif {x}:
-    {v}, {t} = tuple({x}), '-'.join({x})
+    {t} = '-'.join({x})
     if {t} == 'Null' or {t}.count('-') >= len({x}):
         {t} = ''
 else:
-    {v}, {t} = (), 'Null'"""
+    {t} = 'Null'"""
 
 
 class _Shape(NamedTuple):
@@ -231,8 +230,8 @@ class _Shape(NamedTuple):
     read: Callable[[str], object]  # a matched value -> its spec argument
     says: str  # what the pattern accepts, in words
     write: Callable[[object], str] = join_multi  # a spec value -> its text
-    # the statements that spell a graph file's JSON value as its spec value
-    # and its text, which the caller proves; None for a shape no graph file holds
+    # the statements that spell a graph file's JSON value as its text, which
+    # the caller proves; None for a shape no graph file holds
     spell: str | None = None
     # a spec-class argument and its attribute -> the value stored, or
     # InvalidSpecError; None for a shape no spec field has
@@ -467,8 +466,8 @@ _KIND_OF_TYPE = {cls: kind for kind, (cls, _) in UNIT_FIELDS.items()}
 class _Unread:
     """A spec field's class attribute, in place of the dataclass default, which ``__init__`` keeps.
 
-    A lookup reaches it only when the spec holds no value: a spec read from
-    text holds its basic string alone until a value is asked for. Then every
+    A lookup reaches it only when the spec holds no value: a proved spec
+    holds its basic string alone until a value is asked for. Then every
     value is read from the string, once, and kept in the spec's ``__dict__``,
     which later lookups find first, as ``functools.cached_property`` does.
     """
@@ -497,17 +496,13 @@ for _kind, (_cls, _fields) in UNIT_FIELDS.items():
         setattr(_cls, _f.attr, _Unread(_f.attr, _ROWS[_kind]))
 
 
-def proved_spec(cls: type, values, text=None) -> NodeSpec:
-    """A ``cls`` spec of proved ``values``, in field order; no ``__post_init__`` runs.
+def proved_spec(cls: type, text: str) -> NodeSpec:
+    """A ``cls`` spec of the proved basic string ``text``; no ``__post_init__`` runs.
 
-    A basic string ``text`` already joined is kept. Given no ``values``, the
-    spec reads them from ``text`` on first use.
+    The spec keeps the string and reads its values from it on first use.
     """
     spec = object.__new__(cls)
-    memo = spec.__dict__
-    memo.update(zip(cls.__dataclass_fields__, values))
-    if text is not None:
-        memo["_basic_string"] = text
+    spec.__dict__["_basic_string"] = text
     return spec
 
 

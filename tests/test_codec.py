@@ -54,7 +54,6 @@ from arctext.unitformat import (
     _Unread,
     basic_fields,
     basic_string,
-    proved_spec,
 )
 
 import gen
@@ -869,7 +868,7 @@ def test_a_spec_read_from_text_reads_its_values_on_first_use(cls, fields):
 
 def test_parsed_graphs_equal_their_graph_files_read_back(resnet4_text, branching25_text,
                                                          c03_descriptions):
-    # the loaded graph's specs hold every value; the parsed graph's read theirs here
+    # neither graph's specs hold a value until the comparison reads them
     for text in [resnet4_text, branching25_text] + [d.text for d in c03_descriptions]:
         assert parse_description(text)[0] == parse_graph_json(
             graph_to_json(parse_description(text)[0]))
@@ -975,8 +974,8 @@ def reference_parse_line(line: str, lineno: int = 1, *, _want: int = codec._SPEC
             agree and not agree(values)):
         codec._refuse(line, lineno)
     uid = int(groups[0])
-    spec = None if _want == codec._UNIT else proved_spec(
-        cls, [read(v) for read, v in zip(readers, values)])
+    # the public class, every check run, from the values the shapes read
+    spec = None if _want == codec._UNIT else cls(*[read(v) for read, v in zip(readers, values)])
     if _want == codec._SPEC:
         return uid, spec, connect
     fields = tuple(field for field in zip(keys, values) if field[1] is not None)

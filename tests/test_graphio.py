@@ -371,6 +371,26 @@ def test_graph_file_specs_run_no_spec_checks(monkeypatch, resnet4_text, branchin
         assert render_description(g).text == text
 
 
+def test_rendering_graph_files_reads_no_spec_value(monkeypatch):
+    # the canon path: each spec keeps its proved basic string and nothing else
+    rng = random.Random(1003)  # the C03 corpus
+    texts = [(FIXTURES / f"{stem}.json").read_text(encoding="utf-8")
+             for stem in ("resnet4", "branching25")]
+    texts += [graph_to_json(gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3))
+              for _ in range(200)]
+
+    def checked(self):
+        raise AssertionError(f"{type(self).__name__} checked a graph-file record")
+
+    for cls in (ConvSpec, PoolSpec, FullSpec, MFSpec):
+        monkeypatch.setattr(cls, "__post_init__", checked)
+    for text in texts:
+        g = parse_graph_json(text)
+        render_description(g)
+        assert {frozenset(vars(g.spec(name))) for name in g.names()} == {
+            frozenset({"_basic_string"})}
+
+
 # words and scalars that the spec classes reject, or that a careless writer
 # would spell as some other valid value
 _WORDS = ("a-b", "a;b", "a:b", "a\nb", "\ud800", "", "Null", "Max", "Avg", "x", "b", "3")

@@ -4,14 +4,16 @@ The readers may call what it exports, but only it spells the key under
 which a spec keeps its basic string (in module source and in the graph-file
 readers generated at import), only it defines the spec classes and their
 check, and the graph-file reader takes nothing private from the text codec.
-A spec keeps nothing else, and a spec read from text keeps only its basic
-string until a value is asked for, which only unitformat reads from it. A
-proved line keeps its text and no fields: one constructor in the codec makes
-every proved line.
+A spec keeps nothing else, and a proved spec, read from a text line or a
+graph file, keeps only its basic string until a value is asked for, which
+only unitformat reads from it. The generated graph-file readers spell text
+only. A proved line keeps its text and no fields: one constructor in the
+codec makes every proved line.
 """
 
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,16 @@ def test_no_generated_graph_file_reader_spells_the_memo_keys():
         assert not spelled, f"{read.__code__.co_filename} spells {sorted(spelled)}"
     # the check reads the right spelling
     assert MEMO_KEYS <= _code_words(unitformat.proved_spec.__code__)
+
+
+def test_generated_graph_file_readers_spell_text_only():
+    # each local is the record, a JSON value (x), a text or a padding element
+    # on its way to one (t) or the joined text: no reader builds a spec value
+    for by_count in graphio._READERS.values():
+        for _, read in by_count.values():
+            names = read.__code__.co_varnames
+            assert [n for n in names if not re.fullmatch(r"record|text|x\d+|t\d+[a-h]?", n)] == []
+            assert {"record", "text", "x0", "t0"} <= set(names)
 
 
 SPEC_CLASSES = {"ConvSpec", "PoolSpec", "FullSpec", "MFSpec"}
@@ -167,6 +179,8 @@ def test_specs_keep_one_spelling_and_proved_lines_keep_their_text():
         lines += description_from_text(d.text).lines
         for name in g.names():
             spec = g.spec(name)
+            assert set(vars(spec)) == {"_basic_string"}  # rendering read no value
+            getattr(spec, rng.choice(list(spec.__dataclass_fields__)))  # reads every value
             assert set(vars(spec)) == {*spec.__dataclass_fields__, "_basic_string"}
         for line in d.lines:
             _, spec, connect, unit = parse_line(line.text, _want=_BOTH)
