@@ -4,17 +4,18 @@ Positions are assigned 1..n: the source gets 1, the sink gets n, and the
 remaining nodes are numbered by repeatedly taking the longest source-to-sink
 path that still contains an unnumbered node and walking it in order. Among
 tied longest paths the rule is: largest digest (SHA-224 of the nodes' basic
-property strings); among equal digests, smallest tie key (each node's
-position so far, then its insertion index). The tie key ends in insertion
-order, so when tied paths also have equal positions so far, the order nodes
-were inserted in can change the ordering (ROADMAP item 1); renaming nodes or
+property strings); among equal digests, smallest tie key, which compares the
+nodes in path order, each by its position so far and then its insertion
+index: an earlier node's index outranks a later node's position. Insertion
+order can thus change the ordering (ROADMAP item 1); renaming nodes or
 reordering edges never does.
 
 One ordering builds one round state: the source and sink, the topological
 order and each node's longest suffix, none of which depends on the positions.
 Each round reads it and returns node sequences; a digest is made only when a
-round has more than one. When the longest path holds every node, it is the
-topological order, the one candidate of the only round, and no search runs.
+round has more than one, and the tie key only when the top digest is shared.
+When the longest path holds every node, it is the topological order, the one
+candidate of the only round, and no search runs.
 """
 
 from __future__ import annotations
@@ -251,10 +252,10 @@ def assign_positions(
     next_free = 2
 
     infinity = n + 1  # beyond any assignable position
-    index = g._index  # insertion order
+    index: dict[str, int] = {}  # insertion order, built on the first shared top digest
 
-    def tie_key(c: PathCandidate):
-        return [(positions.get(name, infinity), index[name]) for name in c.node_sequence]
+    def tie_key(seq: tuple[str, ...]):
+        return [(positions.get(name, infinity), index[name]) for name in seq]
 
     # acyclic with one source and one sink: walking back from any node ends
     # at the source and forward at the sink, so every node lies on a
@@ -265,7 +266,10 @@ def assign_positions(
         if len(sequences) > 1:  # a digest is made only when paths compete
             candidates = [_candidate(seq, g) for seq in sequences]
             top = max(c.digest for c in candidates)
-            best = min([c for c in candidates if c.digest == top], key=tie_key).node_sequence
+            best, *rest = [c.node_sequence for c in candidates if c.digest == top]
+            if rest:  # only a shared top digest runs the tie key
+                index = index or {name: i for i, name in enumerate(g.nodes)}
+                best = min([best, *rest], key=tie_key)
         for name in best:
             if name not in positions:
                 positions[name] = next_free

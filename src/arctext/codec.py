@@ -26,11 +26,11 @@ message; and the rest (pool channels, a ``Null`` among MF values) by the
 public spec class.
 
 ``parse_description`` builds its graph from what the grammar proved: each
-name "n<k>" is made once, a target is a name by its id, and the graph's
-assembler in :mod:`arctext.model` gets distinct edges. Only the faults no
-line shows are checked: the sink, dangling targets, self-loops and (in the
-assembler) cycles, in that order, which is the order ``build_graph`` would
-report them in.
+name "n<k>" is made once, a target is a name by its id, and the
+``ArchGraph`` constructor gets distinct edges. Only the faults no line
+shows are checked: the sink, dangling targets, self-loops and (in the
+constructor) cycles, in that order, which is the order ``build_graph``
+would report them in.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import (
     SelfLoopError,
     UnclassifiableLineError,
 )
-from .model import ArchGraph, _assemble
+from .model import ArchGraph
 from .unitformat import (
     _AGREE,
     _CONNECT,
@@ -330,7 +330,7 @@ def _build(entries) -> tuple[ArchGraph, CanonicalOrder]:
     strictly ascending, so no line repeats an edge), and the ids run 1..n,
     so each name "n<k>" is made once and a target is a name by its index.
     Left to check, in this order: one sink and it is the last id, no target
-    beyond n, no line connecting to itself, and (in the assembler) no cycle.
+    beyond n, no line connecting to itself, and (in the constructor) no cycle.
     """
     n = len(entries)
     sinks = [entry[0] for entry in entries if entry[2] is None]
@@ -370,7 +370,7 @@ def _build(entries) -> tuple[ArchGraph, CanonicalOrder]:
             edges.append((name, head))
             pred[head].append(name)
     nodes = dict(zip(names, [entry[1] for entry in entries]))
-    graph = _assemble(nodes, tuple(edges), frozenset(edges), succ,
+    graph = ArchGraph(nodes, tuple(edges), frozenset(edges), succ,
                       {k: tuple(v) for k, v in pred.items()})  # a cycle surfaces here
     return graph, _ordered(dict(zip(names, range(1, n + 1))), names)
 

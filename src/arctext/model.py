@@ -9,10 +9,10 @@ are transport-only handles: they make graphs convenient to build and debug
 but never appear in rendered text.
 
 ``build_graph`` checks what it is given, node by node and edge by edge, and
-hands the checked nodes, edges and edge set to one private assembler, which
-builds the neighbour tuples, finds the topological order (or a cycle) and
-makes the graph. The text parser hands that assembler what its grammar has
-already proved, and checks only what no line can show.
+hands the checked nodes, edges, edge set and neighbour tuples to the
+``ArchGraph`` constructor, which finds the topological order (or a cycle).
+The text parser hands the constructor what its grammar has already proved,
+and checks only what no line can show.
 """
 
 from __future__ import annotations
@@ -71,17 +71,16 @@ class Diagnostics:
 class ArchGraph:
     """An immutable architecture DAG.
 
-    Use :func:`build_graph`; the constructor assumes its inputs were already
-    checked, and keeps the edge set it is given. Node insertion order is
-    recorded: it seeds deterministic iteration and is the last key of the
-    ordering tie-break, so it can change the canonical description when
-    tied paths have equal digests and equal positions (ROADMAP item 1).
+    Use :func:`build_graph`; the constructor assumes checked inputs (distinct
+    edges; ``succ`` and ``pred`` as neighbour tuples in edge order), keeps
+    the edge set it is given and finds the topological order, raising
+    CycleDetectedError on a cycle.
 
     Equality compares the name->spec mapping and the edge *set*; insertion
     order is deliberately ignored.
     """
 
-    __slots__ = ("nodes", "edges", "_edge_set", "_succ", "_pred", "_index", "_topo")
+    __slots__ = ("nodes", "edges", "_edge_set", "_succ", "_pred", "_topo")
 
     def __init__(
         self,
@@ -90,15 +89,13 @@ class ArchGraph:
         edge_set: frozenset[tuple[str, str]],
         succ: dict[str, tuple[str, ...]],
         pred: dict[str, tuple[str, ...]],
-        topo: tuple[str, ...],
     ):
         self.nodes = nodes
         self.edges = edges
         self._edge_set = edge_set
         self._succ = succ
         self._pred = pred
-        self._index = {name: i for i, name in enumerate(nodes)}
-        self._topo = topo
+        self._topo = _topological_order(nodes, succ, pred)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -132,8 +129,8 @@ class ArchGraph:
         return len(self._succ[name])
 
     def node_index(self, name: str) -> int:
-        """Insertion index of a node, used as the last-resort tie-break."""
-        return self._index[name]
+        """Insertion index of a node, read from the order of ``nodes``: O(n) per call."""
+        return {known: i for i, known in enumerate(self.nodes)}[name]
 
     def edge_set(self) -> frozenset[tuple[str, str]]:
         return self._edge_set
@@ -188,7 +185,7 @@ def build_graph(
     edge_set = frozenset(edge_list)
     if len(edge_set) < len(edge_list):
         raise _first_repeat(edge_list)
-    return _assemble(node_map, tuple(edge_list), edge_set,
+    return ArchGraph(node_map, tuple(edge_list), edge_set,
                      {k: tuple(v) for k, v in succ.items()},
                      {k: tuple(v) for k, v in pred.items()})
 
@@ -220,15 +217,6 @@ def _edge_fault(edge, node_map: dict[str, NodeSpec]) -> GraphError:
                 subject=(src, dst),
             )
     return SelfLoopError(f"self-loop on node {src!r}", subject=(src, dst))
-
-
-def _assemble(nodes, edges, edge_set, succ, pred) -> ArchGraph:
-    """The graph of checked nodes and distinct, checked edges; only a cycle is left to find.
-
-    ``succ`` and ``pred`` map each node to its successors and predecessors,
-    as tuples in edge order. Raises CycleDetectedError.
-    """
-    return ArchGraph(nodes, edges, edge_set, succ, pred, _topological_order(nodes, succ, pred))
 
 
 def _topological_order(

@@ -135,14 +135,20 @@ def symmetric_pair(rng: random.Random) -> tuple[ArchGraph, ArchGraph]:
     return build("a", "b"), build("b", "a")
 
 
-def small_dag(rng: random.Random, max_nodes: int = 10) -> ArchGraph:
-    """A dense-ish random DAG with a unique source and sink."""
-    n = rng.randint(2, max_nodes)
+def small_dag(rng: random.Random, max_nodes: int = 10, *, min_nodes: int = 2,
+              p: float = 0.35, spec=rand_spec) -> ArchGraph:
+    """A dense-ish random DAG with a unique source and sink.
+
+    Nodes d0.. are joined from lower to higher index with probability ``p``;
+    stray sources hang from d0 and stray sinks feed the last node. ``spec``
+    draws each node's spec from ``rng``.
+    """
+    n = rng.randint(min_nodes, max_nodes)
     names = [f"d{i}" for i in range(n)]
     edges = set()
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.35:
+            if rng.random() < p:
                 edges.add((names[i], names[j]))
     for v in range(1, n):  # no stray sources
         if not any(b == names[v] for _, b in edges):
@@ -150,7 +156,7 @@ def small_dag(rng: random.Random, max_nodes: int = 10) -> ArchGraph:
     for v in range(n - 1):  # no stray sinks
         if not any(a == names[v] for a, _ in edges):
             edges.add((names[v], names[n - 1]))
-    nodes = [(name, rand_spec(rng)) for name in names]
+    nodes = [(name, spec(rng)) for name in names]
     return build_graph(nodes, sorted(edges))
 
 
@@ -257,6 +263,60 @@ def five_node_dags() -> list[ArchGraph]:
             graphs.append(build_graph(list(zip(names, labels)),
                                       [(names[a], names[b]) for a, b in edges]))
     return graphs
+
+
+def two_spec_dags(count: int = 3000) -> list[ArchGraph]:
+    """``count`` random DAGs of 3..12 nodes over ``TWO_MF_SPECS`` (``random.Random(7)``).
+
+    Each forward pair is an edge with probability 0.3. Digests tie often on
+    them, so the ordering searches and breaks ties in most graphs.
+    """
+    rng = random.Random(7)
+    return [small_dag(rng, 12, min_nodes=3, p=0.3, spec=lambda r: r.choice(TWO_MF_SPECS))
+            for _ in range(count)]
+
+
+CELL_SHAPE = (32, 32, 128)
+CELL_OPS = (  # conv 3x3, conv 1x1 and max-pool 3x3, each keeping the shape
+    ConvSpec(CELL_SHAPE, CELL_SHAPE, (3, 3), (1, 1), ((0, 1),) * 4),
+    ConvSpec(CELL_SHAPE, CELL_SHAPE, (1, 1), (1, 1), ((0, 0),) * 4),
+    PoolSpec("Max", CELL_SHAPE, CELL_SHAPE, (3, 3), (1, 1), (1, 1, 1, 1)),
+)
+
+
+def cell_graph(rng: random.Random) -> ArchGraph:
+    """A NAS-Bench-101-style cell (Ying et al., arXiv:1902.09635).
+
+    Seven nodes c0..c6: c0 is an MF input, c6 an MF ``Concatenation``
+    output, and each interior node draws one of ``CELL_OPS``. Each forward
+    pair is an edge with probability 1/2, and the cell keeps only the nodes
+    on a c0->c6 path. A draw with no such path or with more than 9 edges
+    left is drawn again, so a cell has at most 7 nodes and 9 edges.
+    """
+    names = [f"c{i}" for i in range(7)]
+    while True:
+        specs = [MFSpec("Input", CELL_SHAPE, CELL_SHAPE)]
+        specs += [rng.choice(CELL_OPS) for _ in range(5)]
+        specs.append(MFSpec("Concatenation", CELL_SHAPE, CELL_SHAPE))
+        edges = [e for e in itertools.combinations(range(7), 2) if rng.random() < 0.5]
+        ahead, behind = {0}, {6}  # reached from c0, reaching c6
+        for a, b in edges:  # sorted by source, so a is settled first
+            if a in ahead:
+                ahead.add(b)
+        for a, b in reversed(edges):
+            if b in behind:
+                behind.add(a)
+        kept = ahead & behind
+        edges = [(a, b) for a, b in edges if a in kept and b in kept]
+        if 6 in kept and len(edges) <= 9:
+            return build_graph([(names[i], specs[i]) for i in sorted(kept)],
+                               [(names[a], names[b]) for a, b in edges])
+
+
+def cells(count: int = 2000) -> list[ArchGraph]:
+    """``count`` cells of ``cell_graph`` from ``random.Random(101)``."""
+    rng = random.Random(101)
+    return [cell_graph(rng) for _ in range(count)]
 
 
 def inception_graph(blocks: int = 20, branches: int = 6) -> ArchGraph:

@@ -22,6 +22,10 @@ an index and short SHA-256 digests:
   ``SHAPES``; the digests of the canonical text and of ``graph_to_json`` of
   that text read back by ``parse_description``, which reads every field of
   every spec the text holds.
+- ``cells``: the 2,000 NAS-Bench-101-style cells of ``gen.cells``, written
+  by ``graph_to_json`` and digested as C03 is. Some of them render
+  differently under other insertion orders (ROADMAP item 1), as ``five_node``
+  graphs do.
 """
 
 from __future__ import annotations
@@ -90,8 +94,9 @@ def families() -> dict[str, list[str]]:
                for mutant in record_mutants(_spec_to_record("a", gen.rand_spec(rng)), rng, 20)]
     five_node = [_digest(render_description(g).text) for g in gen.five_node_dags()]
     shapes = [_shape_entry(make(*args)) for make, *args in SHAPES]
+    cells = [_graph_entry(graph_to_json(g)) for g in gen.cells()]
     return {"fixtures": fixtures, "c03": c03, "mutants": mutants, "five_node": five_node,
-            "shapes": shapes}
+            "shapes": shapes, "cells": cells}
 
 
 def read_golden(path: Path = GOLDEN) -> dict[str, list[str]]:

@@ -15,6 +15,7 @@ from arctext import (
     PathExplosionError,
     Vocabulary,
     assign_positions,
+    build_graph,
     conv_output_extent,
     description_from_text,
     detokenize,
@@ -101,6 +102,27 @@ def test_c04_canonical_form_ignores_input_order_and_names():
         shuffled = gen.permuted_renamed(g, rng)
         assert render_description(shuffled).text == text, f"graph #{i}"
     print("criterion 4: PASS - 1000/1000 permuted and renamed builds byte-identical")
+
+
+def test_cells_round_trip():
+    for i, g in enumerate(gen.cells()):
+        text = render_description(g).text
+        reparsed, _ = parse_description(text)
+        assert render_description(reparsed).text == text, f"cell #{i}"
+
+
+def test_cells_render_the_same_under_new_names():
+    # new names and edge order, same node order: some cells still render by
+    # node insertion order (ROADMAP item 1)
+    rng = random.Random(1009)
+    for i, g in enumerate(gen.cells()):
+        fresh = [f"w{k}" for k in range(len(g))]
+        rng.shuffle(fresh)
+        name = dict(zip(g.names(), fresh))
+        edges = [(name[a], name[b]) for a, b in g.edges]
+        rng.shuffle(edges)
+        renamed = build_graph([(name[v], g.spec(v)) for v in g.names()], edges)
+        assert render_description(renamed).text == render_description(g).text, f"cell #{i}"
 
 
 def test_c05_symmetric_branches_render_identically():

@@ -461,3 +461,26 @@ def test_no_paths_allowed_fails_every_graph_that_needs_a_round():
             continue
         with pytest.raises(PathExplosionError):
             assign_positions(g, max_paths=0)
+
+
+class _CountedNodes(dict):
+    """A node mapping that counts the walks over its names."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _walks_in_ordering(g) -> int:
+    g.nodes = _CountedNodes(g.nodes)
+    assign_positions(g)
+    return g.nodes.walks
+
+
+def test_the_insertion_order_is_read_only_when_the_top_digest_is_shared():
+    # Inception's rounds have two candidates but one top digest each: no tie
+    # key runs; a fan's rounds share it, and the index is built once
+    assert _walks_in_ordering(gen.inception_graph(blocks=2)) == 0
+    assert _walks_in_ordering(gen.fan_graph(5)) == 1

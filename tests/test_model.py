@@ -263,6 +263,16 @@ class TestBuildGraph:
             rng.shuffle(edges)
             assert build_graph(nodes, edges) == g
 
+    def test_node_index_is_the_insertion_position(self):
+        rng = random.Random(26)
+        g = gen.random_graph(rng, min_nodes=4, max_nodes=12)
+        nodes = [(n, g.spec(n)) for n in g.names()]
+        rng.shuffle(nodes)
+        shuffled = build_graph(nodes, g.edges)
+        assert [shuffled.node_index(name) for name, _ in nodes] == list(range(len(nodes)))
+        with pytest.raises(KeyError):
+            shuffled.node_index("no such node")
+
     def test_inequality(self):
         a = chain(mf(), mf())
         b = chain(mf(), mf("BN"))

@@ -5,6 +5,11 @@ keeps the longest paths that still hold an unnumbered node, takes the
 largest SHA-224 of their newline-joined basic strings, breaks digest ties
 with the documented tie key, and numbers the winner's new nodes in path
 order. It shares nothing with the implementation except ``basic_string``.
+
+A second oracle, ``admitted_numberings``, copies no tie key: it branches on
+every path that holds the top digest and collects every numbering the rule
+admits. The implementation must give one of them, and where the rule admits
+only one, give it under any insertion order.
 """
 
 import hashlib
@@ -25,7 +30,8 @@ from arctext import (
 import gen
 
 
-def oracle_positions(g) -> dict[str, int]:
+def _terminals_and_paths(g):
+    """The source, the sink and every source->sink path."""
     (source,) = [v for v in g.names() if not g.predecessors(v)]
     (sink,) = [v for v in g.names() if not g.successors(v)]
     paths = []
@@ -35,11 +41,16 @@ def oracle_positions(g) -> dict[str, int]:
         if path[-1] == sink:
             paths.append(path)
         stack.extend(path + (w,) for w in g.successors(path[-1]))
+    return source, sink, paths
 
-    def digest(path):
-        joined = "\n".join(basic_string(g.spec(v)) for v in path)
-        return hashlib.sha224(joined.encode("utf-8")).digest()
 
+def _digest(g, path) -> bytes:
+    joined = "\n".join(basic_string(g.spec(v)) for v in path)
+    return hashlib.sha224(joined.encode("utf-8")).digest()
+
+
+def oracle_positions(g) -> dict[str, int]:
+    source, sink, paths = _terminals_and_paths(g)
     n = len(g)
     positions = {source: 1, sink: n}
     next_free = 2
@@ -49,15 +60,83 @@ def oracle_positions(g) -> dict[str, int]:
             return positions
         longest = max(len(p) for p in open_paths)
         tied = [p for p in open_paths if len(p) == longest]
-        top = max(digest(p) for p in tied)
+        top = max(_digest(g, p) for p in tied)
         best = min(
-            (p for p in tied if digest(p) == top),
+            (p for p in tied if _digest(g, p) == top),
             key=lambda p: tuple((positions.get(v, n + 1), g.node_index(v)) for v in p),
         )
         for v in best:
             if v not in positions:
                 positions[v] = next_free
                 next_free += 1
+
+
+def admitted_numberings(g) -> tuple[set[frozenset], int]:
+    """Every numbering the rule admits without a tie rule, and the states searched.
+
+    A state is the positions so far. Each round keeps the longest paths that
+    still hold an unnumbered node, then those with the largest digest, and
+    branches on every one of them, numbering its new nodes in path order.
+    A numbering is the frozenset of a final state's (name, position) pairs.
+    """
+    source, sink, paths = _terminals_and_paths(g)
+    digests = {path: _digest(g, path) for path in paths}
+    admitted, seen = set(), set()
+    stack = [{source: 1, sink: len(g)}]
+    while stack:
+        positions = stack.pop()
+        state = frozenset(positions.items())
+        if state in seen:
+            continue
+        seen.add(state)
+        open_paths = [p for p in paths if any(v not in positions for v in p)]
+        if not open_paths:
+            admitted.add(state)
+            continue
+        longest = max(map(len, open_paths))
+        tied = [p for p in open_paths if len(p) == longest]
+        top = max(digests[p] for p in tied)
+        for path in tied:
+            if digests[path] == top:
+                branch = dict(positions)
+                for v in path:
+                    if v not in branch:
+                        branch[v] = len(branch)  # the source and sink are in: 2, 3, ...
+                stack.append(branch)
+    return admitted, len(seen)
+
+
+def _shuffled(g, rng):
+    nodes = [(v, g.spec(v)) for v in g.names()]
+    edges = list(g.edges)
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return build_graph(nodes, edges)
+
+
+def assert_admitted(graphs, seed):
+    """Each graph numbers as the rule admits; a graph with one admitted numbering, in any order."""
+    rng = random.Random(seed)
+    for i, g in enumerate(graphs):
+        admitted, _ = admitted_numberings(g)
+        numbering = frozenset(assign_positions(g).positions.items())
+        assert numbering in admitted, f"graph #{i}: outside the {len(admitted)} admitted"
+        if len(admitted) == 1:
+            for _ in range(4):
+                shuffled = assign_positions(_shuffled(g, rng)).positions
+                assert frozenset(shuffled.items()) == numbering, f"graph #{i}"
+
+
+def test_five_node_dags_number_as_admitted():
+    assert_admitted(gen.five_node_dags(), 51)
+
+
+def test_two_spec_dags_number_as_admitted():
+    assert_admitted(gen.two_spec_dags(), 52)
+
+
+def test_cells_number_as_admitted():
+    assert_admitted(gen.cells(), 53)
 
 
 # a few specs, drawn with repetition, so that equal digests are common
