@@ -10,12 +10,13 @@ index: an earlier node's index outranks a later node's position. Insertion
 order can thus change the ordering (ROADMAP item 1); renaming nodes or
 reordering edges never does.
 
-One ordering builds one round state: the source and sink, the topological
-order and each node's longest suffix, none of which depends on the positions.
-Each round reads it and returns node sequences; a digest is made only when a
-round has more than one, and the tie key only when the top digest is shared.
-When the longest path holds every node, it is the topological order, the one
-candidate of the only round, and no search runs.
+A graph whose topological order is a path has no other order: that path
+holds every node, it is the only candidate, and it is numbered in one step,
+with no round. Any other graph builds one round state: the source and sink,
+the topological order and each node's longest suffix, none of which depends
+on the positions. Each round reads it and returns node sequences; a digest is
+made only when a round has more than one, and the tie key only when the top
+digest is shared.
 """
 
 from __future__ import annotations
@@ -172,19 +173,8 @@ def _too_many(max_paths: int) -> PathExplosionError:
 
 
 def _round(state: _Ordering, positions, max_paths: int) -> list[tuple[str, ...]]:
-    """The node sequences of the longest source->sink paths holding an unnumbered node.
-
-    A path through every node is the only path of its length, and in a DAG
-    it is the topological order: while any node is unnumbered, it is the one
-    candidate, and no search runs.
-    """
-    g, source, _, order, longest = state
-    if longest[source] == len(order):
-        if all(map(positions.__contains__, order)):
-            return []
-        if max_paths < 1:
-            raise _too_many(max_paths)
-        return [order]
+    """The node sequences of the longest source->sink paths holding an unnumbered node."""
+    g, source, _, _, longest = state
     return _enumerate_paths(g, source, positions, longest,
                             _longest_unnumbered(state, positions), max_paths)
 
@@ -234,21 +224,26 @@ def _enumerate_paths(g, source, positions, longest, longest_u, max_paths):
     return found
 
 
-def assign_positions(
-    g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS
-) -> CanonicalOrder:
+def assign_positions(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> CanonicalOrder:
     """Number every node: source=1, sink=n, the rest by path extraction.
 
-    Each round takes the longest paths still containing an unnumbered node.
-    Among them: largest digest (bytes compared as one big-endian unsigned
-    integer); among equal digests, smallest tie key, which compares the
-    nodes element-wise by (assigned position, else past-the-end; then
-    insertion index). The counter advances only when a node actually
-    receives a number, so positions come out consecutive.
+    A graph whose topological order is a path is numbered along it in one
+    step: that path is the one longest path and the only candidate. On any
+    other graph, each round takes the longest paths still containing an
+    unnumbered node. Among them: largest digest (bytes compared as one
+    big-endian unsigned integer); among equal digests, smallest tie key,
+    which compares the nodes element-wise by (assigned position, else
+    past-the-end; then insertion index). The counter advances only when a
+    node actually receives a number, so positions come out consecutive.
     """
+    order = g.topological_order()
+    n = len(order)
+    if n and all(map(g._edge_set.__contains__, zip(order, order[1:]))):
+        if n > 2 and max_paths < 1:  # the one round a middle node needs is refused
+            raise _too_many(max_paths)
+        return _ordered(dict(zip(order, range(1, n + 1))), order)
     state = _Ordering.of(g)
-    n = len(g)
-    positions: dict[str, int] = {state.source: 1, state.sink: n}  # one entry when n == 1
+    positions: dict[str, int] = {state.source: 1, state.sink: n}
     next_free = 2
 
     infinity = n + 1  # beyond any assignable position
@@ -274,6 +269,4 @@ def assign_positions(
             if name not in positions:
                 positions[name] = next_free
                 next_free += 1
-    if state.longest[state.source] == n:  # numbered along the one path, in topological order
-        return _ordered(positions, state.order)
     return CanonicalOrder(positions, n)

@@ -18,7 +18,9 @@ value comparison from ``unitformat``. Every check has then run. A line
 that passes builds its spec with ``unitformat.proved_spec`` from the line's
 basic string alone, which the spec keeps and reads its values from on first
 use (``description_from_text`` builds no spec), and its ``UnitLine`` with
-``_proved_line``, which keeps the line as its text.
+``_proved_line``, which keeps the line as its text. A rendered ``Description``
+holds its text alone until its lines are read, and then builds each line by
+``_proved_line`` from the id, kind keys and connect list the line spells.
 Any other line's first fault is worded by ``_refuse``: a value its shape's
 pattern refuses by that shape's one template, "<key> must be <says>, got
 <value>"; descending connect targets and unsorted MF values by their own
@@ -119,10 +121,36 @@ def _proved_line(kind: str, id: int, connect_to, text: str) -> UnitLine:
 
 @dataclass(frozen=True)
 class Description:
-    """A complete rendered architecture: lines ascending by id."""
+    """A complete rendered architecture: lines ascending by id.
+
+    A rendered one holds its proved text alone and builds its lines from it
+    on first use; it compares, hashes, copies and pickles as if it held them.
+    """
 
     lines: tuple[UnitLine, ...]
     text: str
+
+    def __getattr__(self, name: str):  # only reached for the unread lines of a rendered text
+        if name != "lines" or "text" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        lines = []  # line k has id k, and no value holds ";" or ":"
+        for uid, line in enumerate(self.text.split("\n"), start=1):
+            for mark, kind in _KIND_MARKS:
+                if mark in line:
+                    break
+            else:
+                kind = KIND_FULL
+            targets = line.rpartition(":")[2]  # read as parse_line reads them
+            if "-" in targets:
+                connect = _read_ints(targets)
+            else:
+                connect = None if targets == "Null" else (int(targets),)
+            lines.append(_proved_line(kind, uid, connect, line))
+        self.__dict__["lines"] = lines = tuple(lines)
+        return lines
+
+    def __getstate__(self):  # the constructor's state, lines first
+        return {"lines": self.lines, "text": self.text}
 
 
 def render_unit(spec: NodeSpec, id: int, connect_to) -> UnitLine:
@@ -146,28 +174,25 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
     """Canonicalize and render a whole graph.
 
     Node ids are canonical positions; each connect_to lists the positions of
-    the node's successors in ascending order. Each line equals what
-    ``render_unit`` gives for its spec, id and successors, and is built by
-    the same ``_proved_line``: its values are already proved.
+    the node's successors in ascending order. The description holds its text
+    alone: its values are already proved. Its lines are built on first use,
+    each equal to what ``render_unit`` gives for its spec, id and successors.
     """
     order = assign_positions(g, max_paths=max_paths)
     positions = order.positions
     specs, successors = g.nodes, g._succ
-    lines, texts = [], []
+    texts = []
     for pos, name in enumerate(order.by_position, start=1):
-        spec = specs[name]
         targets = successors[name]
         if len(targets) == 1:  # most lines: no sort, no join
-            succ = (positions[targets[0]],)
-            connect = str(succ[0])
+            connect = positions[targets[0]]
         else:
-            succ = tuple(sorted([positions[s] for s in targets])) or None
-            connect = _connect_text(succ)
+            connect = _connect_text(sorted([positions[s] for s in targets]) or None)
         # ordering has already joined and kept each spec's basic string
-        text = f"id:{pos};{basic_string(spec)};connect_to:{connect}"
-        lines.append(_proved_line(kind_of(spec), pos, succ, text))
-        texts.append(text)
-    return Description(tuple(lines), "\n".join(texts))
+        texts.append(f"id:{pos};{basic_string(specs[name])};connect_to:{connect}")
+    d = object.__new__(Description)
+    d.__dict__["text"] = "\n".join(texts)
+    return d
 
 
 # --- the line grammar ----------------------------------------------------------
@@ -197,13 +222,15 @@ def _split(line: str) -> list[tuple[str, str, str]]:
     return [part.partition(":") for part in line.split(";")]
 
 
+# the keys that tell a line's kind in this order, else it is full; a proved line spells key k ";k:"
+_KIND_BY_KEY = (("type", KIND_POOL), ("name", KIND_MF), ("kernel", KIND_CONV))
+_KIND_MARKS = tuple((f";{key}:", kind) for key, kind in _KIND_BY_KEY)
+
+
 def _classify(parts, keys, line: str) -> str:
-    if "type" in keys:
-        return KIND_POOL
-    if "name" in keys:
-        return KIND_MF
-    if "kernel" in keys:
-        return KIND_CONV
+    for key, kind in _KIND_BY_KEY:
+        if key in keys:
+            return kind
     if all(sep for _, sep, _ in parts) and set(keys) <= _FULL_KEYS:
         return KIND_FULL
     raise UnclassifiableLineError(

@@ -225,17 +225,12 @@ def _topological_order(
     pred: dict[str, tuple[str, ...]],
 ) -> tuple[str, ...]:
     indeg = {name: len(pred[name]) for name in node_map}
-    queue = [name for name in node_map if indeg[name] == 0]
-    order: list[str] = []
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        order.append(v)
+    order = [name for name in node_map if indeg[name] == 0]
+    for v in order:  # the list is its own queue: a node is appended once its last edge is seen
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
+                order.append(w)
     if len(order) != len(node_map):
         cycle = _find_cycle({name for name in node_map if indeg[name] > 0}, pred)
         raise CycleDetectedError(

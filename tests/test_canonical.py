@@ -362,7 +362,9 @@ def test_unreachable_node_error_stays_public():
 
 
 def test_ordering_stops_once_every_node_has_a_number(monkeypatch, resnet4, branching25):
-    # every round numbers at least one node, so no round comes back empty
+    # every round numbers at least one node, so no round comes back empty; a
+    # path-shaped graph (a chain, resnet4's spine with its skips) is numbered
+    # in one step, with no round
     rounds = []
     run_round = canonical._round
 
@@ -372,17 +374,18 @@ def test_ordering_stops_once_every_node_has_a_number(monkeypatch, resnet4, branc
 
     monkeypatch.setattr(canonical, "_round", recorded)
     for g, expected in ((gen.chain_graph(1), 0), (gen.chain_graph(2), 0),
-                        (gen.chain_graph(5), 1), (resnet4, None), (branching25, None)):
+                        (gen.chain_graph(5), 0), (resnet4, 0), (branching25, None)):
         rounds.clear()
         assign_positions(g)
         assert all(rounds)
-        assert expected is None or len(rounds) == expected
+        assert len(rounds) == expected if expected is not None else rounds
 
 
 def test_candidates_equal_their_path_digest(monkeypatch, resnet4, branching25):
-    # each round's sequences are enumerated along edges, or taken whole from
-    # the topological order, and not re-checked; each candidate the ordering
-    # makes of one must be what path_digest makes of it
+    # each round's sequences are enumerated along edges and not re-checked;
+    # each candidate the ordering makes of one must be what path_digest makes
+    # of it. The C03 graphs and resnet4 are path-shaped and run no round;
+    # their one candidate, from the public function, is their topological order.
     rounds = []
     run_round = canonical._round
 
@@ -391,21 +394,24 @@ def test_candidates_equal_their_path_digest(monkeypatch, resnet4, branching25):
         return rounds[-1]
 
     rng = random.Random(1003)  # the C03 corpus
-    graphs = [resnet4, branching25, load_graph_file(FIXTURES / "resnet4.json"),
-              load_graph_file(FIXTURES / "branching25.json"),
-              gen.resnext_graph(2, 4), gen.resnext_graph(1, 8), gen.braid_graph(layers=6, width=2)]
-    graphs += [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)
-               for _ in range(1000)]
+    searched = [branching25, load_graph_file(FIXTURES / "branching25.json"),
+                gen.resnext_graph(2, 4), gen.resnext_graph(1, 8),
+                gen.braid_graph(layers=6, width=2)]
+    paths = [resnet4, load_graph_file(FIXTURES / "resnet4.json"), gen.chain_graph(1)]
+    paths += [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)
+              for _ in range(1000)]
     monkeypatch.setattr(canonical, "_round", recorded)
-    for g in graphs:
+    for i, g in enumerate(searched + paths):
         rounds.clear()
         assign_positions(g)
-        assert rounds and all(rounds)
+        assert all(rounds)
+        assert bool(rounds) == (i < len(searched))
         for sequences in rounds:
             for seq in sequences:
                 assert canonical._candidate(seq, g) == path_digest(seq, g)
-    single = gen.chain_graph(1)
-    assert longest_unnumbered_paths(single, {}) == [path_digest(single.names(), single)]
+    for g in paths:
+        order = g.topological_order()
+        assert longest_unnumbered_paths(g, {}) == [path_digest(order, g)]
 
 
 def _searched(monkeypatch):
@@ -461,6 +467,61 @@ def test_no_paths_allowed_fails_every_graph_that_needs_a_round():
             continue
         with pytest.raises(PathExplosionError):
             assign_positions(g, max_paths=0)
+
+
+def _numbered_by_public_rounds(g):
+    """The positions and names in position order that the public round functions give.
+
+    Each round takes the largest digest among ``longest_unnumbered_paths``;
+    on a path-shaped graph it has one candidate, which must be unique.
+    """
+    source, sink = detect_terminals(g)
+    positions = {source: 1, sink: len(g)}
+    while len(positions) < len(g):
+        candidates = longest_unnumbered_paths(g, positions)
+        assert len(candidates) == 1
+        (best,) = candidates
+        assert best == path_digest(best.node_sequence, g)
+        for name in best.node_sequence:
+            positions.setdefault(name, len(positions))  # the sink holds n: next is len
+    return positions, tuple(sorted(positions, key=positions.__getitem__))
+
+
+def _shuffled(g, rng):
+    nodes = [(name, g.spec(name)) for name in g.names()]
+    edges = list(g.edges)
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return build_graph(nodes, edges)
+
+
+def test_a_path_shaped_graph_is_numbered_as_its_rounds_would_number_it(monkeypatch):
+    # the one-step numbering of a graph whose topological order is a path
+    # equals the numbering its public rounds build, under any input order
+    searches = _searched(monkeypatch)
+    rng = random.Random(1003)  # the C03 corpus
+    c03 = [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3) for _ in range(1000)]
+    shuffle_rng = random.Random(2027)
+    graphs = [gen.chain_graph(n) for n in range(1, 6)] + c03
+    graphs += [_shuffled(g, shuffle_rng) for g in c03 for _ in range(4)]
+    for g in graphs:
+        searches.clear()
+        order = assign_positions(g)
+        assert not searches  # the one-step numbering runs no round
+        positions, by_position = _numbered_by_public_rounds(g)
+        assert dict(order.positions) == positions
+        assert order.by_position == by_position
+        assert order.n == len(g)
+
+
+def test_the_one_step_numbering_keeps_the_round_limits():
+    for n in (1, 2):  # source and sink are numbered without a round
+        assert assign_positions(gen.chain_graph(n), max_paths=0).n == n
+    with pytest.raises(PathExplosionError) as err:
+        assign_positions(gen.chain_graph(3), max_paths=0)
+    assert err.value.subject == 0
+    with pytest.raises(NoNodesError):
+        assign_positions(build_graph([], []))
 
 
 class _CountedNodes(dict):

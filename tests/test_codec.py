@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from arctext import (
     ArcTextError,
     ConvSpec,
+    Description,
     CycleDetectedError,
     DanglingConnectError,
     DuplicateIdError,
@@ -42,6 +43,8 @@ from arctext import (
     parse_line,
     render_description,
     render_unit,
+    tokenize,
+    vectors_csv,
 )
 from arctext import canonical, codec, graphio
 from arctext.cli import main
@@ -678,16 +681,22 @@ def test_each_field_writes_what_its_shape_reads(resnet4, branching25):
                 assert spelled == value and type(spelled) is type(value)
 
 
-def test_rendered_lines_equal_render_unit(resnet4, branching25):
-    # render_description builds each UnitLine directly; it must be the line
-    # render_unit makes from the same spec, id and successors
+def _rendered_graphs(resnet4, branching25) -> list:
+    """The fixtures, a few shapes, C03's graphs, the cells and the five-node DAGs."""
     rng = random.Random(1003)  # the C03 corpus
     graphs = [resnet4, branching25, load_graph_file(FIXTURES / "resnet4.json"),
               load_graph_file(FIXTURES / "branching25.json"),
               gen.resnext_graph(2, 4), gen.braid_graph(layers=6, width=2), gen.chain_graph(1)]
     graphs += [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)
                for _ in range(1000)]
-    for g in graphs:
+    return graphs + gen.cells() + gen.five_node_dags()
+
+
+def test_rendered_lines_equal_render_unit(resnet4, branching25):
+    # a rendered description builds its lines from its text on first use;
+    # each must be the line render_unit makes from the same spec, id and
+    # successors, and the line the text reader makes of the same text
+    for g in _rendered_graphs(resnet4, branching25):
         d = render_description(g)
         order = canonical.assign_positions(g)
         assert len(d.lines) == len(g)
@@ -695,9 +704,40 @@ def test_rendered_lines_equal_render_unit(resnet4, branching25):
             succ = sorted(order.position_of(s) for s in g.successors(name)) or None
             unit = render_unit(g.spec(name), order.position_of(name), succ)
             assert type(line) is UnitLine
-            assert (line, hash(line), repr(line), line.text) == (
-                unit, hash(unit), repr(unit), unit.text)
+            assert (line.unit_kind, line.id, line.connect_to, line.text, line.fields) == (
+                unit.unit_kind, unit.id, unit.connect_to, unit.text, unit.fields)
+            assert (line, hash(line), repr(line)) == (unit, hash(unit), repr(unit))
         assert d.text == "\n".join(line.text for line in d.lines)
+        assert d.lines == description_from_text(d.text).lines
+
+
+def test_a_rendered_description_reads_as_its_parsed_twin(resnet4, branching25):
+    # unread, a rendered description holds only its text; it must compare,
+    # hash, print, copy, replace, pickle, tokenize and vectorize as the
+    # description that holds the same lines from the start
+    vocab = Vocabulary.default()
+    for g in _rendered_graphs(resnet4, branching25):
+        text = render_description(g).text
+        twin = Description(description_from_text(text).lines, text)
+        d = render_description(g)
+        assert pickle.dumps(d) == pickle.dumps(twin)  # unread until pickled
+        assert (d, hash(d), repr(d)) == (twin, hash(twin), repr(twin))
+        for made in (copy.copy(render_description(g)), dataclasses.replace(render_description(g)),
+                     pickle.loads(pickle.dumps(d))):
+            assert set(vars(made)) == {"lines", "text"}
+            assert made == twin and pickle.dumps(made) == pickle.dumps(twin)
+        assert tokenize(render_description(g), vocab) == tokenize(twin, vocab)
+        assert vectors_csv(d) == vectors_csv(twin)
+
+
+def test_a_description_built_by_hand_keeps_its_lines():
+    line = render_unit(MFSpec("A", (4,), (4,)), 1, None)
+    for lines in ((), (line,)):
+        d = Description(lines, "")
+        assert d.lines is lines and d.text == ""
+        assert pickle.loads(pickle.dumps(d)).lines == lines
+    with pytest.raises(AttributeError):
+        Description((), "").missing
 
 
 def test_a_spec_subclass_renders_as_its_kind():

@@ -8,7 +8,8 @@ A spec keeps nothing else, and a proved spec, read from a text line or a
 graph file, keeps only its basic string until a value is asked for, which
 only unitformat reads from it. The generated graph-file readers spell text
 only. A proved line keeps its text and no fields: one constructor in the
-codec makes every proved line.
+codec makes every proved line, and a rendered description calls it only
+once its lines are read.
 """
 
 import ast
@@ -164,6 +165,27 @@ def test_one_constructor_makes_every_proved_line():
     # nothing spells it outside a function either
     spelled = sum(ast.unparse(_tree(path)).count("object.__new__(UnitLine)") for path in MODULES)
     assert spelled == 1
+
+
+def test_a_rendered_description_builds_its_lines_on_first_use(monkeypatch):
+    made = []
+    proved_line = codec._proved_line
+
+    def counted(*args):
+        made.append(1)
+        return proved_line(*args)
+
+    monkeypatch.setattr(codec, "_proved_line", counted)
+    rng = random.Random(1003)  # the C03 corpus
+    graphs = [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3) for _ in range(50)]
+    for g in graphs + [gen.resnext_graph(1, 4), gen.chain_graph(1)]:
+        made.clear()
+        d = render_description(g)
+        assert made == [] and set(vars(d)) == {"text"}
+        assert len(d.lines) == len(g)
+        assert len(made) == len(g) and set(vars(d)) == {"text", "lines"}
+        d.lines  # kept: read once
+        assert len(made) == len(g)
 
 
 def _text_pairs(text: str) -> tuple:
