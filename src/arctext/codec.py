@@ -6,26 +6,27 @@ rigid -- fixed field order per kind, canonical integer spelling, sorted
 multi-values, ascending connect_to -- so each architecture has exactly one
 spelling and byte equality coincides with architectural equality.
 
-The line grammar is one compiled pattern per kind, built from the rules in
-:mod:`arctext.unitformat`: its field table and connect list. A line is
-tried against the kinds in table order. Each pattern spells its kind's key
-sequence, no value holds ``;`` and no two kinds share a sequence, so at most
-one pattern can match; its ``fullmatch`` yields the kind, the id, every
-field's string and the connect list. The patterns make every check on one
-value; after the match run only the checks that compare values: connect
-targets strictly ascending (on a line with two or more), and the kind's
-value comparison from ``unitformat``. Every check has then run. A line
-that passes builds its spec with ``unitformat.proved_spec`` from the line's
-basic string alone, which the spec keeps and reads its values from on first
-use (``description_from_text`` builds no spec), and its ``UnitLine`` with
-``_proved_line``, which keeps the line as its text. A rendered ``Description``
-holds its text alone until its lines are read, and then builds each line by
-``_proved_line`` from the id, kind keys and connect list the line spells.
-Any other line's first fault is worded by ``_refuse``: a value its shape's
-pattern refuses by that shape's one template, "<key> must be <says>, got
-<value>"; descending connect targets and unsorted MF values by their own
-message; and the rest (pool channels, a ``Null`` among MF values) by the
-public spec class.
+The grammar is built from the rules in :mod:`arctext.unitformat`: its field
+table and connect list. A line is one pattern, the alternation of every
+kind's line pattern. Each spells its kind's key sequence, no value holds
+``;`` or ``:`` and no two kinds share a sequence, so a line that matches is
+of one kind, told by the first of the keys ``type``, ``name`` and
+``kernel`` it spells, else full. The pattern makes every check on one
+value; one scan per check then makes those that compare values: connect
+targets strictly ascending, and each kind's value comparison from
+``unitformat``. A whole text is proved the same way, by one ``fullmatch``
+of its lines and the same scans, and its ids by one more; only a text that
+fails is read line by line, to raise its first fault. A proved line is
+sliced: its basic string lies between its first ``;`` and its connect list,
+which follows its last ``:``. Its spec is ``unitformat.proved_spec`` of that
+basic string, which the spec keeps and reads its values from on first use,
+and its ``UnitLine`` keeps the line as its text. A rendered or parsed
+``Description`` holds its text alone until its lines are read; neither
+vectorizer reads them. A refused line's first fault is worded by
+``_refuse``: a value its shape's pattern refuses by that shape's one
+template, "<key> must be <says>, got <value>"; descending connect targets
+and unsorted MF values by their own message; and the rest (pool channels, a
+``Null`` among MF values) by the public spec class.
 
 ``parse_description`` builds its graph from what the grammar proved: each
 name "n<k>" is made once, a target is a name by its id, and the
@@ -72,7 +73,6 @@ from .unitformat import (
     _read_ints,
     _shown,
     basic_string,
-    kind_of,
     proved_spec,
 )
 
@@ -112,10 +112,11 @@ def _not_well_formed(line: UnitLine) -> MalformedLineError:
         f"unit {_shown(line.id)} is not a well-formed {line.unit_kind!r} line", subject=line.id)
 
 
-def _proved_line(kind: str, id: int, connect_to, text: str) -> UnitLine:
-    """The unit of a proved line ``text``, built without the ``UnitLine`` constructor."""
+def _proved_line(id: int, text: str) -> UnitLine:
+    """The unit of a proved line ``text`` as ``id``, built without the ``UnitLine`` constructor."""
+    kind, _, connect = _sliced(text)
     line = object.__new__(UnitLine)
-    line.__dict__.update(unit_kind=kind, id=id, connect_to=connect_to, text=text)
+    line.__dict__.update(unit_kind=kind, id=id, connect_to=connect, text=text)
     return line
 
 
@@ -123,30 +124,19 @@ def _proved_line(kind: str, id: int, connect_to, text: str) -> UnitLine:
 class Description:
     """A complete rendered architecture: lines ascending by id.
 
-    A rendered one holds its proved text alone and builds its lines from it
-    on first use; it compares, hashes, copies and pickles as if it held them.
+    A rendered or parsed one holds its proved text alone and builds its lines
+    from it on first use; it compares, hashes, copies and pickles as if it
+    held them.
     """
 
     lines: tuple[UnitLine, ...]
     text: str
 
-    def __getattr__(self, name: str):  # only reached for the unread lines of a rendered text
+    def __getattr__(self, name: str):  # only reached for the unread lines of a proved text
         if name != "lines" or "text" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        lines = []  # line k has id k, and no value holds ";" or ":"
-        for uid, line in enumerate(self.text.split("\n"), start=1):
-            for mark, kind in _KIND_MARKS:
-                if mark in line:
-                    break
-            else:
-                kind = KIND_FULL
-            targets = line.rpartition(":")[2]  # read as parse_line reads them
-            if "-" in targets:
-                connect = _read_ints(targets)
-            else:
-                connect = None if targets == "Null" else (int(targets),)
-            lines.append(_proved_line(kind, uid, connect, line))
-        self.__dict__["lines"] = lines = tuple(lines)
+        self.__dict__["lines"] = lines = tuple([  # line k has id k
+            _proved_line(uid, line) for uid, line in enumerate(self.text.split("\n"), start=1)])
         return lines
 
     def __getstate__(self):  # the constructor's state, lines first
@@ -166,8 +156,8 @@ def render_unit(spec: NodeSpec, id: int, connect_to) -> UnitLine:
             raise InvalidSpecError(f"connect_to must be strictly ascending, got {targets}")
         if not targets:
             targets = None  # outdegree 0 is the sink
-    return _proved_line(kind_of(spec), id, targets,  # proved: a checked spec, id and targets
-                        f"id:{id};{basic_string(spec)};connect_to:{_connect_text(targets)}")
+    # proved: a checked spec, id and targets
+    return _proved_line(id, f"id:{id};{basic_string(spec)};connect_to:{_connect_text(targets)}")
 
 
 def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Description:
@@ -190,8 +180,12 @@ def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> D
             connect = _connect_text(sorted([positions[s] for s in targets]) or None)
         # ordering has already joined and kept each spec's basic string
         texts.append(f"id:{pos};{basic_string(specs[name])};connect_to:{connect}")
+    return _held("\n".join(texts))
+
+
+def _held(text: str) -> Description:  # of a proved text, which it holds alone
     d = object.__new__(Description)
-    d.__dict__["text"] = "\n".join(texts)
+    d.__dict__["text"] = text
     return d
 
 
@@ -206,15 +200,26 @@ _KIND_KEYS = {
 _FULL_KEYS = set(_KIND_KEYS[KIND_FULL][0])
 
 
-# per kind, in table order: its line's compiled fullmatch, spec class and
-# value comparison; groups are the id, the kind's field strings and the
-# connect list
-_KINDS = tuple(
-    (kind, re.compile(f"id:({_COUNT.pattern}){_kind_pattern(fields)}"
-                      f";connect_to:({_CONNECT.pattern})").fullmatch,
-     cls, _AGREE.get(kind))
-    for kind, (cls, fields) in UNIT_FIELDS.items()
-)
+# a line of any kind, as that kind's pattern spells it, ungrouped (no shape's
+# pattern holds a literal parenthesis); no two kinds share a key sequence
+_LINE = re.sub(r"\((?!\?)", "(?:", f"id:{_COUNT.pattern}(?:"
+               + "|".join(_kind_pattern(fields) for _, fields in UNIT_FIELDS.values())
+               + f");connect_to:(?:{_CONNECT.pattern})")
+_WHOLE = re.compile(f"{_LINE}(?:\n{_LINE})*").fullmatch  # the LF-joined lines of a text
+# what the checks that compare values read, each found by keys no token can
+# spell: later ids, lists of two or more targets, pool sizes, MF value lists
+_LATER_IDS = re.compile("\nid:([0-9]+)").findall
+_TARGET_LISTS = re.compile("connect_to:([0-9]+-[-0-9]+)").findall
+_POOL_SIZES = re.compile("type:([^;]*);in_size:([^;]*);out_size:([^;]*)").findall
+_VALUE_LISTS = re.compile("value:([^;]*-[^;]*)").findall
+
+
+def _agrees(text: str) -> bool:
+    """Whether the proved lines of ``text`` have strictly ascending targets and values that
+    pass their kind's comparison from ``unitformat``, which reads MF values fourth."""
+    return (all(all(map(lt, c, c[1:])) for c in map(_read_ints, _TARGET_LISTS(text)))
+            and all(map(_AGREE[KIND_POOL], _POOL_SIZES(text)))
+            and all(_AGREE[KIND_MF](("", "", "", v)) for v in _VALUE_LISTS(text)))
 
 
 def _split(line: str) -> list[tuple[str, str, str]]:
@@ -225,6 +230,29 @@ def _split(line: str) -> list[tuple[str, str, str]]:
 # the keys that tell a line's kind in this order, else it is full; a proved line spells key k ";k:"
 _KIND_BY_KEY = (("type", KIND_POOL), ("name", KIND_MF), ("kernel", KIND_CONV))
 _KIND_MARKS = tuple((f";{key}:", kind) for key, kind in _KIND_BY_KEY)
+
+
+def _line_kind(line: str) -> str:  # of a proved line
+    for mark, kind in _KIND_MARKS:
+        if mark in line:
+            return kind
+    return KIND_FULL
+
+
+def _sliced(line: str):
+    """A proved line's kind, basic string and connect list; no value holds ";" or ":"."""
+    head, _, targets = line.rpartition(";connect_to:")
+    if "-" in targets:
+        connect = _read_ints(targets)
+    else:
+        connect = None if targets == "Null" else (int(targets),)
+    return _line_kind(line), head[head.index(";") + 1:], connect
+
+
+def _entry(uid: int, line: str) -> tuple:
+    """The proved ``line``'s (id, spec, connect_to) as id ``uid``."""
+    kind, basic, connect = _sliced(line)
+    return uid, proved_spec(UNIT_FIELDS[kind][0], basic), connect
 
 
 def _classify(parts, keys, line: str) -> str:
@@ -288,66 +316,56 @@ def _refuse(line: str, lineno: int):
     _fail(lineno, "line passes every field's pattern but not the grammar")
 
 
-_SPEC, _UNIT, _BOTH = 1, 2, 3  # what parse_line builds for the description readers
-
-
-def parse_line(line: str, lineno: int = 1, *, _want: int = _SPEC):
-    """Parse one line into (id, spec, connect_to); strict on everything.
-
-    The description readers pass ``_want``. With ``_BOTH`` or ``_UNIT`` the
-    line's ``UnitLine`` comes fourth, its ``text`` the line itself; with
-    ``_UNIT`` no spec is built (None).
-    """
-    for kind, fullmatch, cls, agree in _KINDS:
-        if match := fullmatch(line):
-            break
-    else:
+def parse_line(line: str, lineno: int = 1):
+    """Parse one line into (id, spec, connect_to); strict on everything."""
+    if "\n" in line or not (_WHOLE(line) and _agrees(line)):  # a text of this one line
         _refuse(line, lineno)
-    uid, *values, targets = match.groups()
-    if "-" in targets:  # two or more targets, which must ascend
-        connect = _read_ints(targets)
-        if not all(map(lt, connect, connect[1:])):
-            _refuse(line, lineno)
-    else:
-        connect = None if targets == "Null" else (int(targets),)
-    if agree and not agree(values):
-        _refuse(line, lineno)
-    uid = int(uid)
-    # the basic string lies between the id and the connect list, which holds no ";"
-    spec = None if _want == _UNIT else proved_spec(cls, line[match.end(1) + 1:line.rfind(";")])
-    if _want == _SPEC:
-        return uid, spec, connect
-    return uid, spec, connect, _proved_line(kind, uid, connect, line)  # already rendered
+    return _entry(int(line[3:line.index(";")]), line)  # the id follows "id:", up to the first ";"
 
 
 # --- whole descriptions ------------------------------------------------------------
 
-def _read_text(text: str, want: int):
-    """The text minus its one tolerated trailing newline, and each line's entry.
+def _proved_body(text: str) -> str | None:
+    """``text`` minus its one tolerated trailing newline, if one match and the
+    value checks prove its lines and its ids run 1..n; else None."""
+    body = text[:-1] if text.endswith("\n") else text
+    if not (_WHOLE(body) and body.startswith("id:1;") and _agrees(body)):
+        return None
+    ids = _LATER_IDS(body)
+    return body if ids == list(map(str, range(2, len(ids) + 2))) else None
 
-    An entry is what ``parse_line`` returns with ``_want=want``. Every line is
-    parsed before the ids are checked, and line k must carry id k. At the
-    first line out of step, lines 1..k-1 hold ids 1..k-1, so a smaller id
-    repeats one of them.
+
+def _read_text(text: str) -> str:
+    """The text minus its one tolerated trailing newline, read line by line.
+
+    Every line is parsed before line k is checked to carry id k; at the first
+    line out of step, a smaller id repeats one of lines 1..k-1.
     """
     if text.endswith("\n"):
         text = text[:-1]  # tolerate one trailing newline, nothing more
     if not text:
         raise EmptyInputError("no content to parse")
-    entries = []
+    ids = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             _fail(lineno, "blank line")
-        entries.append(parse_line(line, lineno, _want=want))
-    for lineno, entry in enumerate(entries, start=1):
-        uid = entry[0]
+        ids.append(parse_line(line, lineno)[0])
+    for lineno, uid in enumerate(ids, start=1):
         if uid < lineno:
             raise DuplicateIdError(f"line {lineno}: id {uid} repeats", subject=uid)
         if uid > lineno:
             raise NonContiguousIdsError(
                 f"line {lineno}: expected id {lineno}, got {uid}", subject=uid
             )
-    return text, entries
+    return text
+
+
+def _proved(text: str) -> str:  # what one match cannot prove, the line reader refuses or proves
+    return _proved_body(text) or _read_text(text)
+
+
+def _entries(body: str) -> list[tuple]:
+    return [_entry(uid, line) for uid, line in enumerate(body.split("\n"), start=1)]
 
 
 def _build(entries) -> tuple[ArchGraph, CanonicalOrder]:
@@ -409,29 +427,21 @@ def parse_description(text: str) -> tuple[ArchGraph, CanonicalOrder]:
     order maps each name to its id. Rendering the result reproduces the
     input bytes whenever the input was itself canonically rendered.
     """
-    return _build(_read_text(text, _SPEC)[1])
+    return _build(_entries(_proved(text)))
 
 
 def description_from_text(text: str) -> Description:
     """Validate text and repackage it as a Description (used by diffing).
 
-    Each line is checked as strictly as ``parse_description`` checks it, and
-    so is the id sequence; the sink, the connect targets and cycles are not.
-    Every line the grammar accepts is already in rendered form, so each
-    UnitLine's ``text`` is the line itself, and its fields are read from it;
-    the Description's ``text`` is the input minus its one tolerated trailing
-    newline. Nothing is re-rendered, and no spec is built.
+    Each line and the ids are checked as ``parse_description`` checks them;
+    the sink, the connect targets and cycles are not. The Description holds
+    the text minus its one tolerated trailing newline alone, and builds its
+    lines on first use. Nothing is re-rendered, and no spec is built.
     """
-    body, entries = _read_text(text, _UNIT)
-    return Description(tuple([entry[3] for entry in entries]), body)
+    return _held(_proved(text))
 
 
 def _parse_text(text: str) -> tuple[ArchGraph, CanonicalOrder, Description]:
-    """``parse_description`` and ``description_from_text`` of ``text``.
-
-    Each line is parsed once; errors are raised as ``parse_description``
-    raises them.
-    """
-    body, entries = _read_text(text, _BOTH)
-    graph, order = _build(entries)
-    return graph, order, Description(tuple([entry[3] for entry in entries]), body)
+    """``parse_description`` and ``description_from_text`` of ``text``, proved once."""
+    body = _proved(text)
+    return (*_build(_entries(body)), _held(body))

@@ -16,10 +16,11 @@ match of its kind's cell pattern: the kind's line pattern with the id, each
 integer of a slot field and each word that sets a slot captured. An integer
 of at most 15 digits is exact in a float, so its text is its cell; a line
 holding a longer one is matched by a second pattern with the same groups,
-and only those cells go through ``float()``. A parsed or rendered line holds
-its text, which the grammar or the spec's checks proved. A line built by hand
-is read through its own ``text`` once ``codec.parse_line`` reads that as a
-line of its kind; any other raises ``MalformedLineError`` naming its id.
+and only those cells go through ``float()``. A parsed or rendered
+description's lines are read straight from its proved text, as the kind its
+keys tell, and so is a parsed or rendered line. A line built by hand is read
+through its own ``text`` once ``codec.parse_line`` reads that as a line of
+its kind; any other raises ``MalformedLineError`` naming its id.
 ``unit_vector`` is ``float()`` of the same cells.
 """
 
@@ -33,7 +34,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .codec import _UNIT, Description, UnitLine, _not_well_formed, parse_line
+from .codec import Description, UnitLine, _line_kind, _not_well_formed, parse_line
 from .errors import (
     ArcTextError, IoError, SchemaError, UnknownTokenError, read_text,
 )
@@ -197,9 +198,10 @@ def tokenize(d: Description, v: Vocabulary) -> TokenStream:
     words, atoms = v._words, v._atoms
     sep, colon, dash = words.get(";"), words.get(":"), words.get("-")
     units = []
-    for line in d.lines:
+    lines = d.__dict__.get("lines")  # None: a proved text, whose lines are read from it
+    for text in d.text.split("\n") if lines is None else (line.text for line in lines):
         tokens: list[Token] = []
-        for part in line.text.split(";"):
+        for part in text.split(";"):
             if tokens:
                 tokens.append(sep or (sep := v._word(";")))
             key, _, value = part.partition(":")
@@ -265,8 +267,10 @@ def _cell(text: str) -> str:
 
 def _first_number(text: str) -> str:
     for atom in _read_values(text):  # "Null" holds no number
-        if _numeric(atom) is not None:
-            return _cell(atom)
+        if (num := _numeric(atom)) is not None:
+            # spelled as its value, an integer of at most 15 digits or a fraction is its own cell
+            own = len(atom) <= 15 if type(num) is int else not num.is_integer()
+            return atom if own else _cell(atom)
     return "0"
 
 
@@ -329,22 +333,23 @@ _PLANS = {kind: _plan(kind, fields) for kind, (_, fields) in UNIT_FIELDS.items()
 
 
 def _proved_text(line: UnitLine) -> str:
-    """The text of a line built by hand, once the grammar reads it as a line of its kind."""
+    """A parsed or rendered line's text; a built one's once the grammar reads it as its kind."""
+    text = line.__dict__.get("text")
+    if text is not None:
+        return text
     text = line.text  # MalformedLineError: fields that cannot be spelled
     try:
-        if parse_line(text, _want=_UNIT)[3].unit_kind == line.unit_kind:
+        parse_line(text)
+        if _line_kind(text) == line.unit_kind:
             return text
     except ArcTextError:
         pass
     raise _not_well_formed(line)
 
 
-def _unit_cells(line: UnitLine) -> list[str]:
-    """The 24 slots of one line as CSV cells; absent fields stay 0."""
-    text = line.__dict__.get("text")
-    if text is None:  # built by hand
-        text = _proved_text(line)
-    short, long, pick, words = _PLANS[line.unit_kind]
+def _unit_cells(kind: str, text: str) -> list[str]:
+    """The 24 slots of a proved line of ``kind`` as CSV cells; absent fields stay 0."""
+    short, long, pick, words = _PLANS[kind]
     match = short(text)
     row = list(pick((match or long(text)).groups("0") + _CONSTANTS))
     for slot, read in words:
@@ -356,11 +361,14 @@ def _unit_cells(line: UnitLine) -> list[str]:
 
 def unit_vector(line: UnitLine) -> np.ndarray:
     """A 24-slot numeric summary of one line; absent fields stay 0."""
-    return np.array([float(cell) for cell in _unit_cells(line)])
+    return np.array([float(cell) for cell in _unit_cells(line.unit_kind, _proved_text(line))])
 
 
 def vectors_csv(d: Description) -> str:
     """One unit per row, comma-separated, with a slot-name header."""
     rows = [",".join(VECTOR_SLOTS)]
-    rows += [",".join(_unit_cells(line)) for line in d.lines]
+    lines = d.__dict__.get("lines")  # None: a proved text, whose lines are read from it
+    pairs = ([(_line_kind(text), text) for text in d.text.split("\n")] if lines is None
+             else [(line.unit_kind, _proved_text(line)) for line in lines])
+    rows += [",".join(_unit_cells(kind, text)) for kind, text in pairs]
     return "\n".join(rows) + "\n"

@@ -14,9 +14,9 @@ index and short SHA-256 digests:
   ``(unit_kind, id, fields, connect_to, text)``.
 - ``vocabulary``: that shared vocabulary's ``to_json()`` after both families.
 - ``mutants``: 2,000 seeded mutants of rendered lines, each read by
-  ``parse_line`` for both its spec and its line; the digest of the spec's
-  basic string and the line's tuple, or of the error type, message and
-  subject.
+  ``parse_line`` for its spec and, once that accepts it, by the codec's
+  text-to-line helper for its line; the digest of the spec's basic string
+  and the line's tuple, or of the error type, message and subject.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from arctext import (
     tokenize,
     vectors_csv,
 )
-from arctext.codec import _BOTH, parse_line
+from arctext.codec import _proved_line, parse_line
 from arctext.unitformat import basic_string
 
 HERE = Path(__file__).resolve().parent
@@ -65,10 +65,10 @@ def _description_entry(g, vocabulary: Vocabulary) -> str:
 
 def _mutant_entry(line: str) -> str:
     try:
-        _, spec, _, unit = parse_line(line, 1, _want=_BOTH)
+        uid, spec, _ = parse_line(line, 1)
     except ArcTextError as exc:
         return _digest(f"{type(exc).__name__}: {exc} {exc.subject!r}")
-    return _digest(repr((basic_string(spec), _line_tuple(unit))))
+    return _digest(repr((basic_string(spec), _line_tuple(_proved_line(uid, line)))))
 
 
 def families() -> dict[str, list[str]]:

@@ -230,5 +230,21 @@ def test_c11_scale_guard():
         render_description(braid)
     braid_s = time.perf_counter() - t0
     assert braid_s < 5.0
+
+    # reading back: the chain's text, and a node fanning out to 4,000 branches
+    # that join at the sink, spelled directly (rendering a fan that wide grinds)
+    unit = "id:{};name:A;in_size:4;out_size:4;value:Null;connect_to:{}"
+    fan = "\n".join([unit.format(1, "-".join(map(str, range(2, 4002))))]
+                    + [unit.format(uid, 4002) for uid in range(2, 4002)]
+                    + [unit.format(4002, "Null")])
+    read_s = {}
+    for name, text, nodes in (("chain", desc.text, 1000), ("fan", fan, 4002)):
+        for read in (description_from_text, parse_description):
+            t0 = time.perf_counter()
+            result = read(text)
+            read_s[name, read.__name__] = seconds = time.perf_counter() - t0
+            assert len(result[0] if isinstance(result, tuple) else result.lines) == nodes
+            assert seconds < 1.0
     print(f"criterion 11: PASS - 1000-node chain in {chain_s:.3f} s < 1 s; "
-          f"braid overflow raised in {braid_s:.3f} s < 5 s")
+          f"braid overflow raised in {braid_s:.3f} s < 5 s; read back in at most "
+          f"{max(read_s.values()):.3f} s < 1 s")

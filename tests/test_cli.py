@@ -214,16 +214,23 @@ class TestSingleParse:
     ])
     def test_each_line_is_parsed_once(self, monkeypatch, capsys, resnet_text_file,
                                       resnet4_text, command, inputs):
-        parsed = []
-        parse_line = codec.parse_line
+        # one match of the whole text parses each line, and no line is read again
+        proved, parsed = [], []
+        proved_body, parse_line = codec._proved_body, codec.parse_line
+
+        def proving(text):
+            proved.append(proved_body(text))
+            return proved[-1]
 
         def counting(line, *args, **kwargs):
             parsed.append(line)
             return parse_line(line, *args, **kwargs)
 
+        monkeypatch.setattr(codec, "_proved_body", proving)
         monkeypatch.setattr(codec, "parse_line", counting)
         assert main(command + [resnet_text_file] * inputs) == 0
-        assert parsed == resnet4_text.split("\n") * inputs
+        assert proved == [resnet4_text] * inputs
+        assert parsed == []
 
 
 class TestDot:

@@ -999,8 +999,12 @@ def _alternation_branches():
 _ALTERNATION_BRANCHES = tuple(_alternation_branches())
 
 
-def reference_parse_line(line: str, lineno: int = 1, *, _want: int = codec._SPEC):
-    """One fullmatch against every kind at once, then a search for the kind's groups."""
+def reference_parse_line(line: str, lineno: int = 1):
+    """One fullmatch against every kind at once, then a search for the kind's groups.
+
+    Gives (id, spec, connect_to, unit): the line's spec built by its public
+    class, and its ``UnitLine`` built by the constructor, holding the line.
+    """
     match = _ALTERNATION.fullmatch(line)
     if match is None:
         codec._refuse(line, lineno)
@@ -1015,23 +1019,30 @@ def reference_parse_line(line: str, lineno: int = 1, *, _want: int = codec._SPEC
         codec._refuse(line, lineno)
     uid = int(groups[0])
     # the public class, every check run, from the values the shapes read
-    spec = None if _want == codec._UNIT else cls(*[read(v) for read, v in zip(readers, values)])
-    if _want == codec._SPEC:
-        return uid, spec, connect
+    spec = cls(*[read(v) for read, v in zip(readers, values)])
     fields = tuple(field for field in zip(keys, values) if field[1] is not None)
     unit = UnitLine(kind, uid, fields, connect)
     unit.__dict__["text"] = line
     return uid, spec, connect, unit
 
 
-def _read_outcome(reader, line: str, want: int):
+def codec_parse_line(line: str, lineno: int = 1):
+    """``parse_line``'s (id, spec, connect_to), then the unit the codec slices from the line."""
+    uid, spec, connect = parse_line(line, lineno)
+    return uid, spec, connect, codec._proved_line(uid, line)
+
+
+def _unit_tuple(unit) -> tuple:
+    return type(unit), unit.unit_kind, unit.id, unit.fields, unit.connect_to, unit.text
+
+
+def _read_outcome(reader, line: str):
     """What a line reader gives, in a form two readers' results compare by."""
     try:
-        uid, spec, connect, *unit = reader(line, 7, _want=want)
+        uid, spec, connect, unit = reader(line, 7)
     except ArcTextError as exc:
         return type(exc), str(exc), exc.subject
-    return (uid, type(spec), spec, spec and basic_string(spec), connect,
-            [(type(u), u.unit_kind, u.id, u.fields, u.connect_to, u.text) for u in unit])
+    return uid, type(spec), spec, basic_string(spec), connect, _unit_tuple(unit)
 
 
 def _rendered_lines(rng, graphs: int, *fixture_texts) -> list[str]:
@@ -1043,9 +1054,8 @@ def _reads_as_the_alternation(lines) -> int:
     """Assert parse_line reads every line as reference_parse_line does; count the refused."""
     refused = 0
     for line in lines:
-        for want in (codec._SPEC, codec._UNIT, codec._BOTH):
-            outcome = _read_outcome(parse_line, line, want)
-            assert outcome == _read_outcome(reference_parse_line, line, want), line
+        outcome = _read_outcome(codec_parse_line, line)
+        assert outcome == _read_outcome(reference_parse_line, line), line
         refused += isinstance(outcome[0], type)
     return refused
 
@@ -1060,20 +1070,32 @@ def test_per_kind_patterns_read_as_the_alternation_did(resnet4_text, branching25
     assert _reads_as_the_alternation(lines) > 1000  # of the 2,000 mutants
 
 
-# --- table order: the line is tried against every kind ----------------------------
+# --- one pattern for every kind: a line matches one kind's alternative --------------
+
+# each kind's line pattern alone, the alternatives of the codec's one line pattern
+_KIND_LINES = {
+    kind: re.compile(f"id:{_COUNT.pattern}{_kind_pattern(fields)}"
+                     f";connect_to:(?:{_CONNECT.pattern})").fullmatch
+    for kind, (_, fields) in UNIT_FIELDS.items()
+}
+
 
 def test_each_line_matches_exactly_one_kind(resnet4_text, branching25_text):
-    # what makes table order safe: no line a kind's pattern accepts is
-    # accepted by another's, so the first match is the only one
+    # what makes the alternation and the kind marks safe: no line a kind's
+    # pattern accepts is accepted by another's, and the codec's marks tell
+    # the kind that accepts it
     rng = random.Random(1003)  # the C03 corpus
     texts = [resnet4_text, branching25_text] + [
         render_description(gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)).text
         for _ in range(1000)
     ]
-    for text in texts:
-        for line in text.split("\n"):
-            assert [entry[0] for entry in codec._KINDS if entry[1](line)] == [
-                classify_line(line)], line
+    lines = [line for text in texts for line in text.split("\n")]
+    lines += [mutant for mutant in (_field_mutant(line, rng) for line in rng.sample(lines, 2000))
+              if "\n" not in mutant and codec._WHOLE(mutant)]
+    for line in lines:
+        assert [kind for kind, fullmatch in _KIND_LINES.items() if fullmatch(line)] == [
+            classify_line(line)] == [codec._line_kind(line)], line
+        assert codec._WHOLE(line)
 
 
 _FIRST_KEYS = ("in_size", "type", "name", "kernel", "i", "n", "t", "", "in_size:4", "value")
@@ -1134,6 +1156,11 @@ def reference_build(entries):
     return graph, canonical.CanonicalOrder(positions, n)
 
 
+def _line_entries(text: str) -> list[tuple]:
+    """Each line's (id, spec, connect_to), as ``parse_line`` reads it."""
+    return [parse_line(line, lineno) for lineno, line in enumerate(text.split("\n"), start=1)]
+
+
 def _with_targets(line: str, targets) -> str:
     head = line.rpartition(";connect_to:")[0]
     return f"{head};connect_to:{'-'.join(map(str, sorted(targets))) if targets else 'Null'}"
@@ -1186,7 +1213,8 @@ def test_a_faulty_description_raises_the_first_fault_as_build_graph_did(resnet4_
     faulty = [_faulty(text, rng) for text in texts for _ in range(4)]
     raised = collections.Counter()
     for text in texts + faulty:
-        entries = codec._read_text(text, codec._SPEC)[1]
+        entries = _line_entries(text)
+        assert codec._entries(codec._proved(text)) == entries  # by value: specs compare values
         outcome = _graph_outcome(codec._build, entries)
         assert outcome == _graph_outcome(reference_build, entries), text
         if isinstance(outcome[0], type):
@@ -1223,7 +1251,7 @@ def test_the_first_of_several_faults_is_raised(connects, error, subject):
         parse_description(text)
     assert info.value.subject == subject
     with pytest.raises(error) as reference:
-        reference_build(codec._read_text(text, codec._SPEC)[1])
+        reference_build(_line_entries(text))
     assert str(info.value) == str(reference.value)
 
 
@@ -1231,3 +1259,170 @@ def test_a_parsed_order_lists_the_names_by_id(resnet4_text):
     graph, order = parse_description(resnet4_text)
     assert order.by_position == tuple(f"n{k}" for k in range(1, len(graph) + 1))
     assert order.by_position == tuple(sorted(order.positions, key=order.positions.get))
+
+
+# --- a whole text is proved by one match, as the line reader would read it -----------
+
+def reference_read_text(text: str):
+    """A whole text read line by line through ``reference_parse_line``: its
+    body and each line's entry, or the first fault the line reader words."""
+    body = text[:-1] if text.endswith("\n") else text
+    if not body:
+        raise EmptyInputError("no content to parse")
+    entries = []
+    for lineno, line in enumerate(body.split("\n"), start=1):
+        if not line:
+            raise MalformedLineError(f"line {lineno}: blank line", subject=lineno)
+        entries.append(reference_parse_line(line, lineno))
+    for lineno, (uid, *_) in enumerate(entries, start=1):
+        if uid < lineno:
+            raise DuplicateIdError(f"line {lineno}: id {uid} repeats", subject=uid)
+        if uid > lineno:
+            raise NonContiguousIdsError(f"line {lineno}: expected id {lineno}, got {uid}",
+                                        subject=uid)
+    return body, entries
+
+
+def _refusal(exc: ArcTextError) -> tuple:
+    return type(exc), str(exc), exc.subject
+
+
+def _description_outcome(d) -> tuple:
+    return d.text, [_unit_tuple(line) for line in d.lines]
+
+
+def _reference_outcomes(text: str) -> list:
+    """What the line reader gives for ``description_from_text``, ``parse_description``
+    and ``_parse_text``, each a result or the refusal's type, message and subject."""
+    try:
+        body, entries = reference_read_text(text)
+    except ArcTextError as exc:
+        return [_refusal(exc)] * 3
+    read = body, [_unit_tuple(unit) for *_, unit in entries]
+    graph = _graph_outcome(reference_build, [entry[:3] for entry in entries])
+    return [read, graph, graph if isinstance(graph[0], type) else (graph, read)]
+
+
+def _codec_outcomes(text: str) -> list:
+    outcomes = []
+    try:
+        outcomes.append(_description_outcome(description_from_text(text)))
+    except ArcTextError as exc:
+        outcomes.append(_refusal(exc))
+    outcomes.append(_graph_outcome(lambda _: parse_description(text), None))
+    try:
+        graph, order, d = codec._parse_text(text)
+    except ArcTextError as exc:
+        outcomes.append(_refusal(exc))
+    else:
+        outcomes.append((_graph_outcome(lambda _: (graph, order), None), _description_outcome(d)))
+    return outcomes
+
+
+def _renumbered(line: str, uid: int) -> str:
+    return re.sub(r"^id:[1-9][0-9]*;", f"id:{uid};", line, count=1)
+
+
+def _spliced(text: str, mutant: str, rng) -> str:
+    """``text`` with a random line replaced by ``mutant``, most often carrying that line's id."""
+    lines = text.split("\n")
+    k = rng.randrange(len(lines))
+    lines[k] = _renumbered(mutant, k + 1) if rng.random() < 0.8 else mutant
+    return "\n".join(lines)
+
+
+def _id_fault(text: str, rng) -> str:
+    """``text`` with two lines' ids swapped, an id repeated, a line dropped or doubled."""
+    lines = text.split("\n")
+    j, k = sorted(rng.sample(range(len(lines)), 2))
+    fault = rng.randrange(4)
+    if fault == 0:
+        lines[j], lines[k] = _renumbered(lines[j], k + 1), _renumbered(lines[k], j + 1)
+    elif fault == 1:
+        lines[k] = _renumbered(lines[k], j + 1)
+    elif fault == 2:
+        del lines[j]
+    else:
+        lines.insert(k, lines[k])
+    return "\n".join(lines)
+
+
+def _blank_fault(text: str, rng) -> str:
+    """``text`` with a blank line, a leading LF, or one or two trailing LFs."""
+    lines = text.split("\n")
+    return rng.choice([
+        "\n".join(lines[:(k := rng.randrange(len(lines) + 1))] + [""] + lines[k:]),
+        f"\n{text}", f"{text}\n", f"{text}\n\n"])
+
+
+def _value_fault(text: str, rng) -> str:
+    """``text`` with descending or repeated targets, MF values out of order or holding
+    ``Null``, or pool channels that do not agree, on a random line that can hold them."""
+    lines = text.split("\n")
+    k = rng.randrange(len(lines))
+    line = lines[k]
+    if ";type:" in line and rng.random() < 0.5:
+        size = line.partition(";out_size:")[2].partition(";")[0]
+        channels = int(size.rpartition("-")[2])
+        line = line.replace(f";out_size:{size};", f";out_size:{size}{channels % 7 + 1}0;")
+    elif ";name:" in line and rng.random() < 0.5:
+        value = line.partition(";value:")[2].partition(";")[0]
+        line = line.replace(f";value:{value};",
+                            f";value:{rng.choice(['b-a', 'a-Null', 'Null-a', '0.9-0.1', 'a-a'])};")
+    else:
+        head, _, targets = line.rpartition(";connect_to:")
+        low = rng.randint(1, len(lines) + 1)
+        line = f"{head};connect_to:{rng.choice([f'{low + 1}-{low}', f'{low}-{low}', targets])}"
+    lines[k] = line
+    return "\n".join(lines)
+
+
+def _fan_text(k: int, targets=None) -> str:
+    """Node 1 connects to k branches, which all connect to the sink; MF lines."""
+    line = "id:{};name:A;in_size:4;out_size:4;value:Null;connect_to:{}"
+    targets = range(2, k + 2) if targets is None else targets
+    return "\n".join([line.format(1, "-".join(map(str, targets)))]
+                     + [line.format(uid, k + 2) for uid in range(2, k + 2)]
+                     + [line.format(k + 2, "Null")])
+
+
+def test_one_match_reads_a_text_as_the_line_reader_does(monkeypatch, c03_descriptions):
+    # description_from_text, parse_description and _parse_text give what the
+    # line-by-line reference gives, result or refusal; an accepted text is
+    # proved by the match alone, with no parse_line call
+    parsed = []
+    parse_line = codec.parse_line
+
+    def counted(line, *args):
+        parsed.append(line)
+        return parse_line(line, *args)
+
+    rng = random.Random(2311)
+    lines = [line for _ in range(100)
+             for line in render_description(gen.random_graph(rng)).text.split("\n")]
+    mutants = [_field_mutant(line, rng) if rng.random() < 0.8 else _mutate(line, rng)
+               for line in (rng.choice(lines) for _ in range(2000))]
+    c03 = [d.text for d in c03_descriptions]
+    rng = random.Random(2828)
+    texts = [_spliced(rng.choice(c03), mutant, rng) for mutant in mutants]
+    texts += [fault(rng.choice(c03), rng)
+              for fault in (_id_fault, _blank_fault) for _ in range(300)]
+    texts += [_value_fault(rng.choice(c03), rng) for _ in range(1000)]
+    texts += c03[:200] + ["", "\n", "\n\n", _fan_text(4000), _fan_text(4000) + "\n",
+                          _fan_text(4000, [*range(2, 2000), 2001, 2000, *range(2002, 4002)]),
+                          _fan_text(4000, range(3, 4003))]
+    monkeypatch.setattr(codec, "parse_line", counted)
+    accepted = refused = 0
+    for text in texts:
+        parsed.clear()
+        outcomes = _codec_outcomes(text)
+        reference = _reference_outcomes(text)
+        assert outcomes == reference, text
+        if isinstance(reference[0][0], type):  # the text is refused
+            refused += 1
+            assert codec._proved_body(text) is None
+        else:
+            accepted += 1
+            assert codec._proved_body(text) == reference[0][0]
+            assert parsed == []
+    assert accepted > 600 and refused > 3000  # of 3,807 texts

@@ -8,8 +8,8 @@ A spec keeps nothing else, and a proved spec, read from a text line or a
 graph file, keeps only its basic string until a value is asked for, which
 only unitformat reads from it. The generated graph-file readers spell text
 only. A proved line keeps its text and no fields: one constructor in the
-codec makes every proved line, and a rendered description calls it only
-once its lines are read.
+codec makes every proved line, and a rendered or parsed description calls
+it only once its lines are read, which neither vectorizer does.
 """
 
 import ast
@@ -24,15 +24,15 @@ from arctext import (
     codec,
     description_from_text,
     graphio,
+    parse_description,
     parse_graph_json,
     parse_line,
     render_description,
     render_unit,
     unitformat,
 )
-from arctext.codec import _BOTH, _UNIT
 from arctext.graphio import graph_to_json
-from arctext.unitformat import UNIT_FIELDS, basic_fields
+from arctext.unitformat import _CONNECT, UNIT_FIELDS, basic_fields
 
 import gen
 
@@ -188,6 +188,37 @@ def test_a_rendered_description_builds_its_lines_on_first_use(monkeypatch):
         assert len(made) == len(g)
 
 
+def test_the_vectorizers_read_a_description_held_as_text(monkeypatch):
+    # tokenize and vectors_csv read each line straight from the text of a
+    # rendered or parsed description: they make no line and build no spec
+    made = []
+    proved_line = codec._proved_line
+
+    def counted(*args):
+        made.append(1)
+        return proved_line(*args)
+
+    def built(*args):
+        raise AssertionError("a spec was built")
+
+    rng = random.Random(1003)  # the C03 corpus
+    graphs = [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3) for _ in range(50)]
+    graphs += [gen.resnext_graph(1, 4), gen.chain_graph(1)]
+    texts = [render_description(g).text for g in graphs]
+    parsed = [codec._parse_text(text)[2] for text in texts]  # the graph's specs are built here
+    monkeypatch.setattr(codec, "_proved_line", counted)
+    monkeypatch.setattr(codec, "proved_spec", built)
+    monkeypatch.setattr(unitformat, "proved_spec", built)
+    vocab = arctext.Vocabulary.default()
+    for g, text, read in zip(graphs, texts, parsed):
+        for d in (render_description(g), description_from_text(text),
+                  description_from_text(text + "\n"), read):
+            assert set(vars(d)) == {"text"}
+            assert len(arctext.tokenize(d, vocab).units) == len(g)
+            assert arctext.vectors_csv(d).count("\n") == len(g) + 1
+            assert made == [] and set(vars(d)) == {"text"}
+
+
 def _text_pairs(text: str) -> tuple:
     return tuple(tuple(part.split(":", 1)) for part in text.split(";")[1:-1])
 
@@ -205,29 +236,31 @@ def test_specs_keep_one_spelling_and_proved_lines_keep_their_text():
             getattr(spec, rng.choice(list(spec.__dataclass_fields__)))  # reads every value
             assert set(vars(spec)) == {*spec.__dataclass_fields__, "_basic_string"}
         for line in d.lines:
-            _, spec, connect, unit = parse_line(line.text, _want=_BOTH)
+            uid, spec, connect = parse_line(line.text)
             assert basic_fields(spec) == _text_pairs(line.text)  # reads no value on the way
             assert set(vars(spec)) == {"_basic_string"}
             getattr(spec, rng.choice(list(spec.__dataclass_fields__)))  # reads every value
             assert set(vars(spec)) == {*spec.__dataclass_fields__, "_basic_string"}
-            lines += [unit, parse_line(line.text, _want=_UNIT)[3],
-                      render_unit(spec, line.id, connect)]
+            lines += [codec._proved_line(uid, line.text), render_unit(spec, line.id, connect)]
         for line in lines:
             assert set(vars(line)) == {"unit_kind", "id", "connect_to", "text"}
             assert line.fields == _text_pairs(line.text)
 
 
 def test_only_unitformat_reads_parsed_values():
-    # the table parse_line runs holds patterns, classes and value comparisons;
-    # a spec it builds reads its values from its basic string in unitformat
+    # the codec reads connect lists, which are no spec's values, and holds no
+    # other reader; a spec it builds reads its values from its basic string
+    # in unitformat
     readers = {f.shape.read for _, fields in UNIT_FIELDS.values() for f in fields}
     assert readers == {row[3] for rows in unitformat._ROWS.values() for row in rows}
-    held, stack = [], list(codec._KINDS)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, tuple):
-            stack += item
-        else:
-            held.append(item)
-    assert len(held) == 4 * len(UNIT_FIELDS)  # kind, fullmatch, class, comparison
-    assert [item for item in held if item in readers] == []
+    spec_readers = [read for read in readers if read is not _CONNECT.read]
+    assert len(spec_readers) == len(readers) - 1  # connect lists read as sizes do
+    held = [name for name, value in vars(codec).items()
+            if any(value is read for read in spec_readers)]
+    assert held == []
+    rng = random.Random(2313)
+    for made in (gen.rand_conv, gen.rand_pool, gen.rand_full, gen.rand_mf) * 5:
+        public = made(rng)
+        line = render_unit(public, 1, None).text
+        for spec in (parse_line(line)[1], parse_description(line)[0].spec("n1")):
+            assert type(spec) is type(public) and set(vars(spec)) == {"_basic_string"}

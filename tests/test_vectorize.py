@@ -30,7 +30,7 @@ from arctext import (
     unit_vector,
     vectors_csv,
 )
-from arctext.codec import _UNIT, parse_line
+from arctext.codec import _proved_line, parse_line
 from arctext.unitformat import _FLAG, _POOL_TYPE, _VALUES, POOL_TYPES, UNIT_FIELDS, _connect_text
 from arctext.vectorize import (
     _PLANS, NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _SLOTS, _numeric,
@@ -38,6 +38,11 @@ from arctext.vectorize import (
 
 import gen
 from conftest import FIXTURES
+
+
+def _parsed(text: str) -> UnitLine:
+    """The unit the codec reads from a line ``parse_line`` accepts, as its id."""
+    return _proved_line(parse_line(text)[0], text)
 
 
 class TestVocabulary:
@@ -647,7 +652,7 @@ def test_a_long_integer_is_read_by_the_second_pattern(where, digits):
         line = built(kind, int(digits))
     else:
         line = built(kind, **{key: value.format(digits) for key, value in values.items()})
-    parsed = parse_line(line.text, _want=_UNIT)[3]
+    parsed = _parsed(line.text)
     short, long = _PLANS[kind][:2]
     assert (short(line.text) is None) == (len(digits) > 15)
     assert long(line.text)
@@ -749,7 +754,7 @@ def test_hand_built_lines_vectorize_as_the_reference(line):
     # reader accepts it as a line of the built kind (its id check would
     # refuse a lone line whose id is not 1), and the typed refusal otherwise
     try:
-        parsed = parse_line(line.text, _want=_UNIT)[3]
+        parsed = _parsed(line.text)
     except ArcTextError:
         parsed = None
     if parsed is None or parsed.unit_kind != line.unit_kind:
