@@ -14,9 +14,10 @@ A graph whose topological order is a path has no other order: that path
 holds every node, it is the only candidate, and it is numbered in one step,
 with no round. Any other graph builds one round state: the source and sink,
 the topological order and each node's longest suffix, none of which depends
-on the positions. Each round reads it and returns node sequences; a digest is
-made only when a round has more than one, and the tie key only when the top
-digest is shared.
+on the positions. A round reads it, counts each node's longest suffix that
+holds an unnumbered node and walks from the source the paths those allow,
+returning their node sequences; a digest is made only when a round has more
+than one, and the tie key only when the top digest is shared.
 """
 
 from __future__ import annotations
@@ -172,13 +173,6 @@ def _too_many(max_paths: int) -> PathExplosionError:
     )
 
 
-def _round(state: _Ordering, positions, max_paths: int) -> list[tuple[str, ...]]:
-    """The node sequences of the longest source->sink paths holding an unnumbered node."""
-    g, source, _, _, longest = state
-    return _enumerate_paths(g, source, positions, longest,
-                            _longest_unnumbered(state, positions), max_paths)
-
-
 def _longest_unnumbered(state: _Ordering, positions) -> dict[str, int]:
     # longest_u[v]: the nodes on the longest v->sink path holding an
     # unnumbered node, 0 when there is none; an unnumbered v makes every
@@ -202,8 +196,10 @@ def _longest_unnumbered(state: _Ordering, positions) -> dict[str, int]:
 # is longer than longest_u[source], so a successor ends a candidate in exactly
 # the nodes still needed only if its longest suffix has exactly that many
 # (counted over suffixes holding an unnumbered node until the path holds one).
-def _enumerate_paths(g, source, positions, longest, longest_u, max_paths):
-    succ = g._succ
+def _round(state: _Ordering, positions, max_paths: int) -> list[tuple[str, ...]]:
+    """The node sequences of the longest source->sink paths holding an unnumbered node."""
+    succ, source, longest = state.g._succ, state.source, state.longest
+    longest_u = _longest_unnumbered(state, positions)
     found: list[tuple[str, ...]] = []
     path = [source]
     stack = [(iter(succ[source]), longest_u[source] - 1, source not in positions)]
@@ -233,8 +229,8 @@ def assign_positions(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Can
     unnumbered node. Among them: largest digest (bytes compared as one
     big-endian unsigned integer); among equal digests, smallest tie key,
     which compares the nodes element-wise by (assigned position, else
-    past-the-end; then insertion index). The counter advances only when a
-    node actually receives a number, so positions come out consecutive.
+    past-the-end; then insertion index). A node takes the next free position
+    only when it first receives one, so positions come out consecutive.
     """
     order = g.topological_order()
     n = len(order)
@@ -243,8 +239,8 @@ def assign_positions(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Can
             raise _too_many(max_paths)
         return _ordered(dict(zip(order, range(1, n + 1))), order)
     state = _Ordering.of(g)
+    # the sink holds n from the start, so len(positions) is the next free position
     positions: dict[str, int] = {state.source: 1, state.sink: n}
-    next_free = 2
 
     infinity = n + 1  # beyond any assignable position
     index: dict[str, int] = {}  # insertion order, built on the first shared top digest
@@ -267,6 +263,5 @@ def assign_positions(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Can
                 best = min([best, *rest], key=tie_key)
         for name in best:
             if name not in positions:
-                positions[name] = next_free
-                next_free += 1
+                positions[name] = len(positions)
     return CanonicalOrder(positions, n)

@@ -14,19 +14,20 @@ of one kind, told by the first of the keys ``type``, ``name`` and
 ``kernel`` it spells, else full. The pattern makes every check on one
 value; one scan per check then makes those that compare values: connect
 targets strictly ascending, and each kind's value comparison from
-``unitformat``. A whole text is proved the same way, by one ``fullmatch``
-of its lines and the same scans, and its ids by one more; only a text that
-fails is read line by line, to raise its first fault. A proved line is
-sliced: its basic string lies between its first ``;`` and its connect list,
-which follows its last ``:``. Its spec is ``unitformat.proved_spec`` of that
-basic string, which the spec keeps and reads its values from on first use,
-and its ``UnitLine`` keeps the line as its text. A rendered or parsed
-``Description`` holds its text alone until its lines are read; neither
-vectorizer reads them. A refused line's first fault is worded by
-``_refuse``: a value its shape's pattern refuses by that shape's one
-template, "<key> must be <says>, got <value>"; descending connect targets
-and unsorted MF values by their own message; and the rest (pool channels, a
-``Null`` among MF values) by the public spec class.
+``unitformat`` on the texts of its keys. A whole text is proved the same
+way, by one ``fullmatch`` of its lines and the same scans, and its ids by
+one more; only a text that fails is read line by line, to raise its first
+fault. A proved line is sliced: its basic string lies between its first
+``;`` and its connect list, which follows its last ``:``. Its spec is
+``unitformat.proved_spec`` of that basic string, which the spec keeps and
+reads its values from on first use; its ``UnitLine`` keeps the line as its
+text, with its kind and connect list. A rendered or parsed ``Description``
+holds its text alone until its lines are read; neither vectorizer reads
+them. A refused line's first fault is worded by ``_refuse``: a value its
+shape's pattern refuses by that shape's one template, "<key> must be
+<says>, got <value>"; descending connect targets and unsorted MF values by
+their own message; and the rest (pool channels, a ``Null`` among MF values)
+by the public spec class.
 
 ``parse_description`` builds its graph from what the grammar proved: each
 name "n<k>" is made once, a target is a name by its id, and the
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import starmap
 from operator import lt
 
 from .canonical import DEFAULT_MAX_PATHS, CanonicalOrder, _ordered, assign_positions
@@ -114,9 +116,8 @@ def _not_well_formed(line: UnitLine) -> MalformedLineError:
 
 def _proved_line(id: int, text: str) -> UnitLine:
     """The unit of a proved line ``text`` as ``id``, built without the ``UnitLine`` constructor."""
-    kind, _, connect = _sliced(text)
     line = object.__new__(UnitLine)
-    line.__dict__.update(unit_kind=kind, id=id, connect_to=connect, text=text)
+    line.__dict__.update(unit_kind=_line_kind(text), id=id, connect_to=_targets(text), text=text)
     return line
 
 
@@ -210,16 +211,16 @@ _WHOLE = re.compile(f"{_LINE}(?:\n{_LINE})*").fullmatch  # the LF-joined lines o
 # spell: later ids, lists of two or more targets, pool sizes, MF value lists
 _LATER_IDS = re.compile("\nid:([0-9]+)").findall
 _TARGET_LISTS = re.compile("connect_to:([0-9]+-[-0-9]+)").findall
-_POOL_SIZES = re.compile("type:([^;]*);in_size:([^;]*);out_size:([^;]*)").findall
+_POOL_SIZES = re.compile("type:[^;]*;in_size:([^;]*);out_size:([^;]*)").findall
 _VALUE_LISTS = re.compile("value:([^;]*-[^;]*)").findall
 
 
 def _agrees(text: str) -> bool:
     """Whether the proved lines of ``text`` have strictly ascending targets and values that
-    pass their kind's comparison from ``unitformat``, which reads MF values fourth."""
+    pass their kind's comparison from ``unitformat``, given the texts of its keys."""
     return (all(all(map(lt, c, c[1:])) for c in map(_read_ints, _TARGET_LISTS(text)))
-            and all(map(_AGREE[KIND_POOL], _POOL_SIZES(text)))
-            and all(_AGREE[KIND_MF](("", "", "", v)) for v in _VALUE_LISTS(text)))
+            and all(starmap(_AGREE[KIND_POOL][1], _POOL_SIZES(text)))
+            and all(map(_AGREE[KIND_MF][1], _VALUE_LISTS(text))))
 
 
 def _split(line: str) -> list[tuple[str, str, str]]:
@@ -239,20 +240,18 @@ def _line_kind(line: str) -> str:  # of a proved line
     return KIND_FULL
 
 
-def _sliced(line: str):
-    """A proved line's kind, basic string and connect list; no value holds ";" or ":"."""
-    head, _, targets = line.rpartition(";connect_to:")
+def _targets(line: str) -> tuple[int, ...] | None:
+    """A proved line's connect list, which follows its last ":"; None for the sink's "Null"."""
+    targets = line[line.rindex(":") + 1:]
     if "-" in targets:
-        connect = _read_ints(targets)
-    else:
-        connect = None if targets == "Null" else (int(targets),)
-    return _line_kind(line), head[head.index(";") + 1:], connect
+        return _read_ints(targets)
+    return None if targets == "Null" else (int(targets),)  # most lines: one target, no split
 
 
 def _entry(uid: int, line: str) -> tuple:
-    """The proved ``line``'s (id, spec, connect_to) as id ``uid``."""
-    kind, basic, connect = _sliced(line)
-    return uid, proved_spec(UNIT_FIELDS[kind][0], basic), connect
+    """The proved ``line``'s (id, spec, connect_to) as id ``uid``; no value holds ";" or ":"."""
+    basic = line[line.index(";") + 1:line.rindex(";connect_to:")]
+    return uid, proved_spec(UNIT_FIELDS[_line_kind(line)][0], basic), _targets(line)
 
 
 def _classify(parts, keys, line: str) -> str:

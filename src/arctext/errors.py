@@ -141,9 +141,9 @@ class IoError(ArcTextError):
 
 
 def read_text(path, undecodable: type[ArcTextError]) -> str:
-    """A file's UTF-8 text; bytes that do not decode raise ``undecodable``."""
+    """A file's UTF-8 text, newlines untranslated; undecodable bytes raise ``undecodable``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

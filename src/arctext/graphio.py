@@ -55,7 +55,9 @@ def _reader(kind: str, record_keys: frozenset[str]):
     cls, fields = UNIT_FIELDS[kind]
     kept = list(enumerate(f for f in fields if f.attr in record_keys))
     texts = "".join(f"t{i}, " for i, _ in kept)
-    agree = f" or not agree(({texts}))" if kind in _AGREE else ""
+    keys, compare = _AGREE.get(kind, ((), None))
+    compared = ", ".join(f"t{i}" for key in keys for i, f in kept if f.key == key)
+    agree = f" or not agree({compared})" if compare else ""
     source = "\n".join([
         "def read(record):",
         *[f"    x{i} = record[{f.attr!r}]" for i, f in kept],
@@ -70,7 +72,7 @@ def _reader(kind: str, record_keys: frozenset[str]):
         "    return proved_spec(cls, text[1:])",
     ])
     namespace = {"cls": cls, "proves": re.compile(_kind_pattern([f for _, f in kept])).fullmatch,
-                 "agree": _AGREE.get(kind), "proved_spec": proved_spec}
+                 "agree": compare, "proved_spec": proved_spec}
     exec(compile(source, f"<graph-file reader: {kind}, {len(kept)} fields>", "exec"), namespace)
     return namespace["read"]
 

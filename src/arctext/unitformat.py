@@ -439,18 +439,19 @@ def _pairs(parts) -> tuple[tuple[str, str], ...]:  # rendered "key:value" parts;
     return tuple([part.partition(":")[::2] for part in parts])
 
 
-# The value comparisons no pattern makes, on a kind's field texts in table
-# order; spellings are canonical, so equal text is an equal value.
-def _pool_channels_agree(values) -> bool:  # type, in_size, out_size, ...
-    return values[1].rpartition("-")[2] == values[2].rpartition("-")[2]
+# The value comparisons no pattern makes, each on the texts of its ``_AGREE``
+# keys, in order; spellings are canonical, so equal text is an equal value.
+def _pool_channels_agree(in_size: str, out_size: str) -> bool:
+    return in_size.rpartition("-")[2] == out_size.rpartition("-")[2]
 
 
-def _mf_values_agree(values) -> bool:  # name, in_size, out_size, value
-    tokens = values[3].split("-")
-    return values[3] == "Null" or ("Null" not in tokens and tokens == sorted(tokens))
+def _mf_values_agree(value: str) -> bool:
+    tokens = value.split("-")
+    return value == "Null" or ("Null" not in tokens and tokens == sorted(tokens))
 
 
-_AGREE = {KIND_POOL: _pool_channels_agree, KIND_MF: _mf_values_agree}
+_AGREE = {KIND_POOL: (("in_size", "out_size"), _pool_channels_agree),
+          KIND_MF: (("value",), _mf_values_agree)}
 
 
 # each kind's (key, attr, write, read) per field, in line order

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import arctext
-from arctext import Vocabulary, cli, codec
+from arctext import ArcTextError, Vocabulary, cli, codec, parse_description, tokenize
 from arctext.cli import main
 
 from conftest import FIXTURES
@@ -173,6 +173,39 @@ class TestDigest:
         bad.write_bytes(b"\xff\xfe{}")
         assert main([command, "-i", str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"error[Encoding]: cannot read {bad}: ")
+
+
+class TestTextIsReadByteForByte:
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    @pytest.mark.parametrize("command", ["validate", "digest", "parse", "vectorize"])
+    def test_cr_line_ends_are_refused_as_the_library_refuses_them(self, capsys, tmp_path,
+                                                                  command, newline):
+        data = (FIXTURES / "resnet4.arctext").read_bytes().replace(b"\n", newline)
+        path = tmp_path / "resnet4.txt"
+        path.write_bytes(data)
+        with pytest.raises(ArcTextError) as err:
+            parse_description(data.decode("utf-8"))
+        assert main([command, "-i", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[{err.value.code}]: {err.value}\n"
+
+    def test_digest_is_the_sha224_of_the_file_bytes(self, capsys):
+        path = FIXTURES / "resnet4.arctext"
+        assert main(["digest", "-i", str(path)]) == 0
+        assert capsys.readouterr().out == hashlib.sha224(path.read_bytes()).hexdigest() + "\n"
+
+    def test_json_inputs_with_crlf_line_ends_still_load(self, capsys, tmp_path, resnet4_text):
+        graph_file = tmp_path / "resnet4.json"
+        graph_file.write_bytes(Path(RESNET_JSON).read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["canonicalize", "-i", str(graph_file)]) == 0
+        assert capsys.readouterr().out == resnet4_text
+        vocab = Vocabulary.default()
+        tokenize(codec.description_from_text(resnet4_text), vocab)
+        vocab_file = tmp_path / "vocab.json"
+        vocab_file.write_bytes(vocab.to_json().encode("utf-8").replace(b"\n", b"\r\n"))
+        assert b"\r\n" in vocab_file.read_bytes()
+        assert Vocabulary.load(vocab_file).to_json() == vocab.to_json()
 
 
 class TestDiff:

@@ -1014,8 +1014,9 @@ def reference_parse_line(line: str, lineno: int = 1):
             break
     values = groups[start:stop]
     connect = None if groups[-1] == "Null" else tuple(map(int, groups[-1].split("-")))
+    texts = dict(zip(keys, values))
     if connect and any(a >= b for a, b in zip(connect, connect[1:])) or (
-            agree and not agree(values)):
+            agree and not agree[1](*map(texts.get, agree[0]))):
         codec._refuse(line, lineno)
     uid = int(groups[0])
     # the public class, every check run, from the values the shapes read
