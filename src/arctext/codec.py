@@ -30,11 +30,11 @@ their own message; and the rest (pool channels, a ``Null`` among MF values)
 by the public spec class.
 
 ``parse_description`` builds its graph from what the grammar proved: each
-name "n<k>" is made once, a target is a name by its id, and the
-``ArchGraph`` constructor gets distinct edges. Only the faults no line
-shows are checked: the sink, dangling targets, self-loops and (in the
-constructor) cycles, in that order, which is the order ``build_graph``
-would report them in.
+name "n<k>" is made once and a target is a name by its id. Its edges go to
+the ``ArchGraph`` constructor, which builds the edge set and neighbour
+tuples and refuses a repeated edge, as for ``build_graph``. Only the faults
+no line shows are checked: the sink, dangling targets, self-loops and (in
+the constructor) cycles, in the order ``build_graph`` reports them.
 """
 
 from __future__ import annotations
@@ -371,10 +371,11 @@ def _build(entries) -> tuple[ArchGraph, CanonicalOrder]:
     """The graph and numbering of proved entries, after the checks no line can make.
 
     The grammar has proved each line's spec and its targets (integers >= 1,
-    strictly ascending, so no line repeats an edge), and the ids run 1..n,
-    so each name "n<k>" is made once and a target is a name by its index.
-    Left to check, in this order: one sink and it is the last id, no target
-    beyond n, no line connecting to itself, and (in the constructor) no cycle.
+    strictly ascending, so no line repeats an edge) and the ids run 1..n, so
+    a target is a name "n<k>" by its index. Checked here, in order: one sink,
+    the last id; no target beyond n; no self-loop. The ``(name, target)``
+    edges go to the ``ArchGraph`` constructor, which builds the edge set and
+    neighbour tuples and finds a cycle.
     """
     n = len(entries)
     sinks = [entry[0] for entry in entries if entry[2] is None]
@@ -400,22 +401,14 @@ def _build(entries) -> tuple[ArchGraph, CanonicalOrder]:
     names = tuple([f"n{k}" for k in range(1, n + 1)])
     name_of = ("",) + names  # by id
     edges: list[tuple[str, str]] = []
-    succ: dict[str, tuple[str, ...]] = {}
-    pred: dict[str, list[str]] = {name: [] for name in names}
-    for name, entry in zip(names, entries):
-        uid, targets = entry[0], entry[2]
+    for name, (uid, _, targets) in zip(names, entries):
         if targets is None:
-            succ[name] = ()
             continue
         if targets[0] <= uid and uid in targets:  # only a target up to its own id can be it
             raise SelfLoopError(f"self-loop on node {name!r}", subject=(name, name))
-        heads = succ[name] = tuple(map(name_of.__getitem__, targets))
-        for head in heads:
-            edges.append((name, head))
-            pred[head].append(name)
+        edges += [(name, name_of[t]) for t in targets]
     nodes = dict(zip(names, [entry[1] for entry in entries]))
-    graph = ArchGraph(nodes, tuple(edges), frozenset(edges), succ,
-                      {k: tuple(v) for k, v in pred.items()})  # a cycle surfaces here
+    graph = ArchGraph(nodes, tuple(edges))  # a cycle surfaces here
     return graph, _ordered(dict(zip(names, range(1, n + 1))), names)
 
 

@@ -147,13 +147,11 @@ def parse_graph_json(text: str) -> ArchGraph:
         raise SchemaError('"nodes" and "edges" must be arrays')
 
     nodes = [_record_to_spec(rec, i) for i, rec in enumerate(doc["nodes"])]
-    edges = []
     for i, pair in enumerate(doc["edges"]):
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise SchemaError(f"edge #{i} must be a [from, to] pair of names")
-        edges.append((pair[0], pair[1]))
-    return build_graph(nodes, edges)
+    return build_graph(nodes, doc["edges"])  # which makes the checked pairs its edges
 
 
 def load_graph_file(path) -> ArchGraph:

@@ -9,10 +9,10 @@ are transport-only handles: they make graphs convenient to build and debug
 but never appear in rendered text.
 
 ``build_graph`` checks what it is given, node by node and edge by edge, and
-hands the checked nodes, edges, edge set and neighbour tuples to the
-``ArchGraph`` constructor, which finds the topological order (or a cycle).
-The text parser hands the constructor what its grammar has already proved,
-and checks only what no line can show.
+hands the checked nodes and edges to the ``ArchGraph`` constructor, which
+builds the edge set (refusing a repeated edge), the neighbour tuples and
+the topological order (or finds a cycle). The text parser hands it the
+edges its grammar has proved, and checks only what no line can show.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class Diagnostics:
 class ArchGraph:
     """An immutable architecture DAG.
 
-    Use :func:`build_graph`; the constructor assumes checked inputs (distinct
-    edges; ``succ`` and ``pred`` as neighbour tuples in edge order), keeps
-    the edge set it is given and finds the topological order, raising
+    Use :func:`build_graph`; the constructor assumes checked nodes and edges.
+    It builds the edge set, raising DuplicateEdgeError on a repeated edge, the
+    neighbour tuples in edge order and the topological order, raising
     CycleDetectedError on a cycle.
 
     Equality compares the name->spec mapping and the edge *set*; insertion
@@ -82,20 +82,20 @@ class ArchGraph:
 
     __slots__ = ("nodes", "edges", "_edge_set", "_succ", "_pred", "_topo")
 
-    def __init__(
-        self,
-        nodes: dict[str, NodeSpec],
-        edges: tuple[tuple[str, str], ...],
-        edge_set: frozenset[tuple[str, str]],
-        succ: dict[str, tuple[str, ...]],
-        pred: dict[str, tuple[str, ...]],
-    ):
+    def __init__(self, nodes: dict[str, NodeSpec], edges: tuple[tuple[str, str], ...]):
         self.nodes = nodes
         self.edges = edges
-        self._edge_set = edge_set
-        self._succ = succ
-        self._pred = pred
-        self._topo = _topological_order(nodes, succ, pred)
+        self._edge_set = frozenset(edges)
+        if len(self._edge_set) < len(edges):
+            raise _first_repeat(edges)
+        succ: dict[str, list[str]] = {name: [] for name in nodes}
+        pred: dict[str, list[str]] = {name: [] for name in nodes}
+        for src, dst in edges:
+            succ[src].append(dst)
+            pred[dst].append(src)
+        self._succ = {k: tuple(v) for k, v in succ.items()}
+        self._pred = {k: tuple(v) for k, v in pred.items()}
+        self._topo = _topological_order(nodes, self._succ, self._pred)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -166,11 +166,9 @@ def build_graph(
             )
         node_map[name] = spec
 
-    # a repeated edge is found by the one edge set, after the loop; one that
-    # comes before another edge's fault is reported first
+    # a repeated edge is found by the constructor's edge set, after the loop;
+    # one that comes before another edge's fault is reported first
     edge_list: list[tuple[str, str]] = []
-    succ: dict[str, list[str]] = {name: [] for name in node_map}
-    pred: dict[str, list[str]] = {name: [] for name in node_map}
     for edge in edges:
         try:
             src, dst = edge
@@ -180,17 +178,10 @@ def build_graph(
         if not known or src == dst:
             raise _first_repeat(edge_list) or _edge_fault(edge, node_map)
         edge_list.append((src, dst))
-        succ[src].append(dst)
-        pred[dst].append(src)
-    edge_set = frozenset(edge_list)
-    if len(edge_set) < len(edge_list):
-        raise _first_repeat(edge_list)
-    return ArchGraph(node_map, tuple(edge_list), edge_set,
-                     {k: tuple(v) for k, v in succ.items()},
-                     {k: tuple(v) for k, v in pred.items()})
+    return ArchGraph(node_map, tuple(edge_list))
 
 
-def _first_repeat(edges: list[tuple[str, str]]) -> DuplicateEdgeError | None:
+def _first_repeat(edges: Iterable[tuple[str, str]]) -> DuplicateEdgeError | None:
     seen: set[tuple[str, str]] = set()
     for src, dst in edges:
         if (src, dst) in seen:

@@ -356,3 +356,82 @@ def fan_graph(k: int = 250) -> ArchGraph:
     nodes = [("src", relu)] + [(name, relu) for name in branches] + [("sink", bn)]
     edges = [("src", name) for name in branches] + [(name, "sink") for name in branches]
     return build_graph(nodes, edges)
+
+
+def _bottleneck_net(mids: tuple[int, ...], cardinality: int, stride_on_3x3: bool) -> ArchGraph:
+    """The 50-layer bottleneck network of ResNet (arXiv:1512.03385, Table 1) on 224x224x3.
+
+    A 7x7 stem, a 3x3 max pool, then stages of 3, 4, 6 and 3 blocks at
+    extents 56, 28, 14 and 7 with 256, 512, 1,024 and 2,048 output channels,
+    a 7x7 average pool and a 1,000-way full layer. In each block,
+    ``cardinality`` branches of 1x1 -> 3x3 -> 1x1 convs, the first two
+    ``mids[stage]`` channels wide, are summed with the shortcut in one
+    Addition and a ReLU. Each conv has a BN, and each but a branch's last a
+    ReLU. Each stage's first block has a projection shortcut (a 1x1 conv and
+    its BN), and from the second stage on it halves the extent by stride 2
+    in its 1x1 convs, or in its 3x3 conv if ``stride_on_3x3``.
+    """
+    nodes: list = []
+    edges: list = []
+
+    def add(name: str, spec, *inputs: str) -> str:
+        nodes.append((name, spec))
+        edges.extend((src, name) for src in inputs)
+        return name
+
+    def unit(name: str, inputs: tuple, in_shape, out_shape, kernel: int, stride: int,
+             relu: bool = True) -> str:
+        """A conv, its BN and, if ``relu``, a ReLU; the name of the last."""
+        pad = ((0, kernel // 2),) * 4
+        last = add(name, ConvSpec(in_shape, out_shape, (kernel, kernel), (stride, stride), pad),
+                   *inputs)
+        last = add(f"{name}_bn", MFSpec("BN", out_shape, out_shape), last)
+        return add(f"{name}_relu", MFSpec("ReLU", out_shape, out_shape), last) if relu else last
+
+    stem = unit("conv1", (), (224, 224, 3), (112, 112, 64), 7, 2)
+    shape = (56, 56, 64)
+    prev = add("pool1", PoolSpec("Max", (112, 112, 64), shape, (3, 3), (2, 2), (1, 1, 1, 1)), stem)
+    for stage, (blocks, mid, width) in enumerate(
+            zip((3, 4, 6, 3), mids, (256, 512, 1024, 2048)), start=2):
+        for block in range(1, blocks + 1):
+            stride = 2 if block == 1 and stage > 2 else 1
+            first, second = (1, stride) if stride_on_3x3 else (stride, 1)
+            extent, inner = shape[0] // stride, shape[0] // first
+            out_shape = (extent, extent, width)
+            name = f"conv{stage}_{block}"
+            ends = []
+            for branch in range(cardinality):
+                b = name if cardinality == 1 else f"{name}_{branch}"
+                a = unit(f"{b}a", (prev,), shape, (inner, inner, mid), 1, first)
+                m = unit(f"{b}b", (a,), (inner, inner, mid), (extent, extent, mid), 3, second)
+                ends.append(unit(f"{b}c", (m,), (extent, extent, mid), out_shape, 1, 1, relu=False))
+            if block == 1:
+                ends.append(unit(f"{name}_proj", (prev,), shape, out_shape, 1, stride, relu=False))
+            else:
+                ends.append(prev)
+            merged = add(f"{name}_add", MFSpec("Addition", out_shape, out_shape), *ends)
+            prev = add(f"{name}_relu", MFSpec("ReLU", out_shape, out_shape), merged)
+            shape = out_shape
+    pooled = add("pool5", PoolSpec("Avg", shape, (1, 1, 2048), (7, 7), (1, 1)), prev)
+    add("fc", FullSpec(2048, 1000, "Softmax"), pooled)
+    return build_graph(nodes, edges)
+
+
+def resnet50() -> ArchGraph:
+    """ResNet-50 (He et al., arXiv:1512.03385, Table 1): 174 nodes.
+
+    Bottleneck stages of 3, 4, 6 and 3 blocks, 64, 128, 256 and 512
+    channels wide; as in the paper's model, each stage from conv3 on
+    downsamples by stride 2 in its first block's 1x1 convs.
+    """
+    return _bottleneck_net((64, 128, 256, 512), 1, stride_on_3x3=False)
+
+
+def resnext50() -> ArchGraph:
+    """ResNeXt-50 32x4d (Xie et al., arXiv:1611.05431) in its split-branch form.
+
+    The stages of ``resnet50``, each block 32 branches of 1x1 -> 3x3 -> 1x1
+    convs, 4, 8, 16 and 32 channels wide, summed with the shortcut in one
+    Addition; as in the paper, downsampling is by stride 2 in the 3x3 convs.
+    """
+    return _bottleneck_net((4, 8, 16, 32), 32, stride_on_3x3=True)

@@ -20,6 +20,7 @@ from arctext import (
     SelfLoopError,
     UnknownEdgeEndpointError,
     build_graph,
+    parse_description,
     render_description,
     validate_graph,
 )
@@ -279,6 +280,52 @@ class TestBuildGraph:
         assert a != b
         c = build_graph([("n0", mf()), ("n1", mf())], [])
         assert a != c
+
+
+def _edge_shuffled(g: ArchGraph, rng: random.Random) -> ArchGraph:
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    return build_graph([(name, g.spec(name)) for name in g.names()], edges)
+
+
+class TestConstructor:
+    """``ArchGraph(nodes, edges)`` assembles the edge set, neighbour tuples and order."""
+
+    def test_neighbours_follow_edge_order_and_the_edge_set_is_the_edges(self):
+        rng, shuffle = random.Random(1003), random.Random(30)  # the C03 corpus
+        graphs = [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3)
+                  for _ in range(1000)] + gen.cells()
+        checked = 0
+        for g in graphs:
+            g = _edge_shuffled(g, shuffle)
+            for graph in (g, parse_description(render_description(g).text)[0]):
+                succ = {name: [] for name in graph.names()}
+                pred = {name: [] for name in graph.names()}
+                for src, dst in graph.edges:
+                    succ[src].append(dst)
+                    pred[dst].append(src)
+                for name in graph.names():
+                    assert graph.successors(name) == tuple(succ[name])
+                    assert graph.predecessors(name) == tuple(pred[name])
+                assert graph.edge_set() == frozenset(graph.edges)
+                checked += 1
+        assert checked == 6000
+
+    def test_a_repeated_edge_is_refused_as_its_first_repeat(self):
+        nodes = {"a": mf(), "b": mf(), "c": mf()}
+        edges = (("a", "b"), ("b", "c"), ("a", "c"), ("b", "c"), ("a", "b"))
+        with pytest.raises(DuplicateEdgeError) as info:
+            ArchGraph(nodes, edges)
+        assert info.value.subject == ("b", "c")
+        assert str(info.value) == "duplicate edge ('b' -> 'c')"
+
+    def test_a_repeated_edge_is_reported_before_a_cycle(self):
+        nodes = [("a", mf()), ("b", mf()), ("c", mf())]
+        with pytest.raises(DuplicateEdgeError) as info:
+            build_graph(nodes, [("a", "b"), ("b", "c"), ("c", "b"), ("a", "b")])
+        assert info.value.subject == ("a", "b")
+        with pytest.raises(CycleDetectedError):
+            ArchGraph(dict(nodes), (("a", "b"), ("b", "c"), ("c", "b")))
 
 
 class TestValidateGraph:
