@@ -21,6 +21,7 @@ from .codec import (
     description_from_text,
     parse_description,
     parse_line,
+    read_description,
     render_description,
     render_unit,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "assign_positions", "basic_string", "kind_of",
     "UnitLine", "Description", "render_unit", "render_description",
     "classify_line", "parse_line", "parse_description", "description_from_text",
+    "read_description",
     "conv_output_extent", "pool_output_extent", "lint_shapes",
     "ShapeReport", "ShapeEntry",
     "load_graph_file", "save_graph_file", "parse_graph_json", "graph_to_json",

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .canonical import DEFAULT_MAX_PATHS, assign_positions
-from .codec import _parse_text, parse_description, render_description
+from .codec import parse_description, read_description, render_description
 from .errors import ArcTextError, read_text
 from .graphio import (
     diff_descriptions,
@@ -163,15 +163,15 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_digest(args) -> int:
-    _, _, desc = _parse_text(_read(args.input))  # digest covers exact bytes
+    _, _, desc = read_description(_read(args.input))  # digest covers exact bytes
     print(hashlib.sha224(desc.text.encode("utf-8")).hexdigest())
     return 0
 
 
 def _cmd_diff(args) -> int:
     left_text, right_text = _read(args.left), _read(args.right)
-    _, _, left = _parse_text(left_text)
-    _, _, right = _parse_text(right_text)
+    _, _, left = read_description(left_text)
+    _, _, right = read_description(right_text)
     diff = diff_descriptions(left, right)
     for uid in diff.left_only:
         _say(args, f"- id {uid} only in {args.left}")
@@ -194,7 +194,7 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_vectorize(args) -> int:
-    _, _, desc = _parse_text(_read(args.input))
+    _, _, desc = read_description(_read(args.input))
     if args.vocab:  # the vectors do not depend on a vocabulary
         exists = os.path.exists(args.vocab)
         vocab = Vocabulary.load(args.vocab) if exists else Vocabulary.default()

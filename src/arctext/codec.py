@@ -29,12 +29,15 @@ shape's pattern refuses by that shape's one template, "<key> must be
 their own message; and the rest (pool channels, a ``Null`` among MF values)
 by the public spec class.
 
-``parse_description`` builds its graph from what the grammar proved: each
-name "n<k>" is made once and a target is a name by its id. Its edges go to
-the ``ArchGraph`` constructor, which builds the edge set and neighbour
-tuples and refuses a repeated edge, as for ``build_graph``. Only the faults
-no line shows are checked: the sink, dangling targets, self-loops and (in
-the constructor) cycles, in the order ``build_graph`` reports them.
+A text has three readers, each proving it once: ``description_from_text``
+keeps it as a ``Description``, ``parse_description`` builds its graph and
+numbering, and ``read_description`` gives all three. The graph is built from
+what the grammar proved: each name "n<k>" is made once and a target is a
+name by its id. Its edges go to the ``ArchGraph`` constructor, which builds
+the edge set and neighbour tuples and refuses a repeated edge, as for
+``build_graph``. Only the faults no line shows are checked: the sink,
+dangling targets, self-loops and (in the constructor) cycles, in the order
+``build_graph`` reports them.
 """
 
 from __future__ import annotations
@@ -146,19 +149,14 @@ class Description:
 
 def render_unit(spec: NodeSpec, id: int, connect_to) -> UnitLine:
     _check_int(id, "id")
-    targets: tuple[int, ...] | None
-    if connect_to is None:
-        targets = None
-    else:
-        targets = tuple(connect_to)
-        for t in targets:
-            _check_int(t, "connect_to entry")
-        if any(a >= b for a, b in zip(targets, targets[1:])):
-            raise InvalidSpecError(f"connect_to must be strictly ascending, got {targets}")
-        if not targets:
-            targets = None  # outdegree 0 is the sink
+    targets = () if connect_to is None else tuple(connect_to)
+    for t in targets:
+        _check_int(t, "connect_to entry")
+    if any(a >= b for a, b in zip(targets, targets[1:])):
+        raise InvalidSpecError(f"connect_to must be strictly ascending, got {targets}")
+    connect = _connect_text(targets or None)  # outdegree 0 is the sink
     # proved: a checked spec, id and targets
-    return _proved_line(id, f"id:{id};{basic_string(spec)};connect_to:{_connect_text(targets)}")
+    return _proved_line(id, f"id:{id};{basic_string(spec)};connect_to:{connect}")
 
 
 def render_description(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Description:
@@ -315,9 +313,14 @@ def _refuse(line: str, lineno: int):
     _fail(lineno, "line passes every field's pattern but not the grammar")
 
 
+def _proves(line: str) -> bool:
+    """Whether ``line`` is one line, which one match and the value checks accept."""
+    return "\n" not in line and _WHOLE(line) is not None and _agrees(line)
+
+
 def parse_line(line: str, lineno: int = 1):
     """Parse one line into (id, spec, connect_to); strict on everything."""
-    if "\n" in line or not (_WHOLE(line) and _agrees(line)):  # a text of this one line
+    if not _proves(line):
         _refuse(line, lineno)
     return _entry(int(line[3:line.index(";")]), line)  # the id follows "id:", up to the first ";"
 
@@ -433,7 +436,7 @@ def description_from_text(text: str) -> Description:
     return _held(_proved(text))
 
 
-def _parse_text(text: str) -> tuple[ArchGraph, CanonicalOrder, Description]:
+def read_description(text: str) -> tuple[ArchGraph, CanonicalOrder, Description]:
     """``parse_description`` and ``description_from_text`` of ``text``, proved once."""
     body = _proved(text)
     return (*_build(_entries(body)), _held(body))

@@ -5,14 +5,15 @@ The graph file is strict JSON: top-level "nodes" (ordered records) and
 fields of its kind, named after the NodeSpec dataclass fields; unknown or missing
 keys are errors. Strictness keeps fixtures stable and makes the format
 auto-detectable from ArcText by the first byte ("{" vs "i"). A record with
-exactly its kind's keys, or exactly its required ones, is read by one
-straight-line reader per kind and key set, generated at import from
-``UNIT_FIELDS``: it runs each field's spelling statements inline, in line
-order, and joins the texts under their keys. If the kind's line pattern and
-value comparison (both from :mod:`arctext.unitformat`) accept the joined
-text, it is the spec's basic string, and ``unitformat.proved_spec`` builds
-the spec from the class and that string alone. Any other record, and any
-record whose text they refuse, goes to the spec class, which words the error.
+as many keys as its kind has, or as it requires, is read by one
+straight-line reader per kind and key count, generated at import from
+``UNIT_FIELDS``. The reader proves the record's keys by reading them. It
+runs each field's spelling statements inline, in line order, and joins the
+texts under their keys. If the kind's line pattern and value comparison
+(both from :mod:`arctext.unitformat`) accept the joined text, it is the
+spec's basic string, and ``unitformat.proved_spec`` builds the spec from the
+class and that string alone. Any other record, one lacking a key or whose
+text they refuse, goes to the spec class, which words the error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ _REQUIRED = {kind: frozenset({"name", "kind"} | {f.attr for f in fields if not f
 
 
 def _reader(kind: str, record_keys: frozenset[str]):
-    """The reader of a record with exactly ``record_keys``, generated from the kind's fields.
+    """The reader of a record with ``record_keys``, generated from the kind's fields.
 
     Its source holds only table constants: keys and attributes as literals,
     each shape's spelling statements, and synthetic local names (``x``: a
@@ -60,11 +61,11 @@ def _reader(kind: str, record_keys: frozenset[str]):
     agree = f" or not agree({compared})" if compare else ""
     source = "\n".join([
         "def read(record):",
-        *[f"    x{i} = record[{f.attr!r}]" for i, f in kept],
         "    try:",
+        *[f"        x{i} = record[{f.attr!r}]" for i, f in kept],
         *[f"        {line}" for i, f in kept
           for line in f.shape.spell.format(x=f"x{i}", t=f"t{i}").splitlines()],
-        "    except (TypeError, ValueError):  # a sequence of the wrong length, or a bad element",
+        "    except (KeyError, TypeError, ValueError):  # a key it lacks, a bad length or element",
         "        return None",
         f"    text = {''.join(f';{f.key}:%s' for _, f in kept)!r} % ({texts})",
         f"    if proves(text) is None{agree}:",
@@ -77,25 +78,23 @@ def _reader(kind: str, record_keys: frozenset[str]):
     return namespace["read"]
 
 
-# per kind, by the number of keys in a record: (those keys, their reader), for
-# every field or the required ones
-_READERS = {kind: {len(keys): (keys, _reader(kind, keys))
-                   for keys in {_ALLOWED[kind], _REQUIRED[kind]}}
+# per kind, by the number of keys in a record: the reader of every field or
+# of the required ones
+_READERS = {kind: {len(keys): _reader(kind, keys) for keys in {_ALLOWED[kind], _REQUIRED[kind]}}
             for kind in UNIT_FIELDS}
 
 
 def _loaded_spec(record: dict, kind: str) -> NodeSpec | None:
     """The spec of a record the line grammar proves, or None to leave it to the class.
 
-    The record's reader spells every field inline and proves the joined text
-    by the kind's line pattern and value comparison. No field pattern takes
-    a ";", so each field's text is what its group matched, and the proved
-    text is the spec's basic string.
+    The reader of the record's key count reads each of its keys, so a record
+    it reads holds exactly those keys besides its name and kind. It spells
+    every field inline and proves the joined text by the kind's line pattern
+    and value comparison. No field pattern takes a ";", so each field's text
+    is what its group matched, and the proved text is the spec's basic string.
     """
-    entry = _READERS[kind].get(len(record))
-    if entry is None or record.keys() != entry[0]:
-        return None
-    return entry[1](record)
+    read = _READERS[kind].get(len(record))
+    return None if read is None else read(record)
 
 
 def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:

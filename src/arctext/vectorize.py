@@ -19,8 +19,8 @@ holding a longer one is matched by a second pattern with the same groups,
 and only those cells go through ``float()``. A parsed or rendered
 description's lines are read straight from its proved text, as the kind its
 keys tell, and so is a parsed or rendered line. A line built by hand is read
-through its own ``text`` once ``codec.parse_line`` reads that as a line of
-its kind; any other raises ``MalformedLineError`` naming its id.
+through its own ``text`` once the line grammar proves it a line of its kind;
+any other raises ``MalformedLineError`` naming its id.
 ``unit_vector`` is ``float()`` of the same cells.
 """
 
@@ -34,10 +34,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .codec import Description, UnitLine, _line_kind, _not_well_formed, parse_line
-from .errors import (
-    ArcTextError, IoError, SchemaError, UnknownTokenError, read_text,
-)
+from .codec import Description, UnitLine, _line_kind, _not_well_formed, _proves
+from .errors import IoError, SchemaError, UnknownTokenError, read_text
 from .unitformat import (
     _CONNECT, _COUNT, _FLAG, _INT, _PAD_PAIRS, _POOL_TYPE, _POS, _VALUES, UNIT_FIELDS,
     _read_values,
@@ -333,17 +331,13 @@ _PLANS = {kind: _plan(kind, fields) for kind, (_, fields) in UNIT_FIELDS.items()
 
 
 def _proved_text(line: UnitLine) -> str:
-    """A parsed or rendered line's text; a built one's once the grammar reads it as its kind."""
+    """A parsed or rendered line's text; a built one's once the grammar proves it as its kind."""
     text = line.__dict__.get("text")
     if text is not None:
         return text
     text = line.text  # MalformedLineError: fields that cannot be spelled
-    try:
-        parse_line(text)
-        if _line_kind(text) == line.unit_kind:
-            return text
-    except ArcTextError:
-        pass
+    if _proves(text) and _line_kind(text) == line.unit_kind:
+        return text
     raise _not_well_formed(line)
 
 

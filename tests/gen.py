@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator
 
 from arctext import ArchGraph, ConvSpec, FullSpec, MFSpec, PoolSpec, build_graph
 
@@ -243,26 +244,44 @@ def resnext_graph(blocks: int = 2, branches: int = 4) -> ArchGraph:
 TWO_MF_SPECS = (MFSpec("ReLU", (8, 8, 4), (8, 8, 4)), MFSpec("BN", (8, 8, 4), (8, 8, 4)))
 
 
-def five_node_dags() -> list[ArchGraph]:
-    """Every 5-node DAG over two MF specs, each built in identity insertion order.
+def small_dag_edge_sets(n: int) -> list[list[tuple[int, int]]]:
+    """The edge sets of the ``n``-node DAGs on 0..n-1 with one source 0 and one sink n-1.
 
-    The nodes are d0..d4, every edge runs from a lower to a higher index, d0
-    is the one source and d4 the one sink (122 edge sets), and each node takes
-    either spec of ``TWO_MF_SPECS`` (32 labellings): 3,904 graphs, edge sets
-    by bit mask and labellings in ``itertools.product`` order. Some of them
-    render differently under other insertion orders (ROADMAP item 1).
+    Every edge runs from a lower to a higher index. The sets come in the
+    order of their bit masks over ``itertools.combinations(range(n), 2)``.
     """
-    names = [f"d{i}" for i in range(5)]
-    pairs = list(itertools.combinations(range(5), 2))
-    graphs = []
+    pairs = list(itertools.combinations(range(n), 2))
+    ends = set(range(1, n)), set(range(n - 1))  # every node but 0 has an input, but n-1 an output
+    edge_sets = []
     for mask in range(1 << len(pairs)):
         edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
-        if {b for _, b in edges} != {1, 2, 3, 4} or {a for a, _ in edges} != {0, 1, 2, 3}:
-            continue  # a second source or sink
-        for labels in itertools.product(TWO_MF_SPECS, repeat=5):
-            graphs.append(build_graph(list(zip(names, labels)),
-                                      [(names[a], names[b]) for a, b in edges]))
-    return graphs
+        if ({b for _, b in edges}, {a for a, _ in edges}) == ends:
+            edge_sets.append(edges)
+    return edge_sets
+
+
+def small_dags(n: int) -> Iterator[ArchGraph]:
+    """Every ``n``-node DAG over two MF specs, each built in identity insertion order.
+
+    The nodes are d0..d<n-1>, the edges one set of ``small_dag_edge_sets(n)``,
+    and each node takes either spec of ``TWO_MF_SPECS``: edge sets in their
+    order, and for each the 2**n labellings in ``itertools.product`` order.
+    Graph k has edge set ``k >> n`` and labelling ``k % 2**n``.
+    """
+    names = [f"d{i}" for i in range(n)]
+    for edges in small_dag_edge_sets(n):
+        pairs = [(names[a], names[b]) for a, b in edges]
+        for labels in itertools.product(TWO_MF_SPECS, repeat=n):
+            yield build_graph(list(zip(names, labels)), pairs)
+
+
+def five_node_dags() -> list[ArchGraph]:
+    """The 3,904 graphs of ``small_dags(5)``: 122 edge sets, each in 32 labellings.
+
+    Some of them render differently under other insertion orders (ROADMAP
+    item 1).
+    """
+    return list(small_dags(5))
 
 
 def two_spec_dags(count: int = 3000) -> list[ArchGraph]:
@@ -435,3 +454,74 @@ def resnext50() -> ArchGraph:
     Addition; as in the paper, downsampling is by stride 2 in the 3x3 convs.
     """
     return _bottleneck_net((4, 8, 16, 32), 32, stride_on_3x3=True)
+
+
+# GoogLeNet's inception modules (Szegedy et al., arXiv:1409.4842, Table 1): name, then
+# #1x1, #3x3 reduce, #3x3, #5x5 reduce, #5x5 and pool proj; a max pool precedes 4a and 5a
+_INCEPTIONS = (
+    ("3a", 64, 96, 128, 16, 32, 32), ("3b", 128, 128, 192, 32, 96, 64),
+    ("4a", 192, 96, 208, 16, 48, 64), ("4b", 160, 112, 224, 24, 64, 64),
+    ("4c", 128, 128, 256, 24, 64, 64), ("4d", 112, 144, 288, 32, 64, 64),
+    ("4e", 256, 160, 320, 32, 128, 128),
+    ("5a", 256, 160, 320, 32, 128, 128), ("5b", 384, 192, 384, 48, 128, 128),
+)
+
+
+def googlenet() -> ArchGraph:
+    """GoogLeNet (Szegedy et al., arXiv:1409.4842, Table 1) on 224x224x3: 139 nodes.
+
+    The stem (7x7/2 conv, 3x3/2 max pool, 1x1 and 3x3 convs, 3x3/2 max
+    pool), inception 3a-5b with a 3x3/2 max pool before 4a and 5a, a 7x7
+    average pool, 40% dropout and a 1,000-way full layer with its softmax.
+    Each inception has four branches: a 1x1 conv; a 1x1 reduce and a 3x3
+    conv; a 1x1 reduce and a 5x5 conv; a 3x3/1 max pool and a 1x1 conv;
+    one Concatenation merges them. Every conv has a bias and a ReLU.
+    Table 1 gives no local response normalization and no auxiliary
+    classifier (used only in training), so neither is here. Caffe rounds
+    pool outputs up; a stride-2 pool here pads one row and column at its
+    bottom and right instead, which gives the table's sizes.
+    """
+    nodes: list = []
+    edges: list = []
+
+    def add(name: str, spec, *inputs: str) -> str:
+        nodes.append((name, spec))
+        edges.extend((src, name) for src in inputs)
+        return name
+
+    def conv(name: str, in_shape, channels: int, kernel: int, *inputs: str, stride: int = 1):
+        """A conv and its ReLU; the name and shape of the ReLU."""
+        extent = in_shape[0] // stride
+        out_shape = (extent, extent, channels)
+        pad = ((0, kernel // 2),) * 4
+        add(name, ConvSpec(in_shape, out_shape, (kernel, kernel), (stride, stride), pad,
+                           bias_used=True), *inputs)
+        return add(f"{name}_relu", MFSpec("ReLU", out_shape, out_shape), name), out_shape
+
+    def max_pool(name: str, shape, source: str):
+        """A 3x3/2 max pool; its name and shape."""
+        out_shape = (shape[0] // 2, shape[1] // 2, shape[2])
+        return add(name, PoolSpec("Max", shape, out_shape, (3, 3), (2, 2), (0, 1, 0, 1)),
+                   source), out_shape
+
+    prev, shape = conv("conv1", (224, 224, 3), 64, 7, stride=2)
+    prev, shape = max_pool("pool1", shape, prev)
+    prev, shape = conv("conv2_reduce", shape, 64, 1, prev)
+    prev, shape = conv("conv2", shape, 192, 3, prev)
+    prev, shape = max_pool("pool2", shape, prev)
+    for name, c1, r3, c3, r5, c5, proj in _INCEPTIONS:
+        if name in ("4a", "5a"):
+            prev, shape = max_pool(f"pool_{name}", shape, prev)
+        ends = [conv(f"{name}_1x1", shape, c1, 1, prev)[0]]
+        for size, reduce, out in ((3, r3, c3), (5, r5, c5)):
+            reduced, inner = conv(f"{name}_{size}x{size}_reduce", shape, reduce, 1, prev)
+            ends.append(conv(f"{name}_{size}x{size}", inner, out, size, reduced)[0])
+        pooled = add(f"{name}_pool", PoolSpec("Max", shape, shape, (3, 3), (1, 1), (1, 1, 1, 1)),
+                     prev)
+        ends.append(conv(f"{name}_pool_proj", shape, proj, 1, pooled)[0])
+        shape = (shape[0], shape[1], c1 + c3 + c5 + proj)
+        prev = add(f"{name}_concat", MFSpec("Concatenation", shape, shape), *ends)
+    pooled = add("pool5", PoolSpec("Avg", shape, (1, 1, shape[2]), (7, 7), (1, 1)), prev)
+    dropped = add("dropout", MFSpec("Dropout", (1, 1, 1024), (1, 1, 1024), ("0.4",)), pooled)
+    add("fc", FullSpec(1024, 1000, "Softmax"), dropped)
+    return build_graph(nodes, edges)

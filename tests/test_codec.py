@@ -41,6 +41,7 @@ from arctext import (
     parse_description,
     parse_graph_json,
     parse_line,
+    read_description,
     render_description,
     render_unit,
     tokenize,
@@ -567,6 +568,26 @@ def test_grammar_agrees_with_the_field_checks(spec, uid, connect, rng):
             assert exc.subject == mutant
         else:
             assert parsed == _public_spec(mutant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_any_spec, uid=st.integers(1, 9), connect=_connects,
+       rng=st.randoms(use_true_random=False))
+def test_the_line_proof_accepts_what_parse_line_reads(spec, uid, connect, rng):
+    # _proves is the one proof of a line: parse_line refuses exactly the
+    # lines it rejects, a line joined to another by LF among them
+    rendered = render_unit(spec, uid, connect).text
+    assert not codec._proves(f"{rendered}\n{rendered}")
+    for mutant in [rendered, f"{rendered}\n", f"{rendered}\n{rendered}"] + [
+        _field_mutant(rendered, rng) if rng.random() < 0.8 else _mutate(rendered, rng)
+        for _ in range(30)
+    ]:
+        try:
+            parse_line(mutant)
+        except ArcTextError:
+            assert not codec._proves(mutant), mutant
+        else:
+            assert codec._proves(mutant), mutant
 
 
 def test_valid_lines_never_reach_the_field_checks(monkeypatch, resnet4_text, branching25_text):
@@ -1294,7 +1315,7 @@ def _description_outcome(d) -> tuple:
 
 def _reference_outcomes(text: str) -> list:
     """What the line reader gives for ``description_from_text``, ``parse_description``
-    and ``_parse_text``, each a result or the refusal's type, message and subject."""
+    and ``read_description``, each a result or the refusal's type, message and subject."""
     try:
         body, entries = reference_read_text(text)
     except ArcTextError as exc:
@@ -1312,7 +1333,7 @@ def _codec_outcomes(text: str) -> list:
         outcomes.append(_refusal(exc))
     outcomes.append(_graph_outcome(lambda _: parse_description(text), None))
     try:
-        graph, order, d = codec._parse_text(text)
+        graph, order, d = read_description(text)
     except ArcTextError as exc:
         outcomes.append(_refusal(exc))
     else:
@@ -1388,7 +1409,7 @@ def _fan_text(k: int, targets=None) -> str:
 
 
 def test_one_match_reads_a_text_as_the_line_reader_does(monkeypatch, c03_descriptions):
-    # description_from_text, parse_description and _parse_text give what the
+    # description_from_text, parse_description and read_description give what the
     # line-by-line reference gives, result or refusal; an accepted text is
     # proved by the match alone, with no parse_line call
     parsed = []

@@ -478,6 +478,27 @@ def test_graph_file_records_agree_with_the_spec_classes(seed):
         assert [_record_outcome(mutant) for mutant in mutants] == outcomes
 
 
+# a record for each generated reader: one per kind, and full's with its optional act_fun
+_READER_RECORDS = [*RECORDS.values(), dict(RECORDS["full"], act_fun="ReLU")]
+
+
+@pytest.mark.parametrize("record", _READER_RECORDS, ids=lambda r: f"{r['kind']}-{len(r)}-keys")
+def test_a_key_swapped_for_another_is_refused_as_the_spec_class_refuses_it(record):
+    # a field key renamed to an unknown key or to another kind's keeps the
+    # record's key count, so the reader of that count meets the key it lacks
+    kind = record["kind"]
+    assert graphio._loaded_spec(json.loads(json.dumps(record)), kind) is not None
+    foreign = sorted(set().union(*graphio._ALLOWED.values()) - record.keys()) + ["surprise"]
+    swaps = [{(new if key == old else key): value for key, value in record.items()}
+             for old in record.keys() - {"name", "kind"} for new in foreign]
+    assert {len(swap) for swap in swaps} == {len(record)}
+    outcomes = [_record_outcome(swap) for swap in swaps]
+    assert {outcome[0] for outcome in outcomes} == {SchemaError}
+    assert [graphio._loaded_spec(swap, kind) for swap in swaps] == [None] * len(swaps)
+    with mock.patch.object(graphio, "_loaded_spec", lambda record, kind: None):
+        assert [_record_outcome(swap) for swap in swaps] == outcomes
+
+
 @pytest.mark.parametrize("kind, field, value", [
     ("mf", "values", ["a-b"]),
     ("mf", "values", ["Null"]),

@@ -27,6 +27,7 @@ from arctext import (
     parse_description,
     parse_graph_json,
     parse_line,
+    read_description,
     render_description,
     render_unit,
     unitformat,
@@ -68,6 +69,21 @@ def test_unitformat_spells_the_memo_keys():
     assert MEMO_KEYS <= keywords | constants
 
 
+def _codec_imports(path: Path) -> list[str]:
+    """The names ``path`` imports from the text codec."""
+    return [alias.name for node in ast.walk(_tree(path)) if isinstance(node, ast.ImportFrom)
+            and node.module in ("codec", "arctext.codec") for alias in node.names]
+
+
+def test_the_cli_and_vectorizer_read_through_the_codec_proofs():
+    # the CLI reads a text by the public read_description, and the vectorizer
+    # proves a hand-built line by the line proof, not by parsing it
+    cli = _codec_imports(PACKAGE / "cli.py")
+    assert "read_description" in cli and [name for name in cli if name.startswith("_")] == []
+    vectorize = _codec_imports(PACKAGE / "vectorize.py")
+    assert "_proves" in vectorize and "parse_line" not in vectorize
+
+
 def _code_words(code) -> set:
     """The names and constants of a code object and of those nested in it."""
     words, stack = set(code.co_names), list(code.co_consts)
@@ -84,7 +100,7 @@ def _code_words(code) -> set:
 
 def test_no_generated_graph_file_reader_spells_the_memo_keys():
     # the readers are built from source at import, which the checks above never see
-    readers = [read for by_count in graphio._READERS.values() for _, read in by_count.values()]
+    readers = [read for by_count in graphio._READERS.values() for read in by_count.values()]
     assert len(readers) == 5  # one per kind, and two for full, whose act_fun is optional
     for read in readers:
         spelled = MEMO_KEYS & _code_words(read.__code__)
@@ -97,7 +113,7 @@ def test_generated_graph_file_readers_spell_text_only():
     # each local is the record, a JSON value (x), a text or a padding element
     # on its way to one (t) or the joined text: no reader builds a spec value
     for by_count in graphio._READERS.values():
-        for _, read in by_count.values():
+        for read in by_count.values():
             names = read.__code__.co_varnames
             assert [n for n in names if not re.fullmatch(r"record|text|x\d+|t\d+[a-h]?", n)] == []
             assert {"record", "text", "x0", "t0"} <= set(names)
@@ -205,7 +221,7 @@ def test_the_vectorizers_read_a_description_held_as_text(monkeypatch):
     graphs = [gen.random_graph(rng, min_nodes=5, max_nodes=40, max_skips=3) for _ in range(50)]
     graphs += [gen.resnext_graph(1, 4), gen.chain_graph(1)]
     texts = [render_description(g).text for g in graphs]
-    parsed = [codec._parse_text(text)[2] for text in texts]  # the graph's specs are built here
+    parsed = [read_description(text)[2] for text in texts]  # the graph's specs are built here
     monkeypatch.setattr(codec, "_proved_line", counted)
     monkeypatch.setattr(codec, "proved_spec", built)
     monkeypatch.setattr(unitformat, "proved_spec", built)

@@ -738,9 +738,11 @@ def _outcome(line: UnitLine):
     """The cells and vector of one line, or the refusal both raise."""
     try:
         cells = csv_cells(line)
-    except MalformedLineError:
-        with pytest.raises(MalformedLineError):
+    except MalformedLineError as exc:
+        assert exc.subject == line.id
+        with pytest.raises(MalformedLineError) as refused:
             unit_vector(line)
+        assert refused.value.subject == line.id
         return MalformedLineError
     assert unit_vector(line).tolist() == [float(c) for c in cells]
     return cells

@@ -1,4 +1,5 @@
-"""Real architectures built from their papers' layer tables: ``gen.resnet50``, ``gen.resnext50``."""
+"""Real architectures built from their papers' layer tables: ``gen.resnet50``,
+``gen.resnext50`` and ``gen.googlenet``."""
 
 import random
 import time
@@ -17,7 +18,7 @@ def resnet50():
     return gen.resnet50()
 
 
-@pytest.mark.parametrize("build", [gen.resnet50, gen.resnext50])
+@pytest.mark.parametrize("build", [gen.resnet50, gen.resnext50, gen.googlenet])
 def test_each_model_declares_consistent_shapes(build):
     assert lint_shapes(build()).clean
 
@@ -27,15 +28,35 @@ def test_resnet50_round_trips_to_the_same_bytes(resnet50):
     assert render_description(parse_description(text)[0]).text == text
 
 
-def test_resnet50_renders_the_same_under_new_names_with_its_edges_shuffled(resnet50):
-    rng = random.Random(50)
-    fresh = [f"w{i}" for i in range(len(resnet50))]
+def _renamed_and_shuffled(g, rng):
+    """``g`` under new names, its edges in shuffled order."""
+    fresh = [f"w{i}" for i in range(len(g))]
     rng.shuffle(fresh)
-    rename = dict(zip(resnet50.names(), fresh))
-    edges = [(rename[a], rename[b]) for a, b in resnet50.edges]
+    rename = dict(zip(g.names(), fresh))
+    edges = [(rename[a], rename[b]) for a, b in g.edges]
     rng.shuffle(edges)
-    twin = build_graph([(rename[name], resnet50.spec(name)) for name in resnet50.names()], edges)
+    return build_graph([(rename[name], g.spec(name)) for name in g.names()], edges)
+
+
+def test_resnet50_renders_the_same_under_new_names_with_its_edges_shuffled(resnet50):
+    twin = _renamed_and_shuffled(resnet50, random.Random(50))
     assert render_description(twin).text == render_description(resnet50).text
+
+
+@pytest.fixture(scope="module")
+def googlenet():
+    g = gen.googlenet()
+    return g, render_description(g).text  # about 0.5 s, in 23 ordering rounds
+
+
+def test_googlenet_round_trips_to_the_same_bytes(googlenet):
+    g, text = googlenet
+    assert render_description(parse_description(text)[0]).text == text
+
+
+def test_googlenet_renders_the_same_under_new_names_with_its_edges_shuffled(googlenet):
+    g, text = googlenet
+    assert render_description(_renamed_and_shuffled(g, random.Random(1409))).text == text
 
 
 def test_resnext50_is_refused_as_a_path_explosion_in_seconds():
