@@ -14,17 +14,26 @@ texts under their keys. If the kind's line pattern and value comparison
 spec's basic string, and ``unitformat.proved_spec`` builds the spec from the
 class and that string alone. Any other record, one lacking a key or whose
 text they refuse, goes to the spec class, which words the error.
+
+orjson decodes a str with fewer "[" and "{" than the recursion limit, which
+nests no deeper than json may: orjson 3.8 has no depth limit, and deep input
+kills the process. Any other input, and a text that orjson or the checks
+refuse, json decodes and the checks read again, so json words every refusal.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
+
+import orjson
 
 from .canonical import CanonicalOrder
 from .codec import Description
-from .errors import GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError, read_text
+from .errors import (ArcTextError, GraphFileSyntaxError, InvalidSpecError, IoError, SchemaError,
+                     read_text)
 from .model import ArchGraph, build_graph
 from .unitformat import (
     _AGREE,
@@ -130,27 +139,33 @@ def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
         raise SchemaError(f"node {name!r}: {exc}") from exc
 
 
-def parse_graph_json(text: str) -> ArchGraph:
-    """Build a graph from graph-file JSON text."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFileSyntaxError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
-        raise GraphFileSyntaxError(f"cannot read the JSON: {exc}") from exc
+def _graph(doc) -> ArchGraph:
     if not isinstance(doc, dict) or set(doc) != {"nodes", "edges"}:
         raise SchemaError('top level must be an object with exactly "nodes" and "edges"')
     if not isinstance(doc["nodes"], list) or not isinstance(doc["edges"], list):
         raise SchemaError('"nodes" and "edges" must be arrays')
-
     nodes = [_record_to_spec(rec, i) for i, rec in enumerate(doc["nodes"])]
     for i, pair in enumerate(doc["edges"]):
         if not (isinstance(pair, list) and len(pair) == 2
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise SchemaError(f"edge #{i} must be a [from, to] pair of names")
     return build_graph(nodes, doc["edges"])  # which makes the checked pairs its edges
+
+
+def parse_graph_json(text: str) -> ArchGraph:
+    """Build a graph from graph-file JSON text, decoded as the module docstring says."""
+    if isinstance(text, str) and text.count("[") + text.count("{") < sys.getrecursionlimit():
+        try:
+            return _graph(orjson.loads(text))
+        except (orjson.JSONDecodeError, ArcTextError, RecursionError):
+            pass  # a float for a wide int, NaN, a lone surrogate, a refused graph
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphFileSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+        raise GraphFileSyntaxError(f"cannot read the JSON: {exc}") from exc
+    return _graph(doc)
 
 
 def load_graph_file(path) -> ArchGraph:

@@ -525,3 +525,61 @@ def googlenet() -> ArchGraph:
     dropped = add("dropout", MFSpec("Dropout", (1, 1, 1024), (1, 1, 1024), ("0.4",)), pooled)
     add("fc", FullSpec(1024, 1000, "Softmax"), dropped)
     return build_graph(nodes, edges)
+
+
+def densenet121() -> ArchGraph:
+    """DenseNet-121 (Huang et al., arXiv:1608.06993, Table 1) on 224x224x3: 426 nodes.
+
+    DenseNet-BC with growth rate 32: a 7x7/2 conv, its BN and ReLU and a
+    3x3/2 max pool, then dense blocks of 6, 12, 24 and 16 layers at extents
+    56, 28, 14 and 7. Each layer is BN, ReLU, a 1x1 conv to 128 channels,
+    BN, ReLU and a 3x3 conv to 32 channels; one Concatenation joins its
+    output to the block's running input. Each of the three transitions is
+    BN, ReLU, a 1x1 conv that halves the channels and a 2x2/2 average pool.
+    The head is BN, ReLU, a 7x7 global average pool and a 1,000-way full
+    layer with its softmax.
+    """
+    nodes: list = []
+    edges: list = []
+
+    def add(name: str, spec, *inputs: str) -> str:
+        nodes.append((name, spec))
+        edges.extend((src, name) for src in inputs)
+        return name
+
+    def bn_relu(name: str, shape, source: str) -> str:
+        bn = add(f"{name}_bn", MFSpec("BN", shape, shape), source)
+        return add(f"{name}_relu", MFSpec("ReLU", shape, shape), bn)
+
+    def conv(name: str, in_shape, channels: int, kernel: int, *inputs: str, stride: int = 1):
+        """A conv without bias (a BN follows); its name and output shape."""
+        extent = in_shape[0] // stride
+        out_shape = (extent, extent, channels)
+        pad = ((0, kernel // 2),) * 4
+        return add(name, ConvSpec(in_shape, out_shape, (kernel, kernel), (stride, stride), pad),
+                   *inputs), out_shape
+
+    prev, shape = conv("conv0", (224, 224, 3), 64, 7, stride=2)
+    prev = bn_relu("conv0", shape, prev)
+    out_shape = (shape[0] // 2, shape[1] // 2, shape[2])
+    prev = add("pool0", PoolSpec("Max", shape, out_shape, (3, 3), (2, 2), (1, 1, 1, 1)), prev)
+    shape = out_shape
+    for block, layers in enumerate((6, 12, 24, 16), start=1):
+        if block > 1:  # the transition before this block
+            name = f"transition{block - 1}"
+            activated = bn_relu(name, shape, prev)
+            reduced, half = conv(f"{name}_conv", shape, shape[2] // 2, 1, activated)
+            out_shape = (half[0] // 2, half[1] // 2, half[2])
+            prev = add(f"{name}_pool", PoolSpec("Avg", half, out_shape, (2, 2), (2, 2)), reduced)
+            shape = out_shape
+        for layer in range(1, layers + 1):
+            name = f"block{block}_layer{layer}"
+            activated = bn_relu(f"{name}_1", shape, prev)
+            bottleneck, inner = conv(f"{name}_conv1", shape, 128, 1, activated)
+            grown, _ = conv(f"{name}_conv2", inner, 32, 3, bn_relu(f"{name}_2", inner, bottleneck))
+            shape = (shape[0], shape[1], shape[2] + 32)
+            prev = add(f"{name}_concat", MFSpec("Concatenation", shape, shape), prev, grown)
+    pooled = add("pool5", PoolSpec("Avg", shape, (1, 1, shape[2]), (7, 7), (1, 1)),
+                 bn_relu("norm5", shape, prev))
+    add("fc", FullSpec(shape[2], 1000, "Softmax"), pooled)
+    return build_graph(nodes, edges)

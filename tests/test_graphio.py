@@ -1,11 +1,18 @@
 import json
+import os
 import pickle
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arctext
 from arctext import (
     ArcTextError,
     ConvSpec,
@@ -580,3 +587,136 @@ def test_loader_spells_valid_odd_values_itself(kind, field, value):
     built = UNIT_FIELDS[kind][0](**{k: v for k, v in record.items() if k not in ("name", "kind")})
     assert spec == built
     assert (basic_fields(spec), basic_string(spec)) == (basic_fields(built), basic_string(built))
+
+
+# --- decoding: orjson within json's nesting depth, json for the rest -----------
+
+def _graph_file_outcome(text):
+    """What ``parse_graph_json`` makes of ``text``: each node's name and basic
+    string, and the edges; or the error's type, message and subject."""
+    try:
+        g = parse_graph_json(text)
+    except Exception as exc:  # any error: the json path's own included
+        return type(exc), str(exc), getattr(exc, "subject", None)
+    return [(name, basic_string(g.spec(name))) for name in g.names()], list(g.edges)
+
+
+def _refused(text):
+    raise orjson.JSONDecodeError("refused by the reference", "", 0)
+
+
+def _decoded(text):
+    """``text``'s outcome and whether orjson was asked. The outcome must equal
+    the reference's, the same call with orjson refusing every text, which
+    reads it as json alone does; orjson must be asked exactly when ``text``
+    is a str with fewer "[" and "{" than the recursion limit."""
+    with mock.patch.object(graphio.orjson, "loads", wraps=orjson.loads) as spy:
+        outcome = _graph_file_outcome(text)
+    with mock.patch.object(graphio.orjson, "loads", _refused):
+        assert _graph_file_outcome(text) == outcome
+    shallow = isinstance(text, str) and text.count("[") + text.count("{") < sys.getrecursionlimit()
+    assert spy.called == shallow
+    return outcome, spy.called
+
+
+_CORPUS_RNG = random.Random(7)
+CORPUS = [graph_to_json(gen.random_graph(_CORPUS_RNG)) for _ in range(6)]
+_NUMBER = re.compile(r"(?<=\s)\d+(?=,?\n)")  # an integer value as graph_to_json writes it
+
+# values that json reads and orjson refuses or reads as a float, and values
+# nested deeper than the guard lets orjson read
+SPLICES = {
+    "2^63": str(2**63), "2^64 - 1": str(2**64 - 1), "2^64": str(2**64), "25 digits": "9" * 25,
+    "-10^19": str(-10**19), "NaN": "NaN", "Infinity": "Infinity", "1e400": "1e400",
+    "lone surrogate escape": '"\\ud800"', "lone surrogate": '"\ud800"',
+    "1,500-deep list": "[" * 1500 + "1" + "]" * 1500,
+    "1,500-deep object": '{"a": ' * 1500 + "1" + "}" * 1500,
+}
+
+
+@pytest.mark.parametrize("name, splice", SPLICES.items(), ids=SPLICES)
+def test_decoders_agree_on_a_value_spliced_into_a_corpus_file(name, splice):
+    rng = random.Random(name)
+    for text in CORPUS:
+        at = rng.choice(list(_NUMBER.finditer(text)))
+        _decoded(text[:at.start()] + splice + text[at.end():])
+
+
+_DEEP_EDGE = "[" * 1200 + "]" * 1200
+EDITS = {
+    "as written": lambda t: t,
+    "BOM": lambda t: "\ufeff" + t,
+    "duplicate key, the first replaced": lambda t: '{"edges": [], ' + t[1:],
+    "duplicate key, the last replacing": lambda t: t.rstrip()[:-1] + ', "edges": []}',
+    "truncated": lambda t: t[:len(t) // 2],
+    "trailing data": lambda t: t + "[]",
+    "a name with a lone surrogate escape": lambda t: t.replace('"v0"', '"\\ud800"'),
+    "a name with a lone surrogate": lambda t: t.replace('"v0"', '"\ud800"'),
+    "an edge to an unknown node": lambda t: t.replace('"v1"\n    ]', '"v99"\n    ]', 1),
+    "a 1,200-deep edge": lambda t: t.replace('"edges": [', '"edges": [' + _DEEP_EDGE + ",", 1),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+def test_decoders_agree_on_an_edited_corpus_file(edit):
+    for text in CORPUS:
+        _decoded(edit(text))
+
+
+def test_a_graph_file_within_the_guard_is_decoded_by_orjson_alone():
+    for text in CORPUS:
+        with mock.patch.object(graphio.json, "loads", side_effect=AssertionError("json asked")):
+            g = parse_graph_json(text)
+        assert _decoded(text) == (_graph_file_outcome(text), True)
+        assert graph_to_json(g) == text
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16"])
+def test_bytes_are_decoded_by_json_alone(encoding):
+    for text in CORPUS:
+        assert _decoded(text.encode(encoding)) == (_graph_file_outcome(text), False)
+
+
+def _one_record_file(field: str, value: str) -> str:
+    """A graph file of one full record, with the JSON text ``value`` in its ``field``."""
+    text = json.dumps({"nodes": [dict(RECORDS["full"], **{field: "@"})], "edges": []})
+    return text.replace('"@"', value)
+
+
+@pytest.mark.parametrize("below", [1, 0], ids=["one below the recursion limit", "at it"])
+def test_orjson_reads_only_a_text_with_fewer_brackets_than_the_recursion_limit(below):
+    brackets = sys.getrecursionlimit() - below
+    n = brackets - 4  # the file's own: the top level, the nodes, the record, the edges
+    accepted = _one_record_file("name", '"' + "[" * n + '"')
+    deep = _one_record_file("in_size", "[" * n + "]" * n)
+    for text in (accepted, deep):
+        assert text.count("[") + text.count("{") == brackets
+    # orjson reads the deep value below the limit, but its spelling in the
+    # readers recurses too deep, so json reads it again and words the refusal
+    (read, asked), (_, asked_too) = _decoded(accepted), _decoded(deep)
+    assert asked == asked_too == bool(below)
+    assert isinstance(read[0], list)  # its nodes, not an error type
+
+
+_DEEP_CHILD = """\
+from arctext import GraphFileSyntaxError, parse_graph_json
+n = 200_000
+for text in ("[" * n + "]" * n, '{"a": ' * n + "1" + "}" * n,
+             '{"nodes": [{"name": "a", "kind": "full", "in_size": '
+             + "[" * n + "]" * n + ', "out_size": 1}], "edges": []}'):
+    try:
+        parse_graph_json(text)
+    except GraphFileSyntaxError:
+        continue
+    raise SystemExit("accepted")
+"""
+
+
+def test_input_nested_200000_deep_is_refused_without_killing_the_process():
+    # orjson 3.8 has no nesting limit and dies of a stack overflow (SIGSEGV)
+    # on such input, so the guard must keep it from orjson
+    src = str(Path(arctext.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _DEEP_CHILD], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])

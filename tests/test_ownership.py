@@ -9,12 +9,14 @@ graph file, keeps only its basic string until a value is asked for, which
 only unitformat reads from it. The generated graph-file readers spell text
 only. A proved line keeps its text and no fields: one constructor in the
 codec makes every proved line, and a rendered or parsed description calls
-it only once its lines are read, which neither vectorizer does.
+it only once its lines are read, which neither vectorizer does. Every
+third-party module the package imports is a declared dependency.
 """
 
 import ast
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,7 @@ from arctext.unitformat import _CONNECT, UNIT_FIELDS, basic_fields
 import gen
 
 PACKAGE = Path(arctext.__file__).parent
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 MODULES = sorted(PACKAGE.glob("*.py"))
 MEMO_KEYS = {"_basic_string"}
 
@@ -48,6 +51,32 @@ def _tree(path: Path) -> ast.Module:
 
 def test_every_module_is_read():
     assert {"unitformat.py", "codec.py", "graphio.py", "model.py"} <= {p.name for p in MODULES}
+
+
+def _third_party_imports(paths) -> set[str]:
+    """The top-level modules ``paths`` import that are neither stdlib nor arctext."""
+    tops = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                tops |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops.add(node.module.split(".")[0])
+    return tops - set(sys.stdlib_module_names) - {"arctext"}
+
+
+def _declared_dependencies(pyproject: str) -> set[str]:
+    """The distribution names in ``[project].dependencies`` (Python 3.10 has no tomllib)."""
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+            for spec in re.findall(r'"([^"]+)"', listed)}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    imported = _third_party_imports(MODULES)
+    assert "numpy" in imported  # the check reads the imports
+    assert imported <= _declared_dependencies(PYPROJECT.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "unitformat"],

@@ -1,13 +1,15 @@
 """Real architectures built from their papers' layer tables: ``gen.resnet50``,
-``gen.resnext50`` and ``gen.googlenet``."""
+``gen.resnext50``, ``gen.googlenet`` and ``gen.densenet121``."""
 
 import random
+import sys
 import time
 
 import pytest
 
 from arctext import (
-    PathExplosionError, build_graph, lint_shapes, parse_description, render_description,
+    PathExplosionError, build_graph, graph_to_json, lint_shapes, parse_description,
+    parse_graph_json, render_description,
 )
 
 import gen
@@ -18,7 +20,7 @@ def resnet50():
     return gen.resnet50()
 
 
-@pytest.mark.parametrize("build", [gen.resnet50, gen.resnext50, gen.googlenet])
+@pytest.mark.parametrize("build", [gen.resnet50, gen.resnext50, gen.googlenet, gen.densenet121])
 def test_each_model_declares_consistent_shapes(build):
     assert lint_shapes(build()).clean
 
@@ -65,3 +67,28 @@ def test_resnext50_is_refused_as_a_path_explosion_in_seconds():
     with pytest.raises(PathExplosionError):
         render_description(g)
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.fixture(scope="module")
+def densenet121():
+    g = gen.densenet121()
+    return g, render_description(g).text  # no ordering round: one longest path spans it
+
+
+def test_densenet121_round_trips_to_the_same_bytes(densenet121):
+    _, text = densenet121
+    assert render_description(parse_description(text)[0]).text == text
+
+
+def test_densenet121_renders_the_same_under_new_names_with_its_edges_shuffled(densenet121):
+    g, text = densenet121
+    assert render_description(_renamed_and_shuffled(g, random.Random(1608))).text == text
+
+
+def test_densenet121_reads_back_from_its_graph_file(densenet121):
+    # its file holds more "[" and "{" than the recursion limit, so json, not
+    # orjson, decodes it
+    g, _ = densenet121
+    text = graph_to_json(g)
+    assert text.count("[") + text.count("{") >= sys.getrecursionlimit()
+    assert parse_graph_json(text) == g
