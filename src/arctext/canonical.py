@@ -4,11 +4,11 @@ Positions are assigned 1..n: the source gets 1, the sink gets n, and the
 remaining nodes are numbered by repeatedly taking the longest source-to-sink
 path that still contains an unnumbered node and walking it in order. Among
 tied longest paths the rule is: largest digest (SHA-224 of the nodes' basic
-property strings); among equal digests, smallest tie key, which compares the
-nodes in path order, each by its position so far and then its insertion
-index: an earlier node's index outranks a later node's position. Insertion
-order can thus change the ordering (ROADMAP item 1); renaming nodes or
-reordering edges never does.
+property strings); among equal digests, smallest tie key: the paths' position
+vectors (past-the-end for an unnumbered node), then their colour vectors (each
+node's colour-refinement class, ranked by the graph alone), then their
+insertion-index vectors. Insertion order thus decides only the ties colour
+refinement cannot split (ROADMAP item 14); node names and edge order, none.
 
 A graph whose topological order is a path has no other order: that path
 holds every node, it is the only candidate, and it is numbered in one step,
@@ -220,6 +220,24 @@ def _round(state: _Ordering, positions, max_paths: int) -> list[tuple[str, ...]]
     return found
 
 
+def _colours(g: ArchGraph, names: tuple[str, ...]) -> dict[str, int]:
+    """Each node's class under colour refinement (1-WL), ranked by the graph alone.
+
+    Colours start as basic strings. Each pass refines a node's by the sorted colours of its
+    predecessors and successors, ranking each class by its signature, until one adds none.
+    """
+    signature: dict = {v: basic_string(g.nodes[v]) for v in names}
+    classes = 0
+    while True:
+        rank = {s: i for i, s in enumerate(sorted(set(signature.values())))}
+        colour = {v: rank[s] for v, s in signature.items()}
+        if len(rank) == classes:
+            return colour
+        classes = len(rank)
+        signature = {v: (colour[v], tuple(sorted(map(colour.get, g._pred[v]))),
+                         tuple(sorted(map(colour.get, g._succ[v])))) for v in names}
+
+
 def assign_positions(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> CanonicalOrder:
     """Number every node: source=1, sink=n, the rest by path extraction.
 
@@ -227,10 +245,10 @@ def assign_positions(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Can
     step: that path is the one longest path and the only candidate. On any
     other graph, each round takes the longest paths still containing an
     unnumbered node. Among them: largest digest (bytes compared as one
-    big-endian unsigned integer); among equal digests, smallest tie key,
-    which compares the nodes element-wise by (assigned position, else
-    past-the-end; then insertion index). A node takes the next free position
-    only when it first receives one, so positions come out consecutive.
+    big-endian unsigned integer); among equal digests, smallest tie key: the
+    vector of assigned positions (past-the-end for none), then of colour ranks
+    (``_colours``), then of insertion indices. A node takes the next free
+    position only when it first receives one, so positions come out consecutive.
     """
     order = g.topological_order()
     n = len(order)
@@ -243,10 +261,10 @@ def assign_positions(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Can
     positions: dict[str, int] = {state.source: 1, state.sink: n}
 
     infinity = n + 1  # beyond any assignable position
-    index: dict[str, int] = {}  # insertion order, built on the first shared top digest
+    colours, index = {}, {}  # colour ranks and insertion order, built on a shared top digest
 
-    def tie_key(seq: tuple[str, ...]):
-        return [(positions.get(name, infinity), index[name]) for name in seq]
+    def tie_key(seq: tuple[str, ...]):  # the position vector, then the colours, then the indices
+        return [[by.get(name, infinity) for name in seq] for by in (positions, colours, index)]
 
     # acyclic with one source and one sink: walking back from any node ends
     # at the source and forward at the sink, so every node lies on a
@@ -259,6 +277,7 @@ def assign_positions(g: ArchGraph, *, max_paths: int = DEFAULT_MAX_PATHS) -> Can
             top = max(c.digest for c in candidates)
             best, *rest = [c.node_sequence for c in candidates if c.digest == top]
             if rest:  # only a shared top digest runs the tie key
+                colours = colours or _colours(g, state.order)
                 index = index or {name: i for i, name in enumerate(g.nodes)}
                 best = min([best, *rest], key=tie_key)
         for name in best:

@@ -46,6 +46,7 @@ import re
 from dataclasses import dataclass
 from itertools import starmap
 from operator import lt
+from typing import NoReturn
 
 from .canonical import DEFAULT_MAX_PATHS, CanonicalOrder, _ordered, assign_positions
 from .errors import (
@@ -337,11 +338,12 @@ def _proved_body(text: str) -> str | None:
     return body if ids == list(map(str, range(2, len(ids) + 2))) else None
 
 
-def _read_text(text: str) -> str:
-    """The text minus its one tolerated trailing newline, read line by line.
+def _refuse_text(text: str) -> NoReturn:
+    """Raise the error that words the first fault of a text the whole-text match refused.
 
-    Every line is parsed before line k is checked to carry id k; at the first
-    line out of step, a smaller id repeats one of lines 1..k-1.
+    Every line is parsed before line k is checked to carry id k. Some line
+    is then out of step, as the match would otherwise have proved the text;
+    at the first, a smaller id repeats one of lines 1..k-1.
     """
     if text.endswith("\n"):
         text = text[:-1]  # tolerate one trailing newline, nothing more
@@ -352,18 +354,14 @@ def _read_text(text: str) -> str:
         if not line:
             _fail(lineno, "blank line")
         ids.append(parse_line(line, lineno)[0])
-    for lineno, uid in enumerate(ids, start=1):
-        if uid < lineno:
-            raise DuplicateIdError(f"line {lineno}: id {uid} repeats", subject=uid)
-        if uid > lineno:
-            raise NonContiguousIdsError(
-                f"line {lineno}: expected id {lineno}, got {uid}", subject=uid
-            )
-    return text
+    lineno, uid = next((k, uid) for k, uid in enumerate(ids, start=1) if uid != k)
+    if uid < lineno:
+        raise DuplicateIdError(f"line {lineno}: id {uid} repeats", subject=uid)
+    raise NonContiguousIdsError(f"line {lineno}: expected id {lineno}, got {uid}", subject=uid)
 
 
-def _proved(text: str) -> str:  # what one match cannot prove, the line reader refuses or proves
-    return _proved_body(text) or _read_text(text)
+def _proved(text: str) -> str:  # what one match cannot prove, the line reader refuses
+    return _proved_body(text) or _refuse_text(text)
 
 
 def _entries(body: str) -> list[tuple]:

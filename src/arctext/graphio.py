@@ -172,17 +172,13 @@ def load_graph_file(path) -> ArchGraph:
     return parse_graph_json(read_text(path, GraphFileSyntaxError))
 
 
-def _json_value(value):
-    return [_json_value(v) for v in value] if isinstance(value, tuple) else value
-
-
 def _spec_to_record(name: str, spec: NodeSpec) -> dict:
     kind = kind_of(spec)
     record: dict = {"name": name, "kind": kind}
     for f in UNIT_FIELDS[kind][1]:
         value = getattr(spec, f.attr)
         if value is not None or not f.optional:
-            record[f.attr] = _json_value(value)
+            record[f.attr] = value
     return record
 
 

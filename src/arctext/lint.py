@@ -87,6 +87,7 @@ def lint_shapes(
     """Check every node's declared out_size against its own parameters."""
     allow = set(shape_change_ops)
     entries: list[ShapeEntry] = []
+    warnings: list[str] = []
     for name in g.names():
         spec = g.spec(name)
         expected, declared, status, note = None, spec.out_size, STATUS_UNCHECKED, ""
@@ -111,10 +112,6 @@ def lint_shapes(
             expected = spec.in_size
             status = STATUS_OK if expected == declared else STATUS_MISMATCH
         entries.append(ShapeEntry(name, expected, declared, status, note))
-
-    warnings = []
-    for name in g.names():
-        spec = g.spec(name)
         if isinstance(spec, MFSpec) and spec.op_name == "Addition":
             shapes = {dict(basic_fields(g.spec(p)))["out_size"] for p in g.predecessors(name)}
             if len(shapes) > 1:

@@ -73,11 +73,12 @@ def join_multi(values) -> str:
 # store or raises InvalidSpecError, whose message holds no int str() refuses.
 
 def _shown(value: object) -> str:
-    """``repr(value)``, or its type where that repr holds an int too long to write."""
+    """``repr(value)`` cut after 200 characters; its type if it holds an int too long to write."""
     try:
-        return repr(value)
+        shown = repr(value)
     except ValueError:
         return f"{type(value).__name__} of more than {_MAX_DIGITS} digits"
+    return shown if len(shown) <= 200 else f"{shown[:200]}... ({len(shown)} characters)"
 
 
 def _check_int(value: object, what: str, minimum: int = 1) -> int:
@@ -96,13 +97,13 @@ def _check_token(value: object, what: str) -> str:
     bad = set(_RESERVED).intersection(value)
     if bad:
         raise InvalidSpecError(
-            f"{what} {value!r} contains reserved character(s) {sorted(bad)!r}"
+            f"{what} {_shown(value)} contains reserved character(s) {sorted(bad)!r}"
         )
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
         raise InvalidSpecError(
-            f"{what} {value!r} contains a lone surrogate, which UTF-8 cannot encode"
+            f"{what} {_shown(value)} contains a lone surrogate, which UTF-8 cannot encode"
         ) from None
     return value
 

@@ -276,11 +276,7 @@ def small_dags(n: int) -> Iterator[ArchGraph]:
 
 
 def five_node_dags() -> list[ArchGraph]:
-    """The 3,904 graphs of ``small_dags(5)``: 122 edge sets, each in 32 labellings.
-
-    Some of them render differently under other insertion orders (ROADMAP
-    item 1).
-    """
+    """The 3,904 graphs of ``small_dags(5)``: 122 edge sets, each in 32 labellings."""
     return list(small_dags(5))
 
 

@@ -15,17 +15,13 @@ an index and short SHA-256 digests:
   ``test_graphio.record_mutants``, each loaded as a one-node graph file; the
   digest of its basic string, or of its error type and message.
 - ``five_node``: the 3,904 graphs of ``gen.five_node_dags``, each built in
-  identity insertion order; the digest of its canonical text. Some of them
-  render differently under other insertion orders (ROADMAP item 1), so a fix
-  of the tie-break changes exactly those entries.
+  identity insertion order; the digest of its canonical text.
 - ``shapes``: the hard shapes that render in under a second, in the order of
   ``SHAPES``; the digests of the canonical text and of ``graph_to_json`` of
   that text read back by ``parse_description``, which reads every field of
   every spec the text holds.
 - ``cells``: the 2,000 NAS-Bench-101-style cells of ``gen.cells``, written
-  by ``graph_to_json`` and digested as C03 is. Some of them render
-  differently under other insertion orders (ROADMAP item 1), as ``five_node``
-  graphs do.
+  by ``graph_to_json`` and digested as C03 is.
 """
 
 from __future__ import annotations

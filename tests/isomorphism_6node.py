@@ -4,11 +4,11 @@
 source d0 and one sink d5 whose edges run from a lower to a higher index, in
 each of its 64 labellings by ``gen.TWO_MF_SPECS``. Each is rendered once, in
 identity insertion order, and the graphs are grouped into isomorphism
-classes as the test groups its sets. The script asserts that no two classes
-share a text and prints the number of graphs, of classes, and of classes
-that render more than one text (ROADMAP item 1 turns that last count into
-an assertion). It takes 50-90 s on a 2-CPU machine and is not collected
-by pytest. Run it from the repository root:
+classes as the test groups its sets. The script prints the number of
+graphs, of classes, and of classes that render more than one text, and
+asserts that each class renders one text and no two classes share one. It
+takes 50-90 s on a 2-CPU machine and is not collected by pytest. Run it from
+the repository root:
 
     PYTHONPATH=src:tests python tests/isomorphism_6node.py
 """
@@ -44,6 +44,7 @@ def main() -> int:
           f"{split} classes with more than one text, {shared} texts shared by two or more "
           f"classes ({time.perf_counter() - start:.0f} s)")
     assert shared == 0, f"{shared} texts are shared by non-isomorphic graphs"
+    assert split == 0, f"{split} isomorphism classes render more than one text"
     return 0
 
 

@@ -112,8 +112,7 @@ def test_cells_round_trip():
 
 
 def test_cells_render_the_same_under_new_names():
-    # new names and edge order, same node order: some cells still render by
-    # node insertion order (ROADMAP item 1)
+    # new names and edge order, same node order
     rng = random.Random(1009)
     for i, g in enumerate(gen.cells()):
         fresh = [f"w{k}" for k in range(len(g))]

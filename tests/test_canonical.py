@@ -29,7 +29,7 @@ from arctext.unitformat import basic_fields
 
 import gen
 from conftest import FIXTURES
-from test_oracle import oracle_positions
+from test_oracle import admitted_numberings
 
 RESNET4_POSITIONS = {
     "S": 1, "A": 2, "B": 3, "C": 4, "D": 5, "F": 6, "G": 7, "H": 8,
@@ -292,6 +292,19 @@ class TestAssignPositions:
             again = assign_positions(build_graph(nodes, edges))
             assert dict(again.positions) == dict(base.positions)
 
+    @pytest.mark.parametrize("graphs", [gen.two_spec_dags, gen.cells])
+    def test_input_order_invariance_where_digests_tie(self, graphs):
+        # digests tie often here, and colour ranks break what positions
+        # leave tied; an automorphism may move names, so the text is compared
+        rng = random.Random(19)
+        for i, g in enumerate(graphs()):
+            text = render_description(g).text
+            nodes, edges = [(n, g.spec(n)) for n in g.names()], list(g.edges)
+            for _ in range(6):
+                rng.shuffle(nodes)
+                rng.shuffle(edges)
+                assert render_description(build_graph(nodes, edges)).text == text, f"graph #{i}"
+
     def test_largest_digest_wins_each_round(self, branching25):
         candidates = longest_unnumbered_paths(branching25, {})
         best = max(candidates, key=lambda c: c.digest)
@@ -439,7 +452,7 @@ def test_a_path_through_every_node_is_taken_without_a_search(monkeypatch):
               for _ in range(1000)]
     graphs += [gen.chain_graph(n) for n in CHAIN_SIZES]
     for g in graphs:
-        assert dict(assign_positions(g).positions) == oracle_positions(g)
+        assert admitted_numberings(g) == {frozenset(assign_positions(g).positions.items())}
     assert not searches
 
 
@@ -451,7 +464,7 @@ def test_a_node_off_the_longest_path_still_goes_through_the_search(monkeypatch):
         g = build_graph([(v, chain.spec(v)) for v in names] + [("off", MFSpec("X", (4,), (4,)))],
                         list(chain.edges) + [(names[0], "off"), ("off", names[-1])])
         searches.clear()
-        assert dict(assign_positions(g).positions) == oracle_positions(g)
+        assert admitted_numberings(g) == {frozenset(assign_positions(g).positions.items())}
         assert len(searches) == 2  # the chain, then the node off it
 
 

@@ -13,6 +13,7 @@ from arctext import ArcTextError, Vocabulary, cli, codec, parse_description, tok
 from arctext.cli import main
 
 from conftest import FIXTURES
+from test_graphio import deep_in_size_file
 
 RESNET_JSON = str(FIXTURES / "resnet4.json")
 BRANCH_JSON = str(FIXTURES / "branching25.json")
@@ -52,6 +53,14 @@ class TestCanonicalize:
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         assert main(["canonicalize", "-i", RESNET_JSON]) == 1
         assert capsys.readouterr().err == "error[IoError]: [Errno 32] Broken pipe\n"
+
+    def test_a_refused_value_is_echoed_in_bounded_length(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(deep_in_size_file(), encoding="utf-8")
+        assert main(["canonicalize", "-i", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[SchemaError]: node 'a': in_size element must be an integer")
+        assert err.endswith("[" * 200 + "... (1801 characters)\n") and len(err) < 300
 
     def test_console_script(self, resnet4_text):
         exe = shutil.which("arctext")

@@ -720,3 +720,31 @@ def test_input_nested_200000_deep_is_refused_without_killing_the_process():
     proc = subprocess.run([sys.executable, "-c", _DEEP_CHILD], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+
+
+def deep_in_size_file(depth: int = 900) -> str:
+    """A one-record conv graph file whose in_size starts with 8 in a list nested ``depth`` deep."""
+    conv = ConvSpec((8, 8, 4), (8, 8, 4), (3, 3), (1, 1), ((0, 1),) * 4)
+    doc = json.loads(graph_to_json(build_graph([("a", conv)], [])))
+    doc["nodes"][0]["in_size"][0] = json.loads("[" * depth + "8" + "]" * depth)
+    return json.dumps(doc)
+
+
+def test_a_refused_value_is_echoed_up_to_200_characters():
+    # the repr of 8 nested 900 deep is 1,801 characters; one nested 99 deep,
+    # 199 characters, is echoed whole as before
+    said = "node 'a': in_size element must be an integer, got "
+    with pytest.raises(SchemaError) as err:
+        parse_graph_json(deep_in_size_file())
+    assert str(err.value) == said + "[" * 200 + "... (1801 characters)"
+    with pytest.raises(SchemaError) as err:
+        parse_graph_json(deep_in_size_file(99))
+    assert str(err.value) == said + "[" * 99 + "8" + "]" * 99
+    # a refused token is cut the same way
+    op_name = "X;" + "y" * 5000
+    record = {"name": "a", "kind": "mf", "op_name": op_name, "in_size": [8], "out_size": [8],
+              "values": []}
+    with pytest.raises(SchemaError) as err:
+        parse_graph_json(json.dumps({"nodes": [record], "edges": []}))
+    assert str(err.value) == (f"node 'a': op_name {repr(op_name)[:200]}... (5004 characters) "
+                              "contains reserved character(s) [';']")

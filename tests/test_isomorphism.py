@@ -93,17 +93,8 @@ def test_no_two_isomorphism_classes_share_a_text(name):
     assert shared_texts(classes, texts.__getitem__)[0] == 0
 
 
-_ORDER_DEPENDENT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param("five_node", marks=_ORDER_DEPENDENT),
-    "two_spec",
-    pytest.param("cells", marks=_ORDER_DEPENDENT),
-])
+@pytest.mark.parametrize("name", list(_SETS))
 def test_each_isomorphism_class_has_one_text(name):
-    # at HEAD, 128 of 2,976 five_node classes and 1 of 889 cells classes
-    # render two texts, each graph built once in identity insertion order
     classes, texts = _classes_and_texts(name)
     assert shared_texts(classes, texts.__getitem__)[1] == 0
 

@@ -1,15 +1,14 @@
 """The paper's ordering rule, written out literally, against assign_positions.
 
-The oracle enumerates every source->sink path once and then, each round,
-keeps the longest paths that still hold an unnumbered node, takes the
-largest SHA-224 of their newline-joined basic strings, breaks digest ties
-with the documented tie key, and numbers the winner's new nodes in path
-order. It shares nothing with the implementation except ``basic_string``.
-
-A second oracle, ``admitted_numberings``, copies no tie key: it branches on
-every path that holds the top digest and collects every numbering the rule
-admits. The implementation must give one of them, and where the rule admits
-only one, give it under any insertion order.
+The oracle, ``admitted_numberings``, copies no tie key. It enumerates every
+source->sink path once and then, each round, keeps the longest paths that
+still hold an unnumbered node, then those with the largest SHA-224 of their
+newline-joined basic strings, then those with the smallest position vector
+(past-the-end for an unnumbered node), and branches on every path still
+tied, numbering its new nodes in path order. It shares nothing with the
+implementation except ``basic_string`` and ``render_unit``. The
+implementation's text must be one of the texts those numberings render,
+and where the rule admits only one text, be it under any insertion order.
 """
 
 import hashlib
@@ -22,9 +21,10 @@ from arctext import (
     FullSpec,
     MFSpec,
     PoolSpec,
-    assign_positions,
     basic_string,
     build_graph,
+    render_description,
+    render_unit,
 )
 
 import gen
@@ -49,38 +49,18 @@ def _digest(g, path) -> bytes:
     return hashlib.sha224(joined.encode("utf-8")).digest()
 
 
-def oracle_positions(g) -> dict[str, int]:
-    source, sink, paths = _terminals_and_paths(g)
-    n = len(g)
-    positions = {source: 1, sink: n}
-    next_free = 2
-    while True:
-        open_paths = [p for p in paths if any(v not in positions for v in p)]
-        if not open_paths:
-            return positions
-        longest = max(len(p) for p in open_paths)
-        tied = [p for p in open_paths if len(p) == longest]
-        top = max(_digest(g, p) for p in tied)
-        best = min(
-            (p for p in tied if _digest(g, p) == top),
-            key=lambda p: tuple((positions.get(v, n + 1), g.node_index(v)) for v in p),
-        )
-        for v in best:
-            if v not in positions:
-                positions[v] = next_free
-                next_free += 1
-
-
-def admitted_numberings(g) -> tuple[set[frozenset], int]:
-    """Every numbering the rule admits without a tie rule, and the states searched.
+def admitted_numberings(g) -> set[frozenset]:
+    """Every numbering the rule admits.
 
     A state is the positions so far. Each round keeps the longest paths that
-    still hold an unnumbered node, then those with the largest digest, and
-    branches on every one of them, numbering its new nodes in path order.
-    A numbering is the frozenset of a final state's (name, position) pairs.
+    still hold an unnumbered node, then those with the largest digest, then
+    those with the smallest position vector, and branches on every one of
+    them, numbering its new nodes in path order. A numbering is the
+    frozenset of a final state's (name, position) pairs.
     """
     source, sink, paths = _terminals_and_paths(g)
     digests = {path: _digest(g, path) for path in paths}
+    past_the_end = len(g) + 1
     admitted, seen = set(), set()
     stack = [{source: 1, sink: len(g)}]
     while stack:
@@ -96,14 +76,30 @@ def admitted_numberings(g) -> tuple[set[frozenset], int]:
         longest = max(map(len, open_paths))
         tied = [p for p in open_paths if len(p) == longest]
         top = max(digests[p] for p in tied)
+        tied = [p for p in tied if digests[p] == top]
+        vectors = {p: [positions.get(v, past_the_end) for v in p] for p in tied}
+        least = min(vectors.values())
         for path in tied:
-            if digests[path] == top:
+            if vectors[path] == least:
                 branch = dict(positions)
                 for v in path:
                     if v not in branch:
                         branch[v] = len(branch)  # the source and sink are in: 2, 3, ...
                 stack.append(branch)
-    return admitted, len(seen)
+    return admitted
+
+
+def _text(g, numbering: frozenset) -> str:
+    positions = dict(numbering)
+    return "\n".join(
+        render_unit(g.spec(v), positions[v], sorted(positions[w] for w in g.successors(v))).text
+        for v in sorted(positions, key=positions.__getitem__)
+    )
+
+
+def admitted_texts(g) -> set[str]:
+    """The text of every numbering the rule admits."""
+    return {_text(g, numbering) for numbering in admitted_numberings(g)}
 
 
 def _shuffled(g, rng):
@@ -115,16 +111,15 @@ def _shuffled(g, rng):
 
 
 def assert_admitted(graphs, seed):
-    """Each graph numbers as the rule admits; a graph with one admitted numbering, in any order."""
+    """Each graph renders a text the rule admits; a graph with one admitted text, in any order."""
     rng = random.Random(seed)
     for i, g in enumerate(graphs):
-        admitted, _ = admitted_numberings(g)
-        numbering = frozenset(assign_positions(g).positions.items())
-        assert numbering in admitted, f"graph #{i}: outside the {len(admitted)} admitted"
+        admitted = admitted_texts(g)
+        text = render_description(g).text
+        assert text in admitted, f"graph #{i}: outside the {len(admitted)} admitted"
         if len(admitted) == 1:
             for _ in range(4):
-                shuffled = assign_positions(_shuffled(g, rng)).positions
-                assert frozenset(shuffled.items()) == numbering, f"graph #{i}"
+                assert render_description(_shuffled(g, rng)).text == text, f"graph #{i}"
 
 
 def test_five_node_dags_number_as_admitted():
@@ -216,7 +211,7 @@ def parallel_branches(draw):
 
 
 def assert_matches_oracle(g):
-    assert dict(assign_positions(g).positions) == oracle_positions(g)
+    assert_admitted([g], 0)
 
 
 @settings(max_examples=300, deadline=None)
