@@ -5,15 +5,12 @@ The graph file is strict JSON: top-level "nodes" (ordered records) and
 fields of its kind, named after the NodeSpec dataclass fields; unknown or missing
 keys are errors. Strictness keeps fixtures stable and makes the format
 auto-detectable from ArcText by the first byte ("{" vs "i"). A record with
-as many keys as its kind has, or as it requires, is read by one
-straight-line reader per kind and key count, generated at import from
-``UNIT_FIELDS``. The reader proves the record's keys by reading them. It
-runs each field's spelling statements inline, in line order, and joins the
-texts under their keys. If the kind's line pattern and value comparison
-(both from :mod:`arctext.unitformat`) accept the joined text, it is the
-spec's basic string, and ``unitformat.proved_spec`` builds the spec from the
-class and that string alone. Any other record, one lacking a key or whose
-text they refuse, goes to the spec class, which words the error.
+as many keys as its kind has, or as it requires, goes to the kind's speller
+in :mod:`arctext.unitformat` for that many fields, which proves its keys by
+reading them. If the speller returns the basic string,
+``unitformat.proved_spec`` builds the spec from the class and that string
+alone. Any other record goes to the spec class, which words the error. A
+refused record's name and kind are echoed cut after 200 characters.
 
 orjson decodes a str with fewer "[" and "{" than the recursion limit, which
 nests no deeper than json may: orjson 3.8 has no depth limit, and deep input
@@ -24,7 +21,6 @@ refuse, json decodes and the checks read again, so json words every refusal.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import dataclass
 
@@ -36,14 +32,14 @@ from .errors import (ArcTextError, GraphFileSyntaxError, InvalidSpecError, IoErr
                      read_text)
 from .model import ArchGraph, build_graph
 from .unitformat import (
-    _AGREE,
+    _SPELLERS,
     UNIT_FIELDS,
     ConvSpec,
     FullSpec,
     NodeSpec,
     PoolSpec,
     _connect_text,
-    _kind_pattern,
+    _shown,
     kind_of,
     proved_spec,
 )
@@ -55,61 +51,10 @@ _REQUIRED = {kind: frozenset({"name", "kind"} | {f.attr for f in fields if not f
              for kind, (_, fields) in UNIT_FIELDS.items()}
 
 
-def _reader(kind: str, record_keys: frozenset[str]):
-    """The reader of a record with ``record_keys``, generated from the kind's fields.
-
-    Its source holds only table constants: keys and attributes as literals,
-    each shape's spelling statements, and synthetic local names (``x``: a
-    JSON value, ``t``: its text, suffixed by field). It builds no value.
-    """
-    cls, fields = UNIT_FIELDS[kind]
-    kept = list(enumerate(f for f in fields if f.attr in record_keys))
-    texts = "".join(f"t{i}, " for i, _ in kept)
-    keys, compare = _AGREE.get(kind, ((), None))
-    compared = ", ".join(f"t{i}" for key in keys for i, f in kept if f.key == key)
-    agree = f" or not agree({compared})" if compare else ""
-    source = "\n".join([
-        "def read(record):",
-        "    try:",
-        *[f"        x{i} = record[{f.attr!r}]" for i, f in kept],
-        *[f"        {line}" for i, f in kept
-          for line in f.shape.spell.format(x=f"x{i}", t=f"t{i}").splitlines()],
-        "    except (KeyError, TypeError, ValueError):  # a key it lacks, a bad length or element",
-        "        return None",
-        f"    text = {''.join(f';{f.key}:%s' for _, f in kept)!r} % ({texts})",
-        f"    if proves(text) is None{agree}:",
-        "        return None",
-        "    return proved_spec(cls, text[1:])",
-    ])
-    namespace = {"cls": cls, "proves": re.compile(_kind_pattern([f for _, f in kept])).fullmatch,
-                 "agree": compare, "proved_spec": proved_spec}
-    exec(compile(source, f"<graph-file reader: {kind}, {len(kept)} fields>", "exec"), namespace)
-    return namespace["read"]
-
-
-# per kind, by the number of keys in a record: the reader of every field or
-# of the required ones
-_READERS = {kind: {len(keys): _reader(kind, keys) for keys in {_ALLOWED[kind], _REQUIRED[kind]}}
-            for kind in UNIT_FIELDS}
-
-
-def _loaded_spec(record: dict, kind: str) -> NodeSpec | None:
-    """The spec of a record the line grammar proves, or None to leave it to the class.
-
-    The reader of the record's key count reads each of its keys, so a record
-    it reads holds exactly those keys besides its name and kind. It spells
-    every field inline and proves the joined text by the kind's line pattern
-    and value comparison. No field pattern takes a ";", so each field's text
-    is what its group matched, and the proved text is the spec's basic string.
-    """
-    read = _READERS[kind].get(len(record))
-    return None if read is None else read(record)
-
-
 def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
     """One node record to (name, spec).
 
-    A record the line grammar proves is built unchecked. For any other, only
+    A record its kind's speller proves is built unchecked. For any other, only
     its shape is checked here: the record keys are the spec's attribute
     names, so the values go to the spec class, which checks them and words
     the error.
@@ -122,21 +67,22 @@ def _record_to_spec(record: dict, index: int) -> tuple[str, NodeSpec]:
         raise SchemaError(f"{where}: missing or empty \"name\"")
     kind = record.get("kind")
     if not isinstance(kind, str) or kind not in _ALLOWED:
-        raise SchemaError(f"node {name!r}: unknown kind {kind!r}")
-    if (spec := _loaded_spec(record, kind)) is not None:
-        return name, spec
+        raise SchemaError(f"node {_shown(name)}: unknown kind {_shown(kind)}")
+    spell = _SPELLERS[kind].get(len(record) - 2)  # of every field or the required ones
+    if spell is not None and (text := spell(record)) is not None:
+        return name, proved_spec(UNIT_FIELDS[kind][0], text)
 
     unknown = record.keys() - _ALLOWED[kind]
     if unknown:
-        raise SchemaError(f"node {name!r}: unknown field(s) {sorted(unknown)}")
+        raise SchemaError(f"node {_shown(name)}: unknown field(s) {sorted(unknown)}")
     missing = _REQUIRED[kind] - record.keys()
     if missing:
-        raise SchemaError(f"node {name!r}: missing field(s) {sorted(missing)}")
+        raise SchemaError(f"node {_shown(name)}: missing field(s) {sorted(missing)}")
     fields = {key: value for key, value in record.items() if key not in ("name", "kind")}
     try:
         return name, UNIT_FIELDS[kind][0](**fields)
     except InvalidSpecError as exc:
-        raise SchemaError(f"node {name!r}: {exc}") from exc
+        raise SchemaError(f"node {_shown(name)}: {exc}") from exc
 
 
 def _graph(doc) -> ArchGraph:

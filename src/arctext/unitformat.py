@@ -7,24 +7,28 @@ only the basic fields so that ordering does not feed back into itself.
 
 The fields are declared once, in ``UNIT_FIELDS``: for each unit kind, its
 spec class and its basic fields in line order, each with its text key, spec
-attribute and value shape. A shape says how a value is spelled (a pattern),
-written (spec value -> text), read back (text -> spec value) and checked
-(a spec-class argument -> its stored value), and holds the statements that
-take a graph file's JSON value to its text (``spell``), which the
-graph-file reader runs inline, one reader per kind and key set.
-They check no value: they format each element with ``%r``, so that
-anything but an int shows a character no integer pattern takes. A shape
-also puts what its pattern accepts into words (``says``), the one template
-for a text value the pattern refuses. Next to the table sit the rules no
-single value's pattern makes: the connect list (``_CONNECT``), the value
-comparisons across fields (``_AGREE``: pool channels, MF values sorted with
-no ``Null``), and each spec class's kind (``kind_of``).
+attribute and value shape. A shape says how a value's text looks (a
+pattern), how it is read back (text -> spec value) and checked (a spec-class
+argument -> its stored value), and holds the statements that spell a value
+as its text (``spell``). They check no value: they format each element with
+``%r``, so that anything but an int shows a character no integer pattern
+takes. A shape also puts what its pattern accepts into words (``says``), the
+one template for a text value the pattern refuses. Next to the table sit the
+rules no single value's pattern makes: the connect list (``_CONNECT``), the
+value comparisons across fields (``_AGREE``: pool channels, MF values sorted
+with no ``Null``), and each spec class's kind (``kind_of``).
+
+A field value has one spelling. At import, the shapes' statements make one
+speller per kind and field set (``_SPELLERS``), which spells a mapping of
+field values, proves the text by the kind's line pattern and value
+comparison, and returns the basic string or None. The graph-file reader in
+:mod:`arctext.graphio` runs it on a record, and ``basic_string`` on the
+values of a spec built by its class, whose checks leave no value it refuses.
 
 The spec classes check their arguments with the table's shapes. The line
-grammar in :mod:`arctext.codec` and the graph-file reader in
-:mod:`arctext.graphio` are built from these rules, and both hand what they
-have proved, a spec class and its basic string, to ``proved_spec``, which
-runs no spec-class check. The basic string is the one spelling a spec
+grammar in :mod:`arctext.codec` and the graph-file reader both hand what
+they have proved, a spec class and its basic string, to ``proved_spec``,
+which runs no spec-class check. The basic string is the one spelling a spec
 keeps, in its instance ``__dict__`` the way ``functools.cached_property``
 keeps its value (specs are frozen, so it cannot go stale): a spec built by
 its class joins it on first use, and its basic fields are read from it when
@@ -35,6 +39,7 @@ module spells its key.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -88,7 +93,7 @@ def _check_int(value: object, what: str, minimum: int = 1) -> int:
         raise InvalidSpecError(f"{what} has more than {_MAX_DIGITS} digits")
     if value < minimum:
         raise InvalidSpecError(f"{what} must be >= {minimum}, got {value}")
-    return value
+    return int(value)  # a subclass's value as an int, which "%r" spells
 
 
 def _check_token(value: object, what: str) -> str:
@@ -105,7 +110,7 @@ def _check_token(value: object, what: str) -> str:
         raise InvalidSpecError(
             f"{what} {_shown(value)} contains a lone surrogate, which UTF-8 cannot encode"
         ) from None
-    return value
+    return str(value)  # a subclass's value as a str, which the spelling takes
 
 
 def _is_sequence(value: object) -> bool:
@@ -120,15 +125,13 @@ def _check_extent(value, attr):  # a bare integer is a 1-tuple
     items = tuple(value)
     if len(items) not in (1, 3):
         raise InvalidSpecError(f"{attr} must have 1 or 3 elements, got {len(items)}")
-    for v in items:
-        _check_int(v, f"{attr} element")
-    return items
+    return tuple([_check_int(v, f"{attr} element") for v in items])
 
 
 def _check_pool_type(value, attr):
     if not isinstance(value, str) or value not in POOL_TYPES:  # no == on a non-string
         raise InvalidSpecError(f"{attr} must be one of {POOL_TYPES}, got {_shown(value)}")
-    return value
+    return str(value)
 
 
 def _check_flag(value, attr):
@@ -163,10 +166,6 @@ def _read_pad_pairs(value: str) -> tuple[tuple[int, int], ...]:
     return tuple(zip(ints, ints))  # each two in a row
 
 
-def _write_pad_pairs(pairs) -> str:
-    return "-".join([str(x) for pair in pairs for x in pair])
-
-
 def _read_token(value: str | None) -> str | None:  # a missing optional field reads as None
     return value
 
@@ -175,14 +174,10 @@ def _read_values(value: str) -> tuple[str, ...]:
     return () if value == "Null" else tuple(value.split("-"))
 
 
-def _write_values(values) -> str:
-    return join_multi(values) if values else "Null"
-
-
-# Each shape's ``spell`` is the statements that take a graph file's JSON value
-# ``{x}``, as ``json.loads`` gives it, to its text ``{t}``; the graph-file
-# reader runs them inline, under its own local names. They prove nothing: the
-# reader matches the text against the field's pattern. Only an int's repr is
+# Each shape's ``spell`` is the statements that take a field value ``{x}``, as
+# a spec holds it or ``json.loads`` gives it, to its text ``{t}``; each kind's
+# speller runs them inline, under its own local names. They prove nothing: the
+# speller matches the text against the field's pattern. Only an int's repr is
 # all digits, so "%r" writes any other element with a dot, quote, letter,
 # bracket or a doubled "-", which the pattern refuses. A sequence of the wrong
 # length raises TypeError or ValueError, and a value of the wrong type gets the
@@ -208,7 +203,7 @@ _SPELL_EXTENT = """\
 # their order and a "Null" among them are left to the line's value comparison;
 # a "-" inside a value, or the one value "Null", would read back as another list
 _SPELL_VALUES = """\
-if type({x}) is not list:
+if type({x}) not in (list, tuple):
     {t} = ''
 elif {x}:
     {t} = '-'.join({x})
@@ -219,7 +214,7 @@ else:
 
 
 class _Shape(NamedTuple):
-    """How one field's value is spelled, read, worded, written, checked and taken from JSON.
+    """How one field's value is spelled, read, worded and checked.
 
     A value its pattern refuses is worded from ``says`` alone, as "<key> must
     be <says>, got <value>"; a value it accepts can fail only a check across
@@ -230,28 +225,25 @@ class _Shape(NamedTuple):
     pattern: str  # no capturing groups; makes every check on the value alone
     read: Callable[[str], object]  # a matched value -> its spec argument
     says: str  # what the pattern accepts, in words
-    write: Callable[[object], str] = join_multi  # a spec value -> its text
-    # the statements that spell a graph file's JSON value as its text, which
-    # the caller proves; None for a shape no graph file holds
+    # the statements that spell a field value as its text, which the caller
+    # proves; None for a shape no spec field has
     spell: str | None = None
     # a spec-class argument and its attribute -> the value stored, or
     # InvalidSpecError; None for a shape no spec field has
     check: Callable[[object, str], object] | None = None
 
 
-def _int_shape(arity: int, least=1, read=_read_ints, write=join_multi) -> _Shape:
+def _int_shape(arity: int, least=1, read=_read_ints) -> _Shape:
     def check(value, attr):
         if not _is_sequence(value):
             raise InvalidSpecError(f"{attr} must be a sequence of {arity} integers")
         items = tuple(value)
         if len(items) != arity:
             raise InvalidSpecError(f"{attr} must have {arity} elements, got {len(items)}")
-        for v in items:
-            _check_int(v, f"{attr} element", least)
-        return items
+        return tuple([_check_int(v, f"{attr} element", least) for v in items])
     atom = _POS if least else _INT
     return _Shape("-".join([atom] * arity), read,
-                  f"{arity} integers >= {least} joined by '-'", write, _spell_ints(arity), check)
+                  f"{arity} integers >= {least} joined by '-'", _spell_ints(arity), check)
 
 
 _check_pad_pair = _int_shape(2, 0).check
@@ -263,23 +255,23 @@ def _check_pad_pairs(value, attr):
     return tuple(_check_pad_pair(p, "padding pair") for p in value)
 
 
-_COUNT = _Shape(_POS, int, "an integer >= 1", str, _SPELL_COUNT, _check_int)
+_COUNT = _Shape(_POS, int, "an integer >= 1", _SPELL_COUNT, _check_int)
 _PAIR = _int_shape(2)
 _SIZE = _int_shape(3)
 _PADS = _int_shape(4, 0)
-_PAD_PAIRS = _int_shape(8, 0, _read_pad_pairs, _write_pad_pairs)._replace(
+_PAD_PAIRS = _int_shape(8, 0, _read_pad_pairs)._replace(
     spell=_SPELL_PAD_PAIRS, check=_check_pad_pairs)
 _EXTENT = _Shape(f"{_POS}(?:-{_POS}-{_POS})?", _read_ints, "1 or 3 integers >= 1 joined by '-'",
-                 join_multi, _SPELL_EXTENT, _check_extent)
-_POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, " or ".join(map(repr, POOL_TYPES)), str,
+                 _SPELL_EXTENT, _check_extent)
+_POOL_TYPE = _Shape("|".join(POOL_TYPES), _read_token, " or ".join(map(repr, POOL_TYPES)),
                     _spell_typed(str), _check_pool_type)
-_FLAG = _Shape("Yes|No", "Yes".__eq__, "'Yes' or 'No'", ("No", "Yes").__getitem__,
-               _spell_typed(bool, "('No', 'Yes')[{x}]"), _check_flag)
-_WORD = _Shape(_TOKEN, _read_token, f"a non-empty token with no '-', {_NOT_IN_TOKEN}", str,
+_FLAG = _Shape("Yes|No", "Yes".__eq__, "'Yes' or 'No'", _spell_typed(bool, "('No', 'Yes')[{x}]"),
+               _check_flag)
+_WORD = _Shape(_TOKEN, _read_token, f"a non-empty token with no '-', {_NOT_IN_TOKEN}",
                _spell_typed(str), _check_token)
 _VALUES = _Shape(f"{_TOKEN}(?:-{_TOKEN})*", _read_values,
                  f"'Null' or non-empty tokens joined by '-', with no {_NOT_IN_TOKEN}",
-                 _write_values, _SPELL_VALUES, _check_values)
+                 _SPELL_VALUES, _check_values)
 
 
 # --- the spec classes -----------------------------------------------------------
@@ -455,11 +447,48 @@ _AGREE = {KIND_POOL: (("in_size", "out_size"), _pool_channels_agree),
           KIND_MF: (("value",), _mf_values_agree)}
 
 
-# each kind's (key, attr, write, read) per field, in line order
-_ROWS = {
-    kind: tuple((f.key, f.attr, f.shape.write, f.shape.read) for f in fields)
-    for kind, (_, fields) in UNIT_FIELDS.items()
-}
+def _speller(kind: str, fields: tuple[UnitField, ...]) -> Callable[[Mapping], str | None]:
+    """The speller of ``fields``, the kind's every field or its required ones.
+
+    It reads each field's value by attribute from a mapping (a graph-file
+    record or a spec's ``__dict__``), runs the shapes' spelling statements
+    inline, in line order, and joins the texts under their keys. It returns
+    the joined text if the kind's line pattern and value comparison accept
+    it, else None, as for a key it lacks; no field pattern takes a ";", so
+    the proved text is the basic string. Its source holds only table
+    constants and synthetic local names (``x``: a value, ``t``: its text).
+    """
+    keys, compare = _AGREE.get(kind, ((), None))
+    compared = ", ".join(f"t{i}" for key in keys for i, f in enumerate(fields) if f.key == key)
+    texts = "".join(f"t{i}, " for i in range(len(fields)))
+    source = "\n".join([
+        "def spell(values):",
+        "    try:",
+        *[f"        x{i} = values[{f.attr!r}]" for i, f in enumerate(fields)],
+        *[f"        {line}" for i, f in enumerate(fields)
+          for line in f.shape.spell.format(x=f"x{i}", t=f"t{i}").splitlines()],
+        "    except (KeyError, TypeError, ValueError):  # a key it lacks, a bad length or element",
+        "        return None",
+        f"    text = {''.join(f';{f.key}:%s' for f in fields)!r} % ({texts})",
+        f"    if proves(text) is None{f' or not agree({compared})' if compare else ''}:",
+        "        return None",
+        "    return text[1:]",
+    ])
+    namespace = {"proves": re.compile(_kind_pattern(fields)).fullmatch, "agree": compare}
+    exec(compile(source, f"<speller: {kind}, {len(fields)} fields>", "exec"), namespace)
+    return namespace["spell"]
+
+
+# per kind, by the number of fields it spells: the speller of every field and
+# of the required ones, which come first; a built spec leaves its None ones out
+_SPELLERS = {kind: {n: _speller(kind, fields[:n])
+                    for n in {len(fields), sum(not f.optional for f in fields)}}
+             for kind, (_, fields) in UNIT_FIELDS.items()}
+_OPTIONAL = {kind: [f.attr for f in fields if f.optional]
+             for kind, (_, fields) in UNIT_FIELDS.items()}
+# each kind's (attr, read) per field, in line order
+_ROWS = {kind: tuple((f.attr, f.shape.read) for f in fields)
+         for kind, (_, fields) in UNIT_FIELDS.items()}
 _KIND_OF_TYPE = {cls: kind for kind, (cls, _) in UNIT_FIELDS.items()}
 
 
@@ -488,7 +517,7 @@ class _Unread:
             raise AttributeError(f"{type(spec).__name__!r} object has no attribute {self.name!r}")
         # proved, so every value reads; keys and values alternate, neither holding ":" or ";"
         values = text.replace(";", ":").split(":")[1::2]
-        for (_, attr, _, read), value in zip_longest(self.rows, values):
+        for (attr, read), value in zip_longest(self.rows, values):
             memo[attr] = read(value)  # a left-out optional field, always last, reads as None
         return memo[self.name]
 
@@ -529,10 +558,8 @@ def basic_string(spec: NodeSpec) -> str:
     """The fields of a unit as rendered text, without id or connect_to."""
     memo = getattr(spec, "__dict__", {})  # a non-spec fails in kind_of
     text = memo.get("_basic_string")
-    if text is None:
-        # only an optional field is ever None: the spec classes allow no other
-        text = memo["_basic_string"] = ";".join([
-            f"{key}:{write(value)}" for key, attr, write, _ in _ROWS[kind_of(spec)]
-            if (value := getattr(spec, attr)) is not None
-        ])
+    if text is None:  # built by its class: every value checked, None only where a field is left out
+        kind = kind_of(spec)
+        left_out = sum(memo[attr] is None for attr in _OPTIONAL[kind])
+        text = memo["_basic_string"] = _SPELLERS[kind][len(_ROWS[kind]) - left_out](memo)
     return text

@@ -21,7 +21,8 @@ description's lines are read straight from its proved text, as the kind its
 keys tell, and so is a parsed or rendered line. A line built by hand is read
 through its own ``text`` once the line grammar proves it a line of its kind;
 any other raises ``MalformedLineError`` naming its id.
-``unit_vector`` is ``float()`` of the same cells.
+``unit_vector`` is ``float()`` of the same cells, in a numpy array; only it
+imports numpy, on its first call, so no other use of the package pays for it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .codec import Description, UnitLine, _line_kind, _not_well_formed, _proves
 from .errors import IoError, SchemaError, UnknownTokenError, read_text
@@ -40,6 +40,9 @@ from .unitformat import (
     _CONNECT, _COUNT, _FLAG, _INT, _PAD_PAIRS, _POOL_TYPE, _POS, _VALUES, UNIT_FIELDS,
     _read_values,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _NUMBER_RE = re.compile(_INT)  # an integer's spelling that int() converts
 
@@ -355,6 +358,8 @@ def _unit_cells(kind: str, text: str) -> list[str]:
 
 def unit_vector(line: UnitLine) -> np.ndarray:
     """A 24-slot numeric summary of one line; absent fields stay 0."""
+    import numpy as np
+
     return np.array([float(cell) for cell in _unit_cells(line.unit_kind, _proved_text(line))])
 
 

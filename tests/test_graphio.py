@@ -35,7 +35,7 @@ from arctext import (
     save_graph_file,
     validate_graph,
 )
-from arctext import graphio
+from arctext import graphio, unitformat
 from arctext.unitformat import UNIT_FIELDS, basic_fields, basic_string
 
 import gen
@@ -470,6 +470,16 @@ def _record_outcome(record: dict):
             basic_fields(spec), basic_string(spec))
 
 
+def _spelled(record: dict):
+    """What the speller of the record's key count makes of it: its basic string, or None."""
+    return unitformat._SPELLERS[record["kind"]][len(record) - 2](record)
+
+
+def _class_only():
+    """The record reader with no speller, so the spec class builds every record."""
+    return mock.patch.object(graphio, "_SPELLERS", dict.fromkeys(UNIT_FIELDS, {}))
+
+
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_graph_file_records_agree_with_the_spec_classes(seed):
@@ -478,31 +488,30 @@ def test_graph_file_records_agree_with_the_spec_classes(seed):
     # spec, or the same error
     rng = random.Random(seed)
     record = graphio._spec_to_record("a", gen.rand_spec(rng))
-    assert graphio._loaded_spec(json.loads(json.dumps(record)), record["kind"]) is not None
+    assert _spelled(json.loads(json.dumps(record))) is not None
     mutants = [record] + list(record_mutants(record, rng, 50))
     outcomes = [_record_outcome(mutant) for mutant in mutants]
-    with mock.patch.object(graphio, "_loaded_spec", lambda record, kind: None):
+    with _class_only():
         assert [_record_outcome(mutant) for mutant in mutants] == outcomes
 
 
-# a record for each generated reader: one per kind, and full's with its optional act_fun
+# a record for each generated speller: one per kind, and full's with its optional act_fun
 _READER_RECORDS = [*RECORDS.values(), dict(RECORDS["full"], act_fun="ReLU")]
 
 
 @pytest.mark.parametrize("record", _READER_RECORDS, ids=lambda r: f"{r['kind']}-{len(r)}-keys")
 def test_a_key_swapped_for_another_is_refused_as_the_spec_class_refuses_it(record):
     # a field key renamed to an unknown key or to another kind's keeps the
-    # record's key count, so the reader of that count meets the key it lacks
-    kind = record["kind"]
-    assert graphio._loaded_spec(json.loads(json.dumps(record)), kind) is not None
+    # record's key count, so the speller of that count meets the key it lacks
+    assert _spelled(json.loads(json.dumps(record))) is not None
     foreign = sorted(set().union(*graphio._ALLOWED.values()) - record.keys()) + ["surprise"]
     swaps = [{(new if key == old else key): value for key, value in record.items()}
              for old in record.keys() - {"name", "kind"} for new in foreign]
     assert {len(swap) for swap in swaps} == {len(record)}
     outcomes = [_record_outcome(swap) for swap in swaps]
     assert {outcome[0] for outcome in outcomes} == {SchemaError}
-    assert [graphio._loaded_spec(swap, kind) for swap in swaps] == [None] * len(swaps)
-    with mock.patch.object(graphio, "_loaded_spec", lambda record, kind: None):
+    assert [_spelled(swap) for swap in swaps] == [None] * len(swaps)
+    with _class_only():
         assert [_record_outcome(swap) for swap in swaps] == outcomes
 
 
@@ -521,7 +530,7 @@ def test_values_spelled_like_others_are_refused(kind, field, value):
     # each of these writes as the text of a valid value, which the spec
     # class rejects: the loader must refuse it
     record = dict(RECORDS[kind], **{field: value})
-    assert graphio._loaded_spec(record, kind) is None
+    assert _spelled(record) is None
     with pytest.raises(SchemaError):
         graphio._record_to_spec(record, 0)
 
@@ -569,7 +578,7 @@ _TOKENS = ("a b", "a,b", "it's", 'say"hi"', "back\\slash", "True", "bell\x07", "
 def test_loader_traps_give_what_the_spec_class_gives(kind, field, value):
     record = dict(RECORDS[kind], **{field: value})
     outcome = _record_outcome(record)
-    with mock.patch.object(graphio, "_loaded_spec", lambda record, kind: None):
+    with _class_only():
         assert _record_outcome(record) == outcome
 
 
@@ -583,10 +592,43 @@ def test_loader_traps_give_what_the_spec_class_gives(kind, field, value):
 def test_loader_spells_valid_odd_values_itself(kind, field, value):
     # the one-pass spelling takes these, and they equal the class's spec
     record = dict(RECORDS[kind], **{field: value})
-    spec = graphio._loaded_spec(json.loads(json.dumps(record)), kind)
+    _, spec = graphio._record_to_spec(json.loads(json.dumps(record)), 0)
+    assert set(vars(spec)) == {"_basic_string"}  # proved by the speller, not built by the class
     built = UNIT_FIELDS[kind][0](**{k: v for k, v in record.items() if k not in ("name", "kind")})
     assert spec == built
     assert (basic_fields(spec), basic_string(spec)) == (basic_fields(built), basic_string(built))
+
+
+# a refused record echoes its name and kind as refused values are echoed:
+# whole while the repr fits in 200 characters, else cut there
+_LONG = "n" * 5000
+
+
+@pytest.mark.parametrize("record", [
+    {"name": _LONG, "kind": "surprise"},
+    {"name": "layer7", "kind": "k" * 5000},
+    dict(RECORDS["full"], name=_LONG, surprise=1),
+    {"name": _LONG, "kind": "full", "in_size": 64},
+    dict(RECORDS["full"], name=_LONG, in_size=0),
+], ids=["kind", "long-kind", "unknown-field", "missing-field", "class-refusal"])
+def test_a_refused_record_echoes_a_long_name_or_kind_cut(record):
+    with pytest.raises(SchemaError) as err:
+        graphio._record_to_spec(record, 0)
+    message = str(err.value)
+    assert len(message) < 400
+    assert "... (5002 characters)" in message
+    cut = "n" * 199 if record["name"] == _LONG else "k" * 199
+    assert f"'{cut}... (5002 characters)" in message
+
+
+@pytest.mark.parametrize("name", ["a", "n" * 198, "tab\there", "it's"])
+def test_a_refused_record_echoes_a_short_name_whole(name):
+    for record, tail in [({"name": name, "kind": "surprise"}, "unknown kind 'surprise'"),
+                         (dict(RECORDS["full"], name=name, surprise=1),
+                          "unknown field(s) ['surprise']")]:
+        with pytest.raises(SchemaError) as err:
+            graphio._record_to_spec(record, 0)
+        assert str(err.value) == f"node {name!r}: {tail}"
 
 
 # --- decoding: orjson within json's nesting depth, json for the rest -----------

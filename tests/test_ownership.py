@@ -1,13 +1,12 @@
 """Each shared unit rule has one owner, :mod:`arctext.unitformat`.
 
 The readers may call what it exports, but only it spells the key under
-which a spec keeps its basic string (in module source and in the graph-file
-readers generated at import), only it defines the spec classes and their
+which a spec keeps its basic string (in module source and in the spellers
+generated at import), only it defines the spec classes and their
 check, and the graph-file reader takes nothing private from the text codec.
 A spec keeps nothing else, and a proved spec, read from a text line or a
 graph file, keeps only its basic string until a value is asked for, which
-only unitformat reads from it. The generated graph-file readers spell text
-only. A proved line keeps its text and no fields: one constructor in the
+only unitformat reads from it. The generated spellers spell text only. A proved line keeps its text and no fields: one constructor in the
 codec makes every proved line, and a rendered or parsed description calls
 it only once its lines are read, which neither vectorizer does. Every
 third-party module the package imports is a declared dependency.
@@ -128,24 +127,26 @@ def _code_words(code) -> set:
 
 
 def test_no_generated_graph_file_reader_spells_the_memo_keys():
-    # the readers are built from source at import, which the checks above never see
-    readers = [read for by_count in graphio._READERS.values() for read in by_count.values()]
-    assert len(readers) == 5  # one per kind, and two for full, whose act_fun is optional
-    for read in readers:
-        spelled = MEMO_KEYS & _code_words(read.__code__)
-        assert not spelled, f"{read.__code__.co_filename} spells {sorted(spelled)}"
+    # the spellers, which read graph-file records and built specs, are built
+    # from source at import, which the checks above never see
+    spellers = [spell for by_count in unitformat._SPELLERS.values() for spell in by_count.values()]
+    assert len(spellers) == 5  # one per kind, and two for full, whose act_fun is optional
+    for spell in spellers:
+        spelled = MEMO_KEYS & _code_words(spell.__code__)
+        assert not spelled, f"{spell.__code__.co_filename} spells {sorted(spelled)}"
     # the check reads the right spelling
     assert MEMO_KEYS <= _code_words(unitformat.proved_spec.__code__)
 
 
 def test_generated_graph_file_readers_spell_text_only():
-    # each local is the record, a JSON value (x), a text or a padding element
-    # on its way to one (t) or the joined text: no reader builds a spec value
-    for by_count in graphio._READERS.values():
-        for read in by_count.values():
-            names = read.__code__.co_varnames
-            assert [n for n in names if not re.fullmatch(r"record|text|x\d+|t\d+[a-h]?", n)] == []
-            assert {"record", "text", "x0", "t0"} <= set(names)
+    # each local is the mapping of values, a value (x), a text or a padding
+    # element on its way to one (t) or the joined text: no speller builds a
+    # spec value
+    for by_count in unitformat._SPELLERS.values():
+        for spell in by_count.values():
+            names = spell.__code__.co_varnames
+            assert [n for n in names if not re.fullmatch(r"values|text|x\d+|t\d+[a-h]?", n)] == []
+            assert {"values", "text", "x0", "t0"} <= set(names)
 
 
 SPEC_CLASSES = {"ConvSpec", "PoolSpec", "FullSpec", "MFSpec"}
@@ -297,7 +298,7 @@ def test_only_unitformat_reads_parsed_values():
     # other reader; a spec it builds reads its values from its basic string
     # in unitformat
     readers = {f.shape.read for _, fields in UNIT_FIELDS.values() for f in fields}
-    assert readers == {row[3] for rows in unitformat._ROWS.values() for row in rows}
+    assert readers == {read for rows in unitformat._ROWS.values() for _, read in rows}
     spec_readers = [read for read in readers if read is not _CONNECT.read]
     assert len(spec_readers) == len(readers) - 1  # connect lists read as sizes do
     held = [name for name, value in vars(codec).items()

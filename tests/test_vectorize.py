@@ -1,7 +1,9 @@
 import importlib.util
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arctext
 from arctext import (
     ArcTextError,
     Description,
@@ -31,7 +34,9 @@ from arctext import (
     vectors_csv,
 )
 from arctext.codec import _proved_line, parse_line
-from arctext.unitformat import _FLAG, _POOL_TYPE, _VALUES, POOL_TYPES, UNIT_FIELDS, _connect_text
+from arctext.unitformat import (
+    _FLAG, _POOL_TYPE, _VALUES, POOL_TYPES, UNIT_FIELDS, ConvSpec, _connect_text, basic_fields,
+)
 from arctext.vectorize import (
     _PLANS, NUM_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, VECTOR_SLOTS, _SLOTS, _numeric,
 )
@@ -63,8 +68,10 @@ class TestVocabulary:
         # never depends on the input: a new one must join the vocabulary
         v = Vocabulary.default(closed=True)
         keys = {f.key for _, fields in UNIT_FIELDS.values() for f in fields}
-        literals = {*POOL_TYPES, _FLAG.write(False), _FLAG.write(True), _VALUES.write(()),
-                    _connect_text(None)}
+        flags = [dict(basic_fields(ConvSpec((1, 1, 1), (1, 1, 1), (1, 1), (1, 1), bias_used=b)))
+                 for b in (False, True)]
+        literals = {*POOL_TYPES, *(flag["bias_used"] for flag in flags),
+                    dict(basic_fields(MFSpec("a", 1, 1)))["value"], _connect_text(None)}
         assert literals == {"Max", "Avg", "Yes", "No", "Null"}
         for key in keys | literals | {"id", "connect_to"}:
             assert key in v
@@ -382,7 +389,29 @@ class TestTokenizeMatchesReference:
         assert kept.to_json() == reloaded.to_json()
 
 
+_NUMPY_ON_USE = """
+import sys
+
+import arctext
+
+assert "numpy" not in sys.modules, "import arctext imported numpy"
+line = arctext.description_from_text(sys.argv[1]).lines[0]
+vector = arctext.unit_vector(line)
+import numpy
+
+assert type(vector) is numpy.ndarray and vector.shape == (24,), type(vector)
+"""
+
+
 class TestUnitVector:
+    def test_only_unit_vector_imports_numpy(self, resnet4_text):
+        # a fresh interpreter: this one has numpy loaded by the tests
+        src = str(Path(arctext.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_ON_USE, resnet4_text],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
     def test_width_is_fixed(self, resnet4_text, branching25_text):
         assert len(VECTOR_SLOTS) == 24
         for text in (resnet4_text, branching25_text):
